@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class SimConfig:
             raise ValueError("target_word_errors must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
+        if not all(isfinite(x) for x in self.ebno_db_points):
+            raise ValueError("ebno_db_points must be finite")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The distance bound reads a (real-valued) average weight profile: the
 largest d whose cumulative mass over weights 3..d stays at or below 1.
 Because codes built from different maximal-period polynomials of one
 degree share no nonzero codeword once n >= 2k, some polynomial of that
-degree must reach the bound; verify_existence finds one exhaustively.
+degree must reach the bound; verify_existence finds one with a single
+pass over the exact ensemble, which supplies both the average the bound
+is read from and the per-code distances.
 
 The union bound sums pairwise error probabilities Q(sqrt(i*gamma))
 weighted by the profile, where gamma = 2 Es/N0 so that a weight-i
@@ -18,7 +20,7 @@ from math import comb, erfc, sqrt
 
 from .errors import TheoremViolationError, UnsupportedRangeError
 from .gf2 import BitPoly
-from .weights import RealDistribution, ensemble_enumerators, ensemble_average_exact
+from .weights import RealDistribution, average_of, ensemble_enumerators
 
 # exhaustive witness search enumerates every degree-k code
 EXISTENCE_CAP = 12
@@ -86,11 +88,11 @@ def gv_distance(n: int, k: int) -> int:
 def verify_existence(k: int, n: int) -> DminReport:
     """Exhaustively confirm some degree-k code meets the distance bound.
 
-    Scans polynomials in ascending mask order and reports the first
-    whose exact minimum distance reaches the bound computed from the
-    exact ensemble average.  Failure to find one would contradict the
-    disjointness-based counting argument, so it raises instead of
-    returning an incomplete report.
+    Computes every code's exact enumerator once, reads the bound off
+    their average, and reports the polynomial of smallest mask whose
+    exact minimum distance reaches it.  Failure to find one would
+    contradict the disjointness-based counting argument, so it raises
+    instead of returning an incomplete report.
     """
     if n < 2 * k:
         raise ValueError(f"existence argument requires n >= 2k = {2 * k}, got {n}")
@@ -98,10 +100,11 @@ def verify_existence(k: int, n: int) -> DminReport:
         raise UnsupportedRangeError(
             f"exhaustive existence scan supports k <= {EXISTENCE_CAP}, got {k}"
         )
-    abar, _ = ensemble_average_exact(k, n)
+    members = ensemble_enumerators(k, n)
+    abar, _ = average_of(enum for _, enum in members)
     d = dmin_bound(abar)
     gv = gv_distance(n, k)
-    for poly, enum in ensemble_enumerators(k, n):
+    for poly, enum in members:
         wd = enum.min_nonzero_weight()
         if wd >= d:
             return DminReport(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -100,9 +101,12 @@ def _parse_poly(text: str) -> BitPoly:
 
 def _ebno_list(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        points = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse SNR list {text!r}; expected e.g. 2,3,4.5")
+    if not all(math.isfinite(x) for x in points):
+        raise ValueError(f"SNR list {text!r} has a non-finite value")
+    return points
 
 
 def _require_fast(kind: str, k: int, cap: int, allow_slow: bool) -> None:

@@ -8,7 +8,8 @@ everywhere in this package: hex masks ("0x13") and symbolic sums
 Beyond the basic ring operations the module tests whether a polynomial
 generates a maximum-length recurrence (the multiplicative order of x
 modulo p equals 2^deg(p) - 1) and enumerates all such polynomials of a
-given degree.
+given degree.  Berlekamp-Massey recovers the connection polynomial of a
+recurrence from its output bits.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import UnsupportedRangeError
 
@@ -304,6 +306,15 @@ def enumerate_primitives(k: int) -> list[BitPoly]:
 
     The list has euler_phi(2^k - 1) / k entries.
     """
+    return list(_primitives(k))
+
+
+def first_primitive(k: int) -> BitPoly:
+    """The degree-k polynomial with maximal order of x and the smallest mask."""
+    return next(_primitives(k))
+
+
+def _primitives(k: int) -> Iterator[BitPoly]:
     if not 2 <= k <= ENUMERATION_CAP:
         raise UnsupportedRangeError(
             f"enumeration supports 2 <= k <= {ENUMERATION_CAP}, got {k}"
@@ -311,9 +322,33 @@ def enumerate_primitives(k: int) -> list[BitPoly]:
     order = (1 << k) - 1
     cofactors = [order // q for q in factorize(order)]
     base = (1 << k) | 1
-    found = []
     for mid in range(1 << (k - 1)):
         mask = base | (mid << 1)
         if _has_full_order(mask, k, cofactors):
-            found.append(BitPoly(mask))
-    return found
+            yield BitPoly(mask)
+
+
+# ---------------------------------------------------------------------------
+# recurrence recovery
+
+def berlekamp_massey(bits: Sequence[int]) -> BitPoly:
+    """Shortest connection polynomial generating the given bits.
+
+    Returns c with c_0 = 1 and s_t = sum_{i>=1} c_i s_{t-i} for every t
+    covered by the input (Massey, IEEE T-IT 15, 1969).  For a sequence of
+    maximal period from a degree-k polynomial, 2k bits determine it.
+    """
+    c, prev = 1, 1  # current and last-replaced connection polynomials
+    length, shift = 0, 1
+    recent = 0  # bit i holds s_{t-i}
+    for t, bit in enumerate(bits):
+        recent = recent << 1 | int(bit)
+        shift_prev = prev << shift
+        if (c & recent).bit_count() & 1:
+            if 2 * length <= t:
+                prev, c = c, c ^ shift_prev
+                length, shift = t + 1 - length, 1
+                continue
+            c ^= shift_prev
+        shift += 1
+    return BitPoly(c)

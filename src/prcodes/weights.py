@@ -1,15 +1,18 @@
 """Hamming weight distributions and their transforms.
 
-Exact enumerators are integer vectors A_0..A_n obtained by walking all
-2^k codewords.  The binary MacWilliams transform maps an enumerator to
-its dual's through the Krawtchouk kernel; everything on that path is
-arbitrary-precision integer arithmetic, so a non-integer or negative
-output is reported as an error instead of being rounded away.
+Exact enumerators are integer vectors A_0..A_n.  The nonzero codewords
+of an (n, k) code are the n-bit windows of its sequence at the P = 2^k - 1
+phases, so A is a count of window weights plus the zero word, read from
+two copies of the sequence n mod P phases apart.  The binary MacWilliams
+transform maps an enumerator to its dual's through the Krawtchouk
+kernel; everything on that path is arbitrary-precision integer
+arithmetic, so a non-integer or negative output is reported as an error
+instead of being rounded away.
 
 On top of the exact machinery sit the ensemble averages over all
-maximal-period polynomials of a degree, closed-form approximations of
-those averages built from sparse-multiple counts, and a KL divergence
-for comparing the two.
+maximal-period polynomials of a degree, taken over decimations of one
+m-sequence, closed-form approximations of those averages built from
+sparse-multiple counts, and a KL divergence for comparing the two.
 """
 
 from __future__ import annotations
@@ -17,15 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, log
+from math import comb, gcd, inf, log
+from typing import Iterable, Iterator
 
-from .construct import PrCode, build_code
+import numpy as np
+
+from .construct import PrCode, m_sequence, sequence_chunks
 from .errors import (
     InconsistentEnumeratorError,
     RecursionInconsistencyError,
     UnsupportedRangeError,
 )
-from .gf2 import BitPoly, enumerate_primitives
+from .gf2 import BitPoly, berlekamp_massey, first_primitive
 
 # exhaustive enumeration caps: one code, and a whole degree-k ensemble
 ENUMERATOR_CAP = 24
@@ -81,25 +87,46 @@ class RealDistribution:
 # ---------------------------------------------------------------------------
 # exact enumerators
 
-def _weight_counts(rows: tuple[int, ...], k: int, n: int) -> list[int]:
-    """Counts by weight over all 2^k row combinations, via a Gray walk."""
+def _window_counts(k: int, n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
+    """A_0..A_n of the n-windows of one period-(2^k - 1) sequence.
+
+    chunks yields bit-array pairs (s[t..t+c), s[t+r..t+r+c)) that together
+    cover t = 0..P-1, with r = n mod P.  The window at phase t weighs
+    n // P full periods of 2^(k-1) ones plus w(t), the weight of
+    s[t..t+r), and w(t+1) - w(t) = s[t+r] - s[t].  Running sums of those
+    steps give w(t+1) - w(0) for every t, which over a whole period is
+    every phase once, since w(P) = w(0); w(0) is read off the first r bits.
+    """
+    laps, r = divmod(n, (1 << k) - 1)
+    shifted = np.zeros(2 * r + 1, dtype=np.int64)  # phases by w(t) - w(0) + r
+    level, first, t0 = r, 0, 0
+    for head, tail in chunks:
+        first += int(np.count_nonzero(head[:max(r - t0, 0)]))
+        levels = np.cumsum(np.subtract(tail, head, dtype=np.int8))
+        levels += level
+        shifted += np.bincount(levels, minlength=2 * r + 1)
+        level = int(levels[-1])
+        t0 += len(head)
     counts = [0] * (n + 1)
     counts[0] = 1
-    word = 0
-    for i in range(1, 1 << k):
-        low = i & -i
-        word ^= rows[low.bit_length() - 1]
-        counts[word.bit_count()] += 1
+    offset = (laps << (k - 1)) + first - r
+    for i in np.flatnonzero(shifted):
+        counts[offset + i] += int(shifted[i])
     return counts
 
 
 def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
-    """Exact weight distribution by exhaustive codeword enumeration."""
+    """Exact weight distribution, counted over the windows of the code's sequence.
+
+    The windows are those of code.poly's sequence, which are the nonzero
+    codewords for every code that build_code returns.
+    """
     if code.k > ENUMERATOR_CAP:
         raise UnsupportedRangeError(
             f"exhaustive enumeration supports k <= {ENUMERATOR_CAP}, got {code.k}"
         )
-    counts = _weight_counts(code.rows, code.k, code.n)
+    r = code.n % ((1 << code.k) - 1)
+    counts = _window_counts(code.k, code.n, sequence_chunks(code.poly, (0, r)))
     return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts))
 
 
@@ -158,38 +185,95 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 
 # ---------------------------------------------------------------------------
 # ensemble averages over all maximal-period polynomials of one degree
+#
+# Every degree-k m-sequence is, up to a shift, a decimation u_t = s_{d t}
+# of one fixed m-sequence s by a unit d mod P, and d, 2d, 4d, ... give the
+# same sequence.  Decimating by -d reverses time, which yields the
+# reciprocal polynomial and the same multiset of windows, so one
+# decimation per class {+-d 2^j} covers a reciprocal pair of codes.
+
+def _pair_leaders(k: int) -> list[int]:
+    """Smallest member of each class {+-d 2^j mod P} of units d mod P = 2^k - 1."""
+    period = (1 << k) - 1
+    seen = bytearray(period)
+    leaders = []
+    for d in range(1, period):
+        if seen[d] or gcd(d, period) != 1:
+            continue
+        leaders.append(d)
+        x = d
+        for _ in range(k):
+            seen[x] = seen[period - x] = 1
+            x = 2 * x % period
+    return leaders
+
+
+def _pair_members(k: int, n: int) -> Iterator[tuple[list[int], WeightEnumerator]]:
+    """One code of each reciprocal pair of degree k: the first 2k bits of
+    its sequence and its length-n enumerator.  k = 2 has a single,
+    self-reciprocal code."""
+    if not 2 <= k <= ENSEMBLE_CAP:
+        raise UnsupportedRangeError(
+            f"ensemble enumeration supports 2 <= k <= {ENSEMBLE_CAP}, got {k}"
+        )
+    if n < k:
+        raise ValueError(f"block length must be >= k = {k}, got {n}")
+    base = m_sequence(first_primitive(k))
+    period = len(base)
+    r = n % period
+    # d t mod P in 32 bits while (P - 1)^2 fits
+    phases = np.arange(period, dtype=np.uint32 if period <= 0xFFFF else np.uint64)
+    for d in _pair_leaders(k):
+        u = base[phases * d % period]
+        counts = _window_counts(k, n, [(u, np.roll(u, -r))])
+        yield np.resize(u, 2 * k).tolist(), WeightEnumerator(n=n, dim=k, counts=tuple(counts))
+
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
-    """Exact enumerator for every degree-k maximal-period polynomial."""
-    if k > ENSEMBLE_CAP:
-        raise UnsupportedRangeError(
-            f"ensemble enumeration supports k <= {ENSEMBLE_CAP}, got {k}"
-        )
+    """Exact enumerator for every degree-k maximal-period polynomial,
+    ascending by mask."""
     out = []
-    for p in enumerate_primitives(k):
-        out.append((p, weight_enumerator_exact(build_code(p, n))))
-    return out
+    for head, enum in _pair_members(k, n):
+        p = berlekamp_massey(head)
+        out.extend((q, enum) for q in {p, p.reciprocal()})
+    return sorted(out, key=lambda member: member[0].mask)
 
 
-def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistribution]:
-    """Exact average primal and dual weight distributions for degree k.
+def average_of(enums: Iterable[WeightEnumerator]) -> tuple[RealDistribution, RealDistribution]:
+    """Exact average primal and dual distributions of codes of one (n, dim).
 
-    The dual average is the transform of the summed primal counts, which
-    by linearity equals the average of the per-code dual enumerators.
+    Counts are summed as integers, one enumerator at a time, and each
+    average is rounded to float once.  The dual average is the transform
+    of the summed primal counts, which by linearity equals the average of
+    the per-code duals.
     """
-    members = ensemble_enumerators(k, n)
-    count = len(members)
-    primal_sum = [0] * (n + 1)
-    for _, enum in members:
-        for j, c in enumerate(enum.counts):
-            primal_sum[j] += c
-    dual_sum = _transform_counts(primal_sum, n, k)
+    count, primal_sum = 0, None
+    for e in enums:
+        if primal_sum is None:
+            n, dim, primal_sum = e.n, e.dim, list(e.counts)
+        elif (e.n, e.dim) != (n, dim):
+            raise ValueError("enumerators must share length and dimension")
+        else:
+            primal_sum = [a + b for a, b in zip(primal_sum, e.counts)]
+        count += 1
+    if primal_sum is None:
+        raise ValueError("need at least one enumerator")
+    dual_sum = _transform_counts(primal_sum, n, dim)
     primal = tuple(float(Fraction(s, count)) for s in primal_sum)
     dual = tuple(float(Fraction(s, count)) for s in dual_sum)
     return (
         RealDistribution(n=n, values=primal, label="exact-avg-primal"),
         RealDistribution(n=n, values=dual, label="exact-avg-dual"),
     )
+
+
+def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistribution]:
+    """Exact average primal and dual weight distributions for degree k.
+
+    Both codes of a reciprocal pair share one enumerator, so the average
+    over one code per pair is, as an exact fraction, the average over all.
+    """
+    return average_of(enum for _, enum in _pair_members(k, n))
 
 
 # ---------------------------------------------------------------------------

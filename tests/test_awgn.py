@@ -87,6 +87,12 @@ def test_config_validation(code20):
         SimConfig(code=code20, ebno_db_points=(3.0,), seed=1 << 64)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_snr(code20, bad):
+    with pytest.raises(ValueError):
+        SimConfig(code=code20, ebno_db_points=(3.0, bad))
+
+
 def test_simulate_noiseless_limit(code20):
     cfg = SimConfig(code=code20, ebno_db_points=(200.0,), max_trials=5000,
                     target_word_errors=1, seed=42)

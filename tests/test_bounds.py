@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from util import ref_first_witness
 
 from prcodes.bounds import (
     DminReport,
@@ -20,6 +21,7 @@ from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
     ensemble_average_exact,
+    ensemble_enumerators,
     weight_enumerator_exact,
 )
 
@@ -116,6 +118,33 @@ def test_existence_never_fails_in_guaranteed_regime():
         for n in (2 * k, 2 * k + 4, 3 * k):
             rep = verify_existence(k, n)
             assert rep.witness_d >= rep.dmin_bound
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_existence_witness_matches_ascending_scan(k):
+    for n in sorted({2 * k, 2 * k + 3, 3 * k, 4 * k}):
+        rep = verify_existence(k, n)
+        assert rep.witness_poly.mask == ref_first_witness(k, n, rep.dmin_bound)
+
+
+def test_bound_matches_exact_integer_threshold():
+    # the float cumulative sum of the average against 1 gives the same d as
+    # the integer test sum_{j=3..d} sum_j <= count on the exact member sums
+    checked = 0
+    for k in range(3, 11):
+        for n in range(2 * k, min(2**k, 64)):
+            members = ensemble_enumerators(k, n)
+            count = len(members)
+            exact = 2
+            acc = 0
+            for d in range(3, n + 1):
+                acc += sum(enum.counts[d] for _, enum in members)
+                if acc <= count:
+                    exact = d
+            abar, _ = ensemble_average_exact(k, n)
+            assert dmin_bound(abar) == exact, f"k={k} n={n}"
+            checked += 1
+    assert checked == 272
 
 
 def test_report_validation():

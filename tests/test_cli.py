@@ -173,6 +173,18 @@ def test_simulate_deterministic_artifacts(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--poly", "0x13", "--n", "20", "--max-trials", "100"],
+    ["union-bound", "--poly", "0x13", "--n", "20"],
+])
+@pytest.mark.parametrize("snrs", ["nan,inf", "3,nan", "-inf", "4,inf"])
+def test_non_finite_snr_is_domain_error(tmp_path, capsys, command, snrs):
+    out = tmp_path / "out"
+    assert run(command + [f"--ebno-list={snrs}", "--outdir", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_slow_gate(tmp_path, capsys):
     poly = enumerate_primitives(12)[0].to_hex()
     assert run(["simulate", "--poly", poly, "--n", "24", "--ebno-list", "3",

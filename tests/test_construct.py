@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
-from util import rotate_mask
+from util import ref_lfsr_bits, rotate_mask
 
+import prcodes.construct
 from prcodes.construct import (
     PrCode,
     bits_to_int,
@@ -12,6 +14,8 @@ from prcodes.construct import (
     codeword_set,
     int_to_bits,
     lfsr_subsequence,
+    m_sequence,
+    sequence_chunks,
     verify_disjoint,
 )
 from prcodes.errors import UnsupportedRangeError
@@ -240,3 +244,29 @@ def test_serialization_row_count_checked():
     text = "\n".join(code.to_text().splitlines()[:-1])
     with pytest.raises(ValueError):
         PrCode.from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# whole periods
+
+def test_m_sequence_is_row_zero_period():
+    for k in range(2, 11):
+        for p in enumerate_primitives(k)[:3]:
+            period = 2**k - 1
+            expected = lfsr_subsequence(p, [1] + [0] * (k - 1), period)
+            assert m_sequence(p).tolist() == expected
+
+
+@pytest.mark.parametrize("chunk", [8, 63, 64, 1 << 16])
+def test_sequence_chunks_offsets(monkeypatch, chunk):
+    monkeypatch.setattr(prcodes.construct, "CHUNK", chunk)
+    p = BitPoly.parse("1+x^3+x^7")
+    period = 127
+    ref = ref_lfsr_bits(p.mask, 1, 2 * period)
+    offsets = (0, 1, 64, 126, 127 + 5)
+    parts = list(sequence_chunks(p, offsets))
+    assert all(len(part) == len(offsets) for part in parts)
+    assert all(len(bits) <= chunk for part in parts for bits in part)
+    for i, o in enumerate(offsets):
+        got = np.concatenate([part[i] for part in parts]).tolist()
+        assert got == ref[o % period:o % period + period]

@@ -11,13 +11,16 @@ from util import (
     ref_order_of_x,
 )
 
+from prcodes.construct import int_to_bits, lfsr_subsequence
 from prcodes.errors import UnsupportedRangeError
 from prcodes.gf2 import (
     BitPoly,
+    berlekamp_massey,
     enumerate_primitives,
     euler_phi,
     factorize,
     is_irreducible,
+    first_primitive,
     is_primitive,
     poly_mul_mod,
 )
@@ -233,3 +236,28 @@ def test_enumerate_cap():
         enumerate_primitives(1)
     with pytest.raises(UnsupportedRangeError):
         enumerate_primitives(25)
+
+
+def test_first_primitive_is_smallest():
+    for k in range(2, 13):
+        assert first_primitive(k) == enumerate_primitives(k)[0]
+    with pytest.raises(UnsupportedRangeError):
+        first_primitive(1)
+
+
+# ---------------------------------------------------------------------------
+# Berlekamp-Massey
+
+def test_berlekamp_massey_recovers_every_primitive():
+    rng = random.Random(19)
+    for k in range(2, 11):
+        for p in enumerate_primitives(k):
+            init = int_to_bits(rng.randrange(1, 1 << k), k)
+            assert berlekamp_massey(lfsr_subsequence(p, init, 2 * k)) == p
+
+
+def test_berlekamp_massey_short_inputs():
+    assert berlekamp_massey([]) == ONE
+    assert berlekamp_massey([0, 0, 0]) == ONE
+    assert berlekamp_massey([0, 0, 0, 1]) == BitPoly.parse("1+x^4")
+    assert berlekamp_massey([1, 1, 1, 1]) == BitPoly.parse("1+x")

@@ -6,14 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from util import ref_mul, tnomial_multiple_count
+from util import ref_lfsr_bits, ref_mul, ref_weight_counts, tnomial_multiple_count
 
+import prcodes.construct
 from prcodes.construct import PrCode, build_code
 from prcodes.errors import InconsistentEnumeratorError, UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives
+from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive
 from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
+    average_of,
     avg_dual_approx,
     avg_primal_approx,
     ensemble_average_exact,
@@ -85,6 +87,51 @@ def test_enumerator_cap():
 def test_min_nonzero_weight():
     enum = weight_enumerator_exact(build_code(P4, 20))
     assert enum.min_nonzero_weight() == 9
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_enumerator_matches_brute_force(k):
+    period = 2**k - 1
+    polys = enumerate_primitives(k)
+    for p in {polys[0], polys[-1]} if k <= 8 else {polys[-1]}:
+        for n in sorted({k, 2 * k, period, period + 3, 3 << k}):
+            enum = weight_enumerator_exact(build_code(p, n))
+            assert list(enum.counts) == ref_weight_counts(p.mask, n), f"{p} n={n}"
+
+
+@pytest.mark.parametrize("chunk", [62, 63, 64, 126, 127, 128])
+def test_enumerator_across_chunk_boundaries(monkeypatch, chunk):
+    # periods 63, 127 and 255 against chunks just below, at and above
+    # them, with windows close to the chunk size and longer than it
+    monkeypatch.setattr(prcodes.construct, "CHUNK", chunk)
+    for text in ("1+x+x^6", "1+x^3+x^7", "1+x^2+x^3+x^4+x^8"):
+        p = BitPoly.parse(text)
+        for n in sorted({chunk - 1, chunk, chunk + 1, 2 * chunk + 3, 300}):
+            if n < p.degree:
+                continue
+            enum = weight_enumerator_exact(build_code(p, n))
+            assert list(enum.counts) == ref_weight_counts(p.mask, n), f"{p} n={n}"
+
+
+def _sliding_counts(p, n):
+    """Window weights at every phase of one period, by a plain sliding sum."""
+    period = 2**p.degree - 1
+    bits = ref_lfsr_bits(p.mask, 1, period + n)
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    weight = sum(bits[:n])
+    for t in range(period):
+        counts[weight] += 1
+        weight += bits[t + n] - bits[t]
+    return counts
+
+
+@pytest.mark.parametrize("k,n", [(16, (1 << 16) - 2), (17, (1 << 16) + 1)])
+def test_enumerator_at_default_chunk_size(k, n):
+    # period 2^16 - 1 just below the default chunk, 2^17 - 1 just above
+    p = first_primitive(k)
+    enum = weight_enumerator_exact(build_code(p, n))
+    assert list(enum.counts) == _sliding_counts(p, n)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +239,33 @@ def test_ensemble_total_mass():
 def test_ensemble_cap():
     with pytest.raises(UnsupportedRangeError):
         ensemble_average_exact(17, 20)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_ensemble_enumerators_match_per_code(k):
+    period = 2**k - 1
+    polys = enumerate_primitives(k)
+    for n in sorted({k, 2 * k, period, period + 3}):
+        members = ensemble_enumerators(k, n)
+        assert [p for p, _ in members] == polys
+        for p, enum in members:
+            assert enum == weight_enumerator_exact(build_code(p, n)), f"{p} n={n}"
+
+
+def test_ensemble_validation():
+    with pytest.raises(UnsupportedRangeError):
+        ensemble_enumerators(1, 4)
+    with pytest.raises(ValueError):
+        ensemble_average_exact(5, 4)  # n < k
+
+
+def test_average_of_matches_ensemble_average():
+    members = ensemble_enumerators(6, 15)
+    assert average_of([e for _, e in members]) == ensemble_average_exact(6, 15)
+    with pytest.raises(ValueError):
+        average_of([])
+    with pytest.raises(ValueError):
+        average_of([members[0][1], weight_enumerator_exact(build_code(P4, 15))])
 
 
 def test_transform_commutes_with_averaging():

@@ -85,3 +85,46 @@ def rotate_mask(mask: int, n: int, s: int) -> int:
     s %= n
     full = (1 << n) - 1
     return ((mask << s) | (mask >> (n - s))) & full
+
+
+def ref_lfsr_bits(p_mask: int, state: int, length: int) -> list[int]:
+    """`length` bits of c_t = XOR_{i: p_i = 1} c_{t-i}, where bit i of
+    `state` is c_i for i < k, shifted through a k-bit register."""
+    k = p_mask.bit_length() - 1
+    feedback = 0
+    for i in range(1, k + 1):
+        if (p_mask >> i) & 1:
+            feedback |= 1 << (k - i)
+    out = []
+    for _ in range(length):
+        out.append(state & 1)
+        state = (state >> 1) | ((state & feedback).bit_count() & 1) << (k - 1)
+    return out
+
+
+def ref_weight_counts(p_mask: int, n: int) -> list[int]:
+    """Counts by weight of the n-bit outputs of p's recurrence from every
+    one of the 2^k initial states, the zero state included."""
+    k = p_mask.bit_length() - 1
+    counts = [0] * (n + 1)
+    for state in range(1 << k):
+        counts[sum(ref_lfsr_bits(p_mask, state, n))] += 1
+    return counts
+
+
+def ref_first_witness(k: int, n: int, d: int) -> int:
+    """Smallest mask of a degree-k polynomial whose recurrence has period
+    2^k - 1 and whose n-bit windows, at every phase, weigh at least d."""
+    period = (1 << k) - 1
+    for mask in range((1 << k) | 1, 1 << (k + 1), 2):
+        if ref_order_of_x(mask, period) != period:
+            continue
+        bits = ref_lfsr_bits(mask, 1, period + n)
+        weight = sum(bits[:n])
+        lightest = weight
+        for t in range(1, period):
+            weight += bits[t + n - 1] - bits[t - 1]
+            lightest = min(lightest, weight)
+        if lightest >= d:
+            return mask
+    raise AssertionError(f"no degree-{k} polynomial reaches distance {d} at n={n}")
