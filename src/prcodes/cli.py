@@ -3,11 +3,22 @@
 Every file-producing subcommand writes CSV with a leading comment line
 of the form ``# manifest: {...}`` carrying the command, its parameters,
 the tool version, and the output names, so any artifact can be
-regenerated byte-for-byte from its own header.  The output directory
+regenerated byte-for-byte from its own header.  `_write_csv` is the only
+code that fixes that format and opens a file.  The output directory
 defaults to $PRCODES_OUTDIR, falling back to the current directory.
 
+`TARGETS` maps each `prcodes reproduce` target to the function writing it:
+
+    table1, table2    KL divergence between the exact average dual / primal
+                      distribution and its closed form, per (k, n)
+    fig1, fig2        those exact and closed-form distributions themselves
+    table3            exact enumerators of four codes
+    fig3              distance bound and a code's minimum distance vs n
+    fig4-pr, fig5-pr  ML word error rate and union bound at n = 20 / 32
+
 Exit status: 0 when all requested outputs were written, 1 on domain
-errors (bad polynomial, unsupported range, ...), 2 on usage errors.
+errors (bad polynomial, unsupported range, unwritable output, ...), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -36,60 +48,45 @@ from .weights import (
 SLOW_ENSEMBLE_K = 13
 SLOW_SIMULATE_K = 12
 
-# canned parameter sets for the reproduce targets: (k, n) grids with
-# reference values, and the generator polynomials each curve uses
-KLD_DUAL_POINTS = [(5, 12, 8.3e-3), (8, 20, 6.17e-4), (10, 25, 3.09e-5)]
-KLD_DUAL_SLOW = [(15, 31, 1.93e-6)]
-KLD_PRIMAL_POINTS = [(10, 25, 1.8e-3), (10, 45, 3.8e-3)]
-KLD_PRIMAL_SLOW = [(15, 60, 5.41e-5), (15, 100, 9.47e-5)]
+# canned parameter sets for the reproduce targets: (k, n, reference
+# divergence) rows, of which those with k >= SLOW_ENSEMBLE_K need
+# --allow-slow, and the generator polynomials each curve uses; fig3 runs
+# each of its polynomials at n = 2k, 2k + 4, ..., 48
+KLD_POINTS = {
+    "dual": [(5, 12, 8.3e-3), (8, 20, 6.17e-4), (10, 25, 3.09e-5),
+             (15, 31, 1.93e-6)],
+    "primal": [(10, 25, 1.8e-3), (10, 45, 3.8e-3), (15, 60, 5.41e-5),
+               (15, 100, 9.47e-5)],
+}
 ENUMERATOR_ROWS = [
     (20, "0x13"),
     (32, "0x13"),
     (20, "1+x^2+x^3+x^4+x^5+x^8+x^11"),
     (32, "1+x^2+x^3+x^4+x^5+x^8+x^11"),
 ]
-DISTANCE_GROWTH_POLYS = [
-    ("1+x+x^4", range(8, 49, 4)),
-    ("1+x^2+x^3+x^5+x^8", range(16, 49, 4)),
-    ("1+x+x^4+x^6+x^8+x^9+x^11+x^13+x^16", range(32, 49, 4)),
-]
+DISTANCE_GROWTH_POLYS = ["1+x+x^4", "1+x^2+x^3+x^5+x^8",
+                         "1+x+x^4+x^6+x^8+x^9+x^11+x^13+x^16"]
 WER_N20_POLYS = ["1+x+x^4", "1+x+x^4+x^5+x^6", "1+x^2+x^3+x^5+x^8",
                  "1+x+x^2+x^3+x^5+x^6+x^10"]
 WER_N32_POLYS = ["1+x+x^3", "1+x^2+x^5", "1+x+x^3+x^6+x^7", "1+x+x^3+x^4+x^9",
                  "1+x^2+x^3+x^4+x^5+x^8+x^11"]
-REPRODUCE_TARGETS = ("table1", "table2", "table3", "fig1", "fig2", "fig3",
-                     "fig4-pr", "fig5-pr")
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def _outdir(args) -> str:
-    d = args.outdir or os.environ.get("PRCODES_OUTDIR") or "."
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def _write_csv(path: str, manifest: dict, header: str, rows) -> None:
+def _write_csv(args, name: str, command: str, params: dict, header: str, rows,
+               seed=None) -> None:
+    """Write one artifact under the output directory and print its path."""
+    outdir = args.outdir or os.environ.get("PRCODES_OUTDIR") or "."
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, name)
+    manifest = {"command": command, "params": params, "version": __version__,
+                "seed": seed, "outputs": [name]}
     with open(path, "w", newline="\n") as f:
         f.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         f.write(header + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
     print(path)
-
-
-def _manifest(command: str, params: dict, outputs: list[str], seed=None) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "version": __version__,
-        "seed": seed,
-        "outputs": outputs,
-    }
 
 
 def _parse_poly(text: str) -> BitPoly:
@@ -116,32 +113,60 @@ def _require_fast(kind: str, k: int, cap: int, allow_slow: bool) -> None:
         )
 
 
+def _exact_and_approx(k: int, n: int, which: str):
+    """Exact ensemble average of the dual or primal distribution, and its
+    closed-form estimate (approx8 for the dual, approx9 for the primal)."""
+    primal, dual = ensemble_average_exact(k, n)
+    if which == "dual":
+        return dual, avg_dual_approx(k, n)
+    return primal, avg_primal_approx(k, n, mode="primary")
+
+
+def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
+    k = poly.degree
+    if source == "exact":
+        dist = weight_enumerator_exact(build_code(poly, n)).as_distribution()
+    else:
+        dist = avg_primal_approx(k, n, mode="primary")
+    d = dmin_bound(dist)
+    return [(db, union_bound(dist, d, n, ebno_db_to_gamma(db, k, n), weighted=weighted))
+            for db in points]
+
+
+def _simulate_csv(args, name: str, command: str, code, points,
+                  max_trials: int, target_errors: int) -> None:
+    """Simulate ML decoding of `code` over `points` and write the WER CSV."""
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=max_trials,
+                    target_word_errors=target_errors, seed=args.seed)
+    _write_csv(args, name, command,
+               {"poly": code.poly.to_hex(), "n": code.n,
+                "ebno_list": list(cfg.ebno_db_points),
+                "max_trials": max_trials, "target_errors": target_errors},
+               "ebno_db,trials,word_errors,wer",
+               [(r.ebno_db, r.trials, r.word_errors, r.wer) for r in simulate_wer(cfg)],
+               seed=args.seed)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_primitives(args) -> int:
+def _cmd_primitives(args):
     for p in enumerate_primitives(args.k):
         print(p.to_hex())
-    return 0
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args):
     poly = _parse_poly(args.poly)
-    code = build_code(poly, args.n)
-    enum = weight_enumerator_exact(code)
-    which = "dual" if args.dual else "primal"
+    enum = weight_enumerator_exact(build_code(poly, args.n))
     if args.dual:
         enum = macwilliams(enum)
-    name = f"weights_{which}_{poly.to_hex()}_n{args.n}.csv"
-    path = os.path.join(_outdir(args), name)
-    man = _manifest("weights",
-                    {"poly": poly.to_hex(), "n": args.n, "dual": args.dual},
-                    [name])
-    _write_csv(path, man, "j,value", list(enumerate(enum.counts)))
-    return 0
+    which = "dual" if args.dual else "primal"
+    _write_csv(args, f"weights_{which}_{poly.to_hex()}_n{args.n}.csv", "weights",
+               {"poly": poly.to_hex(), "n": args.n, "dual": args.dual},
+               "j,value", enumerate(enum.counts))
 
 
-def _cmd_avg_weights(args) -> int:
+def _cmd_avg_weights(args):
     k, n, mode = args.k, args.n, args.mode
     if mode == "exact":
         _require_fast("exact ensemble average", k, SLOW_ENSEMBLE_K, args.allow_slow)
@@ -152,30 +177,21 @@ def _cmd_avg_weights(args) -> int:
         dist = avg_primal_approx(k, n, mode="primary")
     else:
         dist = avg_primal_approx(k, n, mode="literal")
-    name = f"avg_weights_{mode}_k{k}_n{n}.csv"
-    path = os.path.join(_outdir(args), name)
-    man = _manifest("avg-weights", {"k": k, "n": n, "mode": mode}, [name])
-    _write_csv(path, man, "j,value", list(enumerate(dist.values)))
-    return 0
+    _write_csv(args, f"avg_weights_{mode}_k{k}_n{n}.csv", "avg-weights",
+               {"k": k, "n": n, "mode": mode}, "j,value", enumerate(dist.values))
 
 
-def _cmd_kld(args) -> int:
+def _cmd_kld(args):
     k, n = args.k, args.n
     _require_fast("exact ensemble average", k, SLOW_ENSEMBLE_K, args.allow_slow)
-    primal, dual = ensemble_average_exact(k, n)
-    if args.which == "dual":
-        value = kld(dual, avg_dual_approx(k, n))
-    else:
-        value = kld(primal, avg_primal_approx(k, n, mode="primary"))
+    value = kld(*_exact_and_approx(k, n, args.which))
     print(f"kld {args.which} k={k} n={n}: {value:.6g}")
-    name = f"kld_{args.which}_k{k}_n{n}.csv"
-    path = os.path.join(_outdir(args), name)
-    man = _manifest("kld", {"k": k, "n": n, "which": args.which}, [name])
-    _write_csv(path, man, "k,n,which,kld", [(k, n, args.which, value)])
-    return 0
+    _write_csv(args, f"kld_{args.which}_k{k}_n{n}.csv", "kld",
+               {"k": k, "n": n, "which": args.which}, "k,n,which,kld",
+               [(k, n, args.which, value)])
 
 
-def _cmd_dmin(args) -> int:
+def _cmd_dmin(args):
     k, n = args.k, args.n
     _require_fast("exact ensemble average", k, SLOW_ENSEMBLE_K, args.allow_slow)
     if args.scan:
@@ -189,193 +205,117 @@ def _cmd_dmin(args) -> int:
         d = dmin_bound(abar)
         print(f"dmin_bound={d} gv={gv_distance(n, k)}")
         row = (n, d, "")
-    name = f"dmin_k{k}_n{n}.csv"
-    path = os.path.join(_outdir(args), name)
-    man = _manifest("dmin", {"k": k, "n": n, "scan": args.scan}, [name])
-    _write_csv(path, man, "n,dmin_bound,witness_d", [row])
-    return 0
+    _write_csv(args, f"dmin_k{k}_n{n}.csv", "dmin",
+               {"k": k, "n": n, "scan": args.scan}, "n,dmin_bound,witness_d", [row])
 
 
-def _bound_curve(k: int, n: int, points, source: str, poly: BitPoly,
-                 weighted: bool):
-    if source == "exact":
-        dist = weight_enumerator_exact(build_code(poly, n)).as_distribution()
-    else:
-        dist = avg_primal_approx(k, n, mode="primary")
-    d = dmin_bound(dist)
-    rows = []
-    for db in points:
-        eps = union_bound(dist, d, n, ebno_db_to_gamma(db, k, n),
-                          weighted=weighted)
-        rows.append((db, eps))
-    return rows
-
-
-def _cmd_union_bound(args) -> int:
+def _cmd_union_bound(args):
     poly = _parse_poly(args.poly)
-    k, n = poly.degree, args.n
     points = _ebno_list(args.ebno_list)
-    rows = _bound_curve(k, n, points, args.source, poly,
+    rows = _bound_curve(poly, args.n, points, args.source,
                         weighted=not args.no_prefactor)
-    name = f"union_bound_{poly.to_hex()}_n{n}.csv"
-    path = os.path.join(_outdir(args), name)
-    man = _manifest("union-bound",
-                    {"poly": poly.to_hex(), "n": n, "ebno_list": list(points),
-                     "source": args.source, "no_prefactor": args.no_prefactor},
-                    [name])
-    _write_csv(path, man, "ebno_db,epsilon_ub", rows)
-    return 0
+    _write_csv(args, f"union_bound_{poly.to_hex()}_n{args.n}.csv", "union-bound",
+               {"poly": poly.to_hex(), "n": args.n, "ebno_list": list(points),
+                "source": args.source, "no_prefactor": args.no_prefactor},
+               "ebno_db,epsilon_ub", rows)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     poly = _parse_poly(args.poly)
     _require_fast("simulation", poly.degree, SLOW_SIMULATE_K, args.allow_slow)
-    code = build_code(poly, args.n)
-    cfg = SimConfig(
-        code=code,
-        ebno_db_points=_ebno_list(args.ebno_list),
-        max_trials=args.max_trials,
-        target_word_errors=args.target_errors,
-        seed=args.seed,
-    )
-    results = simulate_wer(cfg)
-    name = f"wer_{poly.to_hex()}_n{args.n}_seed{args.seed}.csv"
-    path = os.path.join(_outdir(args), name)
-    man = _manifest("simulate",
-                    {"poly": poly.to_hex(), "n": args.n,
-                     "ebno_list": list(cfg.ebno_db_points),
-                     "max_trials": args.max_trials,
-                     "target_errors": args.target_errors},
-                    [name], seed=args.seed)
-    _write_csv(path, man, "ebno_db,trials,word_errors,wer",
-               [(r.ebno_db, r.trials, r.word_errors, r.wer) for r in results])
-    return 0
+    _simulate_csv(args, f"wer_{poly.to_hex()}_n{args.n}_seed{args.seed}.csv",
+                  "simulate", build_code(poly, args.n), _ebno_list(args.ebno_list),
+                  args.max_trials, args.target_errors)
 
 
 # ---------------------------------------------------------------------------
 # canned reproduction targets
 
-def _reproduce_kld_table(args, which: str, points, name: str) -> int:
+def _kld_points(args, which: str):
+    return [p for p in KLD_POINTS[which] if p[0] < SLOW_ENSEMBLE_K or args.allow_slow]
+
+
+def _kld_table(args, which: str):
     rows = []
-    for k, n, ref in points:
-        primal, dual = ensemble_average_exact(k, n)
-        if which == "dual":
-            value = kld(dual, avg_dual_approx(k, n))
-        else:
-            value = kld(primal, avg_primal_approx(k, n, mode="primary"))
+    for k, n, ref in _kld_points(args, which):
+        value = kld(*_exact_and_approx(k, n, which))
         print(f"k={k} n={n}: computed={value:.3e} reference={ref:.3e}")
         rows.append((k, n, value, ref))
-    path = os.path.join(_outdir(args), name)
-    man = _manifest(f"reproduce {args.target}", {"allow_slow": args.allow_slow},
-                    [name])
-    _write_csv(path, man, "k,n,kld_computed,kld_reference", rows)
-    return 0
+    _write_csv(args, f"{args.target}.csv", f"reproduce {args.target}",
+               {"allow_slow": args.allow_slow}, "k,n,kld_computed,kld_reference",
+               rows)
 
 
-def _reproduce_avg_pair(args, pairs, which: str, prefix: str) -> int:
-    outdir = _outdir(args)
-    for k, n in pairs:
-        primal, dual = ensemble_average_exact(k, n)
-        if which == "dual":
-            exact, approx = dual, avg_dual_approx(k, n)
-        else:
-            exact, approx = primal, avg_primal_approx(k, n, mode="primary")
-        for tag, dist in (("exact", exact), ("approx", approx)):
-            name = f"{prefix}_{tag}_k{k}_n{n}.csv"
-            man = _manifest(f"reproduce {args.target}",
-                            {"k": k, "n": n, "allow_slow": args.allow_slow},
-                            [name])
-            _write_csv(os.path.join(outdir, name), man, "j,value",
-                       list(enumerate(dist.values)))
-    return 0
+def _average_curves(args, which: str):
+    for k, n, _ in _kld_points(args, which):
+        for tag, dist in zip(("exact", "approx"), _exact_and_approx(k, n, which)):
+            _write_csv(args, f"{args.target}_{which}_{tag}_k{k}_n{n}.csv",
+                       f"reproduce {args.target}",
+                       {"k": k, "n": n, "allow_slow": args.allow_slow},
+                       "j,value", enumerate(dist.values))
 
 
-def _cmd_reproduce(args) -> int:
-    target = args.target
-    outdir = _outdir(args)
-    if target == "table1":
-        points = KLD_DUAL_POINTS + (KLD_DUAL_SLOW if args.allow_slow else [])
-        return _reproduce_kld_table(args, "dual", points, "table1.csv")
-    if target == "table2":
-        points = KLD_PRIMAL_POINTS + (KLD_PRIMAL_SLOW if args.allow_slow else [])
-        return _reproduce_kld_table(args, "primal", points, "table2.csv")
-    if target == "table3":
-        for n, poly_text in ENUMERATOR_ROWS:
-            poly = _parse_poly(poly_text)
-            enum = weight_enumerator_exact(build_code(poly, n))
-            name = f"table3_k{poly.degree}_n{n}.csv"
-            man = _manifest("reproduce table3",
-                            {"poly": poly.to_hex(), "n": n}, [name])
-            _write_csv(os.path.join(outdir, name), man, "j,value",
-                       list(enumerate(enum.counts)))
-        return 0
-    if target == "fig1":
-        pairs = [(k, n) for k, n, _ in KLD_DUAL_POINTS]
-        if args.allow_slow:
-            pairs += [(k, n) for k, n, _ in KLD_DUAL_SLOW]
-        return _reproduce_avg_pair(args, pairs, "dual", "fig1_dual")
-    if target == "fig2":
-        pairs = [(k, n) for k, n, _ in KLD_PRIMAL_POINTS]
-        if args.allow_slow:
-            pairs += [(k, n) for k, n, _ in KLD_PRIMAL_SLOW]
-        return _reproduce_avg_pair(args, pairs, "primal", "fig2_primal")
-    if target == "fig3":
-        for poly_text, n_range in DISTANCE_GROWTH_POLYS:
-            poly = _parse_poly(poly_text)
-            k = poly.degree
-            rows = []
-            for n in n_range:
-                bound = dmin_bound(avg_primal_approx(k, n, mode="primary"))
-                enum = weight_enumerator_exact(build_code(poly, n))
-                rows.append((n, bound, enum.min_nonzero_weight()))
-            name = f"fig3_dmin_growth_{poly.to_hex()}.csv"
-            man = _manifest("reproduce fig3", {"poly": poly.to_hex()}, [name])
-            _write_csv(os.path.join(outdir, name), man,
-                       "n,dmin_bound,witness_d", rows)
-        return 0
-    if target in ("fig4-pr", "fig5-pr"):
-        n = 20 if target == "fig4-pr" else 32
-        polys = WER_N20_POLYS if target == "fig4-pr" else WER_N32_POLYS
-        if args.allow_slow:
-            points = tuple(float(x) for x in range(0, 9))
-            max_trials = 2_000_000
-        else:
-            points = tuple(float(x) for x in range(0, 7))
-            max_trials = 200_000
-        for poly_text in polys:
-            poly = _parse_poly(poly_text)
-            code = build_code(poly, n)
-            cfg = SimConfig(code=code, ebno_db_points=points,
-                            max_trials=max_trials, target_word_errors=100,
-                            seed=args.seed)
-            results = simulate_wer(cfg)
-            name = f"{target.replace('-', '_')}_wer_{poly.to_hex()}.csv"
-            man = _manifest(f"reproduce {target}",
-                            {"poly": poly.to_hex(), "n": n,
-                             "ebno_list": list(points),
-                             "max_trials": max_trials, "target_errors": 100},
-                            [name], seed=args.seed)
-            _write_csv(os.path.join(outdir, name), man,
-                       "ebno_db,trials,word_errors,wer",
-                       [(r.ebno_db, r.trials, r.word_errors, r.wer)
-                        for r in results])
-            brows = _bound_curve(poly.degree, n, points, "approx9", poly,
-                                 weighted=True)
-            bname = f"{target.replace('-', '_')}_ub_{poly.to_hex()}.csv"
-            bman = _manifest(f"reproduce {target}",
-                             {"poly": poly.to_hex(), "n": n,
-                              "ebno_list": list(points)}, [bname])
-            _write_csv(os.path.join(outdir, bname), bman,
-                       "ebno_db,epsilon_ub", brows)
-        return 0
-    raise ValueError(f"unknown reproduce target {target!r}")
+def _enumerator_table(args):
+    for n, poly_text in ENUMERATOR_ROWS:
+        poly = _parse_poly(poly_text)
+        enum = weight_enumerator_exact(build_code(poly, n))
+        _write_csv(args, f"table3_k{poly.degree}_n{n}.csv", "reproduce table3",
+                   {"poly": poly.to_hex(), "n": n}, "j,value", enumerate(enum.counts))
+
+
+def _distance_growth(args):
+    for poly_text in DISTANCE_GROWTH_POLYS:
+        poly = _parse_poly(poly_text)
+        rows = [(n, dmin_bound(avg_primal_approx(poly.degree, n, mode="primary")),
+                 weight_enumerator_exact(build_code(poly, n)).min_nonzero_weight())
+                for n in range(2 * poly.degree, 49, 4)]
+        _write_csv(args, f"fig3_dmin_growth_{poly.to_hex()}.csv", "reproduce fig3",
+                   {"poly": poly.to_hex()}, "n,dmin_bound,witness_d", rows)
+
+
+def _wer_curves(args, n: int, polys):
+    """Simulated ML word error rate and its union bound, per polynomial."""
+    top, max_trials = (8, 2_000_000) if args.allow_slow else (6, 200_000)
+    points = tuple(float(x) for x in range(0, top + 1))
+    command = f"reproduce {args.target}"
+    stem = args.target.replace("-", "_")
+    for poly_text in polys:
+        poly = _parse_poly(poly_text)
+        _simulate_csv(args, f"{stem}_wer_{poly.to_hex()}.csv", command,
+                      build_code(poly, n), points, max_trials, 100)
+        _write_csv(args, f"{stem}_ub_{poly.to_hex()}.csv", command,
+                   {"poly": poly.to_hex(), "n": n, "ebno_list": list(points)},
+                   "ebno_db,epsilon_ub",
+                   _bound_curve(poly, n, points, "approx9", weighted=True))
+
+
+TARGETS = {
+    "table1": lambda args: _kld_table(args, "dual"),
+    "table2": lambda args: _kld_table(args, "primal"),
+    "table3": _enumerator_table,
+    "fig1": lambda args: _average_curves(args, "dual"),
+    "fig2": lambda args: _average_curves(args, "primal"),
+    "fig3": _distance_growth,
+    "fig4-pr": lambda args: _wer_curves(args, 20, WER_N20_POLYS),
+    "fig5-pr": lambda args: _wer_curves(args, 32, WER_N32_POLYS),
+}
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-<digit>..." and "-.<digit>..." as values, not options, so that
+    ``--ebno-list -3,2`` works; no prcodes option starts that way."""
+
+    def _parse_optional(self, arg_string):
+        if re.match(r"-\.?\d", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prcodes",
         description="Weight distributions, distance bounds, and ML-decoding "
                     "simulation for codes built from maximum-length LFSR "
@@ -384,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
+    def add_common(p, allow_slow=False):
+        if allow_slow:
+            p.add_argument("--allow-slow", action="store_true")
         p.add_argument("--outdir", default=None,
                        help="output directory (default: $PRCODES_OUTDIR or .)")
 
@@ -405,16 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", required=True,
                    choices=["exact", "approx8", "approx9", "literal9"])
-    p.add_argument("--allow-slow", action="store_true")
-    add_common(p)
+    add_common(p, allow_slow=True)
     p.set_defaults(func=_cmd_avg_weights)
 
     p = sub.add_parser("kld", help="divergence of exact vs approximate average")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", required=True, choices=["dual", "primal"])
-    p.add_argument("--allow-slow", action="store_true")
-    add_common(p)
+    add_common(p, allow_slow=True)
     p.set_defaults(func=_cmd_kld)
 
     p = sub.add_parser("dmin", help="minimum-distance bound at one (k, n)")
@@ -422,8 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scan", action="store_true",
                    help="exhaustively find a code meeting the bound")
-    p.add_argument("--allow-slow", action="store_true")
-    add_common(p)
+    add_common(p, allow_slow=True)
     p.set_defaults(func=_cmd_dmin)
 
     p = sub.add_parser("union-bound", help="union-bound WER curve")
@@ -444,17 +383,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=10_000_000)
     p.add_argument("--target-errors", type=int, default=100)
-    p.add_argument("--allow-slow", action="store_true")
-    add_common(p)
+    add_common(p, allow_slow=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce", help="regenerate a canned table or figure")
-    p.add_argument("target", choices=REPRODUCE_TARGETS)
+    p.add_argument("target", choices=TARGETS)
     p.add_argument("--allow-slow", action="store_true",
                    help="include the k=15 rows / extended SNR grids")
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
-    p.set_defaults(func=_cmd_reproduce)
+    p.set_defaults(func=lambda args: TARGETS[args.target](args))
 
     return parser
 
@@ -464,10 +402,11 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        args.func(args)
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -185,6 +185,21 @@ def test_non_finite_snr_is_domain_error(tmp_path, capsys, command, snrs):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--poly", "0x13", "--n", "20", "--max-trials", "2000"],
+    ["union-bound", "--poly", "0x13", "--n", "20"],
+])
+@pytest.mark.parametrize("snrs", ["-3,2", "-0.5,1", "-.5,2"])
+def test_negative_snr_list_as_separate_argument(tmp_path, command, snrs):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert run(command + ["--ebno-list", snrs, "--outdir", str(spaced)]) == 0
+    assert run(command + [f"--ebno-list={snrs}", "--outdir", str(joined)]) == 0
+    (name,) = [p.name for p in spaced.iterdir()]
+    assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+    manifest, _, _ = read_csv(spaced / name)
+    assert manifest["params"]["ebno_list"] == [float(x) for x in snrs.split(",")]
+
+
 def test_simulate_slow_gate(tmp_path, capsys):
     poly = enumerate_primitives(12)[0].to_hex()
     assert run(["simulate", "--poly", poly, "--n", "24", "--ebno-list", "3",
@@ -196,6 +211,14 @@ def test_outdir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("PRCODES_OUTDIR", str(tmp_path / "envout"))
     assert run(["weights", "--poly", "0x13", "--n", "15"]) == 0
     assert (tmp_path / "envout" / "weights_primal_0x13_n15.csv").exists()
+
+
+def test_unwritable_outdir_is_domain_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["weights", "--poly", "0x13", "--n", "15",
+                "--outdir", str(blocker)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_reproduce_enumerator_table(tmp_path):
