@@ -2,13 +2,21 @@
 
 Codewords are BPSK-mapped (bit 0 -> +1, bit 1 -> -1) at unit symbol
 energy; the decoder exhaustively correlates the received vector against
-every codeword, so the message cap keeps the 2^k codebook in memory.
+every codeword.  No codebook is stored: the symbols of message m are
+``low[m & (2^t - 1)] * high[m >> t]``, two +-1 tables spanning the low
+t = min(k, LOW_BITS) message bits and the other k - t, so the scores of
+messages h*2^t .. (h+1)*2^t - 1 are ``(rx * high[h]) @ low.T`` and the
+argmax is merged block by block.  Decoder memory is about b * 2^t * 8
+bytes for a batch of b trials, not 2^k * n * 8.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
 ``max(1, 2^22 // 2^k)`` (messages first, then the noise block), and
-stops at the first batch boundary where the error target is met, so a
-config reproduces its results bit-for-bit on any machine.
+stops at the first batch boundary where the error target is met.
+Decisions rely on the float64 GEMM sum of one score not depending on
+how many columns the same call computes, and on flipping signs by +-1
+being exact; with that, a config reproduces its results bit-for-bit on
+any machine, and ties go to the lowest message.
 """
 
 from __future__ import annotations
@@ -16,14 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
+from typing import Iterator
 
 import numpy as np
 
-from .construct import PrCode, int_to_bits
+from .construct import PrCode
 from .errors import UnsupportedRangeError
 
-# exhaustive correlation decoding materializes a 2^k x n codebook
+# exhaustive decoding correlates every trial with all 2^k codewords
 DECODER_CAP = 20
+# message bits spanned by the low table: scores are computed 2^LOW_BITS columns
+# at a time (2^10-2^12 columns time within ~15% of each other at k = 13-15), and
+# k <= LOW_BITS decodes in one block
+LOW_BITS = 10
 
 _BATCH_BUDGET = 1 << 22
 
@@ -61,14 +74,62 @@ class SimResult:
 
 
 @lru_cache(maxsize=8)
-def _codebook_signs(code: PrCode) -> np.ndarray:
-    """(2^k, n) matrix of BPSK symbols for every codeword."""
-    k, n = code.k, code.n
-    signs = np.empty((1 << k, n), dtype=np.float64)
-    for m in range(1 << k):
-        bits = np.array(int_to_bits(code.encode(m), n), dtype=np.float64)
-        signs[m] = 1.0 - 2.0 * bits
-    return signs
+def _sign_tables(code: PrCode) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): BPSK symbols of every combination of the first t
+    generator rows and of the remaining k - t, t = min(k, LOW_BITS).
+
+    Row m of a table holds the symbols of the XOR of the rows picked by
+    the bits of m, so message m is sent as low[m & (2^t - 1)] * high[m >> t].
+    Cached for per-vector ml_decode calls; a pair holds (2^t + 2^(k-t))
+    rows, at most 2^11 at DECODER_CAP, and is read-only.
+    """
+    t = min(code.k, LOW_BITS)
+    nbytes = (code.n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in code.rows),
+                           dtype=np.uint8).reshape(code.k, nbytes)
+    rows = 1.0 - 2.0 * np.unpackbits(packed, axis=1, count=code.n, bitorder="little")
+
+    def span(rows: np.ndarray) -> np.ndarray:
+        table = np.ones((1 << len(rows), code.n))
+        for j, row in enumerate(rows):
+            table[1 << j:2 << j] = table[:1 << j] * row
+        table.flags.writeable = False
+        return table
+
+    return span(rows[:t]), span(rows[t:])
+
+
+def _score_blocks(rx: np.ndarray, low: np.ndarray,
+                  high: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, scores) per high block: scores[i, j] is the correlation
+    of rx[i] with the codeword of message offset + j."""
+    yield 0, rx @ low.T
+    for h in range(1, len(high)):
+        yield h * len(low), (rx * high[h]) @ low.T
+
+
+def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """ML message for each row of rx; ties break toward the lowest message."""
+    blocks = _score_blocks(rx, low, high)
+    _, scores = next(blocks)
+    arg = np.argmax(scores, axis=1)
+    if len(high) == 1:
+        return arg
+    best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
+    for offset, scores in blocks:
+        block_arg = np.argmax(scores, axis=1)
+        block_best = np.take_along_axis(scores, block_arg[:, None], axis=1)[:, 0]
+        better = block_best > best
+        arg[better] = block_arg[better] + offset
+        best[better] = block_best[better]
+    return arg
+
+
+def _check_cap(code: PrCode) -> None:
+    if code.k > DECODER_CAP:
+        raise UnsupportedRangeError(
+            f"exhaustive decoding supports k <= {DECODER_CAP}, got {code.k}"
+        )
 
 
 def ml_decode(code: PrCode, received) -> int:
@@ -76,15 +137,11 @@ def ml_decode(code: PrCode, received) -> int:
 
     Ties break toward the lowest message value.
     """
-    if code.k > DECODER_CAP:
-        raise UnsupportedRangeError(
-            f"exhaustive decoding supports k <= {DECODER_CAP}, got {code.k}"
-        )
+    _check_cap(code)
     r = np.asarray(received, dtype=np.float64)
     if r.shape != (code.n,):
         raise ValueError(f"received vector must have length {code.n}")
-    scores = _codebook_signs(code) @ r
-    return int(np.argmax(scores))
+    return int(_decide(r[None, :], *_sign_tables(code))[0])
 
 
 def _noise_sigma(ebno_db: float, k: int, n: int) -> float:
@@ -101,11 +158,9 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     message mismatches until target_word_errors or max_trials is hit.
     """
     code = cfg.code
-    if code.k > DECODER_CAP:
-        raise UnsupportedRangeError(
-            f"exhaustive decoding supports k <= {DECODER_CAP}, got {code.k}"
-        )
-    signs = _codebook_signs(code)
+    _check_cap(code)
+    low, high = _sign_tables(code)
+    t = len(low).bit_length() - 1
     size = 1 << code.k
     batch = max(1, _BATCH_BUDGET // size)
     results = []
@@ -120,8 +175,12 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 msgs = np.zeros(b, dtype=np.int64)
             else:
                 msgs = rng.integers(0, size, size=b)
-            rx = signs[msgs] + sigma * rng.standard_normal((b, code.n))
-            decisions = np.argmax(rx @ signs.T, axis=1)
+            if len(high) == 1:
+                tx = low[msgs]
+            else:
+                tx = low[msgs & (len(low) - 1)] * high[msgs >> t]
+            rx = tx + sigma * rng.standard_normal((b, code.n))
+            decisions = _decide(rx, low, high)
             errors += int(np.count_nonzero(decisions != msgs))
             trials += b
         results.append(

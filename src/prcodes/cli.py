@@ -305,11 +305,12 @@ TARGETS = {
 # parser
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-<digit>..." and "-.<digit>..." as values, not options, so that
-    ``--ebno-list -3,2`` works; no prcodes option starts that way."""
+    """Reads "-<digit>...", "-.<digit>...", "-inf..." and "-nan..." as values,
+    not options, so that ``--ebno-list -3,2`` works and ``--ebno-list -inf``
+    reaches the non-finite check; no prcodes option starts that way."""
 
     def _parse_optional(self, arg_string):
-        if re.match(r"-\.?\d", arg_string):
+        if re.match(r"-(\.?\d|inf|nan)", arg_string, re.IGNORECASE):
             return None
         return super()._parse_optional(arg_string)
 

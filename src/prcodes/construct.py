@@ -225,18 +225,34 @@ def build_code(p: BitPoly, n: int) -> PrCode:
 
 
 def codeword_set(code: PrCode) -> set[int]:
-    """All 2^k codeword masks (Gray-order walk over messages)."""
+    """All 2^k codeword masks, built by doubling over the generator rows."""
     if code.k > CODEWORD_SET_CAP:
         raise UnsupportedRangeError(
             f"codeword_set supports k <= {CODEWORD_SET_CAP}, got {code.k}"
         )
-    words = {0}
-    word = 0
-    for i in range(1, 1 << code.k):
-        low = i & -i
-        word ^= code.rows[low.bit_length() - 1]
-        words.add(word)
-    return words
+    words = [0]
+    for row in code.rows:
+        words += [w ^ row for w in words]
+    return set(words)
+
+
+def _share_nonzero_codeword(c1: PrCode, c2: PrCode) -> bool:
+    """Whether two (n, k) codes whose generators both start with the k x k
+    identity have a nonzero codeword in common.
+
+    A common word u*G1 = v*G2 carries u and v in its first k bits, so
+    u = v and u*(G1 + G2) = 0: it exists iff the k rows r1 ^ r2 are
+    linearly dependent over GF(2).  Any n >= k is accepted.
+    """
+    pivots: dict[int, int] = {}  # leading bit -> reduced row
+    for r1, r2 in zip(c1.rows, c2.rows):
+        v = r1 ^ r2
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if not v:
+            return True
+        pivots[v.bit_length()] = v
+    return False
 
 
 def verify_disjoint(p1: BitPoly, p2: BitPoly, n: int) -> bool:
@@ -257,6 +273,4 @@ def verify_disjoint(p1: BitPoly, p2: BitPoly, n: int) -> bool:
     for p in (p1, p2):
         if not is_primitive(p):
             raise ValueError(f"{p!r} does not generate a maximum-length sequence")
-    c1 = codeword_set(build_code(p1, n))
-    c2 = codeword_set(build_code(p2, n))
-    return c1 & c2 == {0}
+    return not _share_nonzero_codeword(build_code(p1, n), build_code(p2, n))

@@ -4,13 +4,26 @@ import math
 import random
 from itertools import combinations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from util import ref_codebook_signs, ref_wer_counts
 
-from prcodes.awgn import SimConfig, SimResult, ml_decode, simulate_wer
+from prcodes.awgn import (
+    DECODER_CAP,
+    LOW_BITS,
+    SimConfig,
+    SimResult,
+    _decide,
+    _score_blocks,
+    _sign_tables,
+    ml_decode,
+    simulate_wer,
+)
 from prcodes.construct import PrCode, build_code, int_to_bits
 from prcodes.errors import UnsupportedRangeError
-from prcodes.gf2 import BitPoly
+from prcodes.gf2 import BitPoly, first_primitive
 
 P4 = BitPoly.parse("1+x+x^4")
 
@@ -71,6 +84,59 @@ def test_decode_validation(code20):
     fake = PrCode(poly=P4, k=21, n=21, rows=tuple(1 << i for i in range(21)))
     with pytest.raises(UnsupportedRangeError):
         ml_decode(fake, np.ones(21))
+
+
+@pytest.mark.parametrize("k", [2, 5, 9, 10, 11, 12, 14])
+def test_decide_matches_reference_codebook(k):
+    # n > 2^k - 1 repeats coordinates; b = 1 is the ml_decode shape
+    rng = np.random.default_rng(k)
+    for n in sorted({k, 2 * k, 33, 64, 100, 130}):
+        code = build_code(first_primitive(k), n)
+        ref = ref_codebook_signs(code)
+        low, high = _sign_tables(code)
+        assert len(low) * len(high) == 1 << k
+        for b in (1, 2, 3, 5, 17, 128, 1000):
+            rx = rng.standard_normal((b, n))
+            full = rx @ ref.T
+            offsets = []
+            for offset, scores in _score_blocks(rx, low, high):
+                offsets.append(offset)
+                assert np.array_equal(scores, full[:, offset:offset + len(low)]), (n, b, offset)
+            assert offsets == list(range(0, 1 << k, len(low)))
+            assert np.array_equal(_decide(rx, low, high), np.argmax(full, axis=1)), (n, b)
+
+
+@pytest.mark.parametrize("k, lo_block", [(11, 0), (12, 1)])
+def test_tie_across_high_blocks_breaks_to_lowest_message(k, lo_block):
+    code = build_code(first_primitive(k), 2 * k + 1)
+    ref = ref_codebook_signs(code)
+    # two messages in different blocks of 2^LOW_BITS whose midpoint ties them alone
+    lo = (lo_block << LOW_BITS) + 5
+    for hi in range((lo_block + 1) << LOW_BITS, 1 << k):
+        rx = (ref[lo] + ref[hi]) / 2
+        scores = ref @ rx
+        if set(np.flatnonzero(scores == scores.max())) == {lo, hi}:
+            break
+    else:
+        pytest.fail("no pair of codewords ties alone")
+    assert ml_decode(code, rx) == lo
+    assert list(_decide(np.stack([rx, -rx, rx]), *_sign_tables(code))) == [
+        lo, int(np.argmax(ref @ -rx)), lo]
+
+
+def test_decode_at_cap_needs_no_codebook():
+    # a (2^20, 64) float64 codebook alone would take 512 MB
+    code = build_code(BitPoly.parse("1+x^3+x^20"), 64)
+    assert code.k == DECODER_CAP
+    cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=16, seed=3)
+    tracemalloc.start()
+    try:
+        (res,) = simulate_wer(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.trials == 16
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +215,23 @@ def test_zero_codeword_conditioning_matches_uniform(code20):
             u.wer * (1 - u.wer) / u.trials + c.wer * (1 - c.wer) / c.trials
         )
         assert abs(u.wer - c.wer) <= 3.5 * se, f"at {u.ebno_db} dB"
+
+
+@pytest.mark.parametrize("k", [11, 12])
+@pytest.mark.parametrize("max_trials, target, zero_only", [
+    (2 * 2048 + 300, 10**6, False),  # a short last batch
+    (50_000, 3, False),  # stops at the first batch boundary past the target
+    (3000, 10**6, True),
+])
+def test_simulate_matches_reference_loop(k, max_trials, target, zero_only):
+    code = build_code(first_primitive(k), 2 * k + 9)
+    points = (0.0, 2.5)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=max_trials,
+                    target_word_errors=target, seed=k * 1000 + 7)
+    got = [(r.trials, r.word_errors)
+           for r in simulate_wer(cfg, zero_codeword_only=zero_only)]
+    assert got == ref_wer_counts(code, points, max_trials, target, cfg.seed, zero_only)
+    assert any(errors for _, errors in got)
 
 
 def test_simulate_cap():

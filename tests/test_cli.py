@@ -186,6 +186,21 @@ def test_non_finite_snr_is_domain_error(tmp_path, capsys, command, snrs):
 
 
 @pytest.mark.parametrize("command", [
+    ["simulate", "--poly", "0x13", "--n", "20", "--max-trials", "100"],
+    ["union-bound", "--poly", "0x13", "--n", "20"],
+])
+@pytest.mark.parametrize("snrs", ["-inf", "-nan", "-inf,2", "-Infinity", "-NaN,3"])
+def test_non_finite_snr_as_separate_argument(tmp_path, capsys, command, snrs):
+    out = tmp_path / "out"
+    assert run(command + ["--ebno-list", snrs, "--outdir", str(out)]) == 1
+    spaced = capsys.readouterr().err
+    assert run(command + [f"--ebno-list={snrs}", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == spaced
+    assert "non-finite" in spaced
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
     ["simulate", "--poly", "0x13", "--n", "20", "--max-trials", "2000"],
     ["union-bound", "--poly", "0x13", "--n", "20"],
 ])

@@ -9,6 +9,7 @@ from util import ref_lfsr_bits, rotate_mask
 import prcodes.construct
 from prcodes.construct import (
     PrCode,
+    _share_nonzero_codeword,
     bits_to_int,
     build_code,
     codeword_set,
@@ -135,6 +136,11 @@ def test_codeword_set_contains_zero_and_is_full_size():
         assert len(words) == 1 << code.k
 
 
+def test_codeword_set_matches_encode():
+    code = build_code(BitPoly.parse("1+x+x^6"), 17)
+    assert codeword_set(code) == {code.encode(m) for m in range(1 << code.k)}
+
+
 def test_codeword_set_cap():
     fake = PrCode(poly=P4, k=25, n=25, rows=tuple(1 << i for i in range(25)))
     with pytest.raises(UnsupportedRangeError):
@@ -162,6 +168,22 @@ def test_disjoint_all_degree5_pairs():
     for i, p1 in enumerate(polys):
         for p2 in polys[i + 1:]:
             assert verify_disjoint(p1, p2, 10)
+
+
+def test_shared_codeword_rank_test_matches_set_intersection():
+    # n from k up, below 2k included: many of these pairs do share a word
+    shared = 0
+    for k in range(2, 8):
+        polys = enumerate_primitives(k)
+        for n in range(k, 2 * k + 3):
+            codes = [build_code(p, n) for p in polys]
+            sets = [codeword_set(c) for c in codes]
+            for i in range(len(codes)):
+                for j in range(i + 1, len(codes)):
+                    expected = sets[i] & sets[j] != {0}
+                    assert _share_nonzero_codeword(codes[i], codes[j]) == expected, (k, n, i, j)
+                    shared += expected
+    assert shared > 0
 
 
 # ---------------------------------------------------------------------------

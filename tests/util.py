@@ -6,6 +6,8 @@ computes by smarter routes, so disagreements point at real bugs.
 
 from itertools import combinations
 
+import numpy as np
+
 
 def ref_mul(a: int, b: int) -> int:
     """Schoolbook carry-less product of two polynomial masks."""
@@ -128,3 +130,41 @@ def ref_first_witness(k: int, n: int, d: int) -> int:
         if lightest >= d:
             return mask
     raise AssertionError(f"no degree-{k} polynomial reaches distance {d} at n={n}")
+
+
+def ref_codebook_signs(code) -> np.ndarray:
+    """(2^k, n) BPSK symbols (bit 0 -> +1, bit 1 -> -1) of every codeword,
+    row m for message m, one `encode` call per message."""
+    signs = np.empty((1 << code.k, code.n))
+    for m in range(1 << code.k):
+        word = code.encode(m)
+        signs[m] = [1.0 - 2.0 * ((word >> i) & 1) for i in range(code.n)]
+    return signs
+
+
+def ref_wer_counts(code, ebno_db_points, max_trials, target_word_errors, seed,
+                   zero_codeword_only=False) -> list[tuple[int, int]]:
+    """(trials, word_errors) per SNR point by the simulation contract,
+    decoding with one product against the whole `ref_codebook_signs`:
+    generator seed ^ i for point i, batches of max(1, 2^22 // 2^k) drawn
+    messages first, then noise, stopping at the first batch boundary
+    that meets the error target."""
+    signs = ref_codebook_signs(code)
+    size = 1 << code.k
+    batch = max(1, (1 << 22) // size)
+    out = []
+    for idx, ebno_db in enumerate(ebno_db_points):
+        rng = np.random.default_rng(seed ^ idx)
+        sigma = float(np.sqrt(1.0 / (2.0 * (code.k / code.n) * 10.0 ** (ebno_db / 10.0))))
+        trials = errors = 0
+        while trials < max_trials and errors < target_word_errors:
+            b = min(batch, max_trials - trials)
+            if zero_codeword_only:
+                msgs = np.zeros(b, dtype=np.int64)
+            else:
+                msgs = rng.integers(0, size, size=b)
+            rx = signs[msgs] + sigma * rng.standard_normal((b, code.n))
+            errors += int(np.count_nonzero(np.argmax(rx @ signs.T, axis=1) != msgs))
+            trials += b
+        out.append((trials, errors))
+    return out
