@@ -196,13 +196,18 @@ class PrCode:
 
     @classmethod
     def from_text(cls, text: str) -> "PrCode":
+        """Parse to_text output; the header must name a maximal-period
+        polynomial of degree k, and the rows must be the ones it generates."""
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         k_s, n_s, poly_hex = lines[0].split()
         k, n = int(k_s), int(n_s)
         rows = tuple(int(ln, 16) for ln in lines[1:])
         if len(rows) != k:
             raise ValueError(f"expected {k} generator rows, got {len(rows)}")
-        return cls(poly=BitPoly.parse(poly_hex), k=k, n=n, rows=rows)
+        code = build_code(BitPoly.parse(poly_hex), n)
+        if (code.k, code.rows) != (k, rows):
+            raise ValueError(f"header {lines[0]!r} does not generate the given rows")
+        return code
 
 
 def build_code(p: BitPoly, n: int) -> PrCode:

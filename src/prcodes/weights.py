@@ -12,15 +12,16 @@ instead of being rounded away.
 On top of the exact machinery sit the ensemble averages over all
 maximal-period polynomials of a degree, taken over decimations of one
 m-sequence, closed-form approximations of those averages built from
-sparse-multiple counts, and a KL divergence for comparing the two.
+sparse-multiple counts (both primal ones through the same integer
+kernel, rounded to float once from an exact rational), and a KL
+divergence for comparing the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, gcd, inf, log
+from math import comb, gcd, inf, lcm, log
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -146,25 +147,29 @@ def krawtchouk(n: int, j: int, t: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=64)
-def _krawtchouk_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """table[j][t] = K_j(t) for the given length."""
-    return tuple(
-        tuple(krawtchouk(n, j, t) for t in range(n + 1)) for j in range(n + 1)
-    )
+def _krawtchouk_table(n: int) -> list[list[int]]:
+    """table[j][t] = K_j(t), row by row through the three-term recurrence
+    (j+1) K_{j+1}(t) = (n-2t) K_j(t) - (n-j+1) K_{j-1}(t), started from
+    K_{-1} = 0 and K_0 = 1 (so K_1(t) = n - 2t).  Every division is exact."""
+    steps = [n - 2 * t for t in range(n + 1)]
+    table = [[0] * (n + 1), [1] * (n + 1)]  # K_{-1}, K_0
+    for j in range(n):
+        table.append([(step * c - (n - j + 1) * p) // (j + 1)
+                      for step, c, p in zip(steps, table[-1], table[-2])])
+    return table[1:]
+
+
+def _krawtchouk_sums(coeffs: list[int], n: int) -> list[int]:
+    """[sum_t coeffs[t] K_j(t) for j = 0..n], exact; the one loop over the table."""
+    terms = [(t, c) for t, c in enumerate(coeffs) if c]
+    return [sum(c * row[t] for t, c in terms) for row in _krawtchouk_table(n)]
 
 
 def _transform_counts(counts: list[int], n: int, dim: int) -> list[int]:
     """Raw transform: out[t] = 2^-dim * sum_j counts[j] K_t(j), exact."""
-    table = _krawtchouk_table(n)
     scale = 1 << dim
     out = []
-    for t in range(n + 1):
-        row = table[t]
-        acc = 0
-        for j, a in enumerate(counts):
-            if a:
-                acc += a * row[j]
+    for t, acc in enumerate(_krawtchouk_sums(counts, n)):
         if acc < 0 or acc % scale:
             raise InconsistentEnumeratorError(
                 f"transform output at weight {t} is {acc}/{scale}, "
@@ -349,6 +354,9 @@ def avg_primal_approx(k: int, n: int, mode: str = "primary") -> RealDistribution
 
     literal: 2^-n sum_t D_t K_j(t) with no zero-weight term, kept as a
     diagnostic; its values total 0 and go negative at the edges.
+
+    Both are exact integer kernel sums acc_j, rounded to float once: over
+    L 2^(n-k) with L a common denominator of the densities, or over 2^n.
     """
     if mode not in ("primary", "literal"):
         raise ValueError(f"mode must be 'primary' or 'literal', got {mode!r}")
@@ -356,26 +364,17 @@ def avg_primal_approx(k: int, n: int, mode: str = "primary") -> RealDistribution
         raise ValueError(f"k must be >= 2, got {k}")
     if n < k:
         raise ValueError(f"n must be >= k, got n={n}, k={k}")
-    table = _krawtchouk_table(n)
-    spans = {t: _span_weighted_count(n, t, k) for t in range(2, n + 1)}
-    values = []
+    spans = [_span_weighted_count(n, t, k) for t in range(n + 1)]
     if mode == "literal":
-        for j in range(n + 1):
-            acc = sum(spans[t] * table[j][t] for t in range(2, n + 1))
-            values.append(float(Fraction(acc, 1 << n)))
+        coeffs, denom = spans, 1 << n
         label = "approx-primal-literal"
     else:
-        refined = n < 1 << k
-        dens = {
-            t: Fraction(spans[t], ((1 << k) - t) if refined else 1 << k)
-            for t in range(3, n + 1)
-        }
-        for j in range(n + 1):
-            acc = Fraction(table[j][0])
-            for t in range(3, n + 1):
-                acc += dens[t] * table[j][t]
-            values.append(float(acc / (1 << (n - k))))
+        dens = [(1 << k) - t if n < 1 << k else 1 << k for t in range(3, n + 1)]
+        common = lcm(*dens)
+        coeffs = [common, 0, 0] + [spans[t] * (common // d) for t, d in enumerate(dens, 3)]
+        denom = common << (n - k)
         label = "approx-primal"
+    values = [float(Fraction(acc, denom)) for acc in _krawtchouk_sums(coeffs, n)]
     return RealDistribution(n=n, values=tuple(values), label=label)
 
 

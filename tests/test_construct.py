@@ -268,6 +268,18 @@ def test_serialization_row_count_checked():
         PrCode.from_text(text)
 
 
+@pytest.mark.parametrize("header, rows", [
+    ("4 10 0x13", build_code(BitPoly.parse("0x19"), 10).rows),  # another polynomial's rows
+    ("4 10 0x11", build_code(P4, 10).rows),  # 1 + x^4 is not maximal-period
+    ("3 10 0x13", build_code(P4, 10).rows[:3]),  # 0x13 has degree 4, not k = 3
+    ("4 3 0x13", tuple(r & 0b111 for r in build_code(P4, 10).rows)),  # n < k
+])
+def test_serialization_header_must_generate_rows(header, rows):
+    text = "\n".join([header, *map(hex, rows)]) + "\n"
+    with pytest.raises(ValueError):
+        PrCode.from_text(text)
+
+
 # ---------------------------------------------------------------------------
 # whole periods
 

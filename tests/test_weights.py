@@ -6,7 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from util import ref_lfsr_bits, ref_mul, ref_weight_counts, tnomial_multiple_count
+from util import (
+    ref_avg_primal_approx,
+    ref_lfsr_bits,
+    ref_mul,
+    ref_weight_counts,
+    tnomial_multiple_count,
+)
 
 import prcodes.construct
 from prcodes.construct import PrCode, build_code
@@ -15,6 +21,7 @@ from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive
 from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
+    _krawtchouk_table,
     average_of,
     avg_dual_approx,
     avg_primal_approx,
@@ -168,6 +175,24 @@ def test_krawtchouk_orthogonality(n):
             acc = sum(binom[t] * K[j][t] * K[l][t] for t in range(n + 1))
             expect = (1 << n) * binom[j] if j == l else 0
             assert acc == expect, f"n={n} j={j} l={l}"
+
+
+def _assert_table_matches_direct_formula(n):
+    table = _krawtchouk_table(n)
+    assert len(table) == n + 1
+    for j, row in enumerate(table):
+        assert row == [krawtchouk(n, j, t) for t in range(n + 1)], f"n={n} j={j}"
+
+
+def test_krawtchouk_table_recurrence_matches_direct_formula():
+    for n in range(65):
+        _assert_table_matches_direct_formula(n)
+
+
+@pytest.mark.slow
+def test_krawtchouk_table_recurrence_matches_direct_formula_long():
+    for n in (125, 200):
+        _assert_table_matches_direct_formula(n)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +443,21 @@ def test_primal_approx_validation():
         avg_primal_approx(10, 25, mode="bogus")
     with pytest.raises(ValueError):
         avg_primal_approx(10, 9)
+
+
+PRIMAL_APPROX_GRID = sorted({
+    (k, n)
+    for k in range(2, 16)
+    for n in (k, k + 1, 2 * k, 3 * k, 31, 48, 64, 2**k - 1, 2**k, 2**k + 3)
+    if k <= n <= 130
+})
+
+
+@pytest.mark.parametrize("mode", ["primary", "literal"])
+def test_primal_approx_matches_fraction_reference(mode):
+    # one rounding from one exact rational: equal to the per-term Fraction sum bit for bit
+    for k, n in PRIMAL_APPROX_GRID:
+        assert avg_primal_approx(k, n, mode).values == ref_avg_primal_approx(k, n, mode), (k, n)
 
 
 # ---------------------------------------------------------------------------

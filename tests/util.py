@@ -4,9 +4,13 @@ Deliberately naive, separate implementations of things the library
 computes by smarter routes, so disagreements point at real bugs.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
+
+from prcodes.weights import krawtchouk
 
 
 def ref_mul(a: int, b: int) -> int:
@@ -168,3 +172,24 @@ def ref_wer_counts(code, ebno_db_points, max_trials, target_word_errors, seed,
             trials += b
         out.append((trials, errors))
     return out
+
+
+def ref_avg_primal_approx(k: int, n: int, mode: str) -> tuple[float, ...]:
+    """avg_primal_approx's values as one Fraction sum per entry over a
+    table of `krawtchouk`: primary 2^-(n-k) [K_j(0) + sum_{t>=3} B_t K_j(t)]
+    with B_t the span count over 2^k - t (over 2^k when n >= 2^k);
+    literal 2^-n sum_{t>=2} D_t K_j(t)."""
+    K = [[krawtchouk(n, j, t) for t in range(n + 1)] for j in range(n + 1)]
+    spans = {t: sum(comb(c - 1, t - 2) * (n - c) for c in range(max(k, t - 1), n))
+             for t in range(2, n + 1)}
+    values = []
+    for j in range(n + 1):
+        if mode == "literal":
+            acc = Fraction(sum(spans[t] * K[j][t] for t in range(2, n + 1)), 1 << n)
+        else:
+            acc = Fraction(K[j][0])
+            for t in range(3, n + 1):
+                acc += Fraction(spans[t], (1 << k) - t if n < 1 << k else 1 << k) * K[j][t]
+            acc /= 1 << (n - k)
+        values.append(float(acc))
+    return tuple(values)
