@@ -199,6 +199,8 @@ class PrCode:
         """Parse to_text output; the header must name a maximal-period
         polynomial of degree k, and the rows must be the ones it generates."""
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("code text is empty")
         k_s, n_s, poly_hex = lines[0].split()
         k, n = int(k_s), int(n_s)
         rows = tuple(int(ln, 16) for ln in lines[1:])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, inf, lcm, log
+from math import comb, inf, lcm, log
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     RecursionInconsistencyError,
     UnsupportedRangeError,
 )
-from .gf2 import BitPoly, berlekamp_massey, first_primitive
+from .gf2 import BitPoly, first_primitive, pair_leaders, pair_polynomials
 
 # exhaustive enumeration caps: one code, and a whole degree-k ensemble
 ENUMERATOR_CAP = 24
@@ -191,32 +191,11 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 # ---------------------------------------------------------------------------
 # ensemble averages over all maximal-period polynomials of one degree
 #
-# Every degree-k m-sequence is, up to a shift, a decimation u_t = s_{d t}
-# of one fixed m-sequence s by a unit d mod P, and d, 2d, 4d, ... give the
-# same sequence.  Decimating by -d reverses time, which yields the
-# reciprocal polynomial and the same multiset of windows, so one
-# decimation per class {+-d 2^j} covers a reciprocal pair of codes.
+# One decimation per class of gf2.pair_leaders covers a reciprocal pair.
 
-def _pair_leaders(k: int) -> list[int]:
-    """Smallest member of each class {+-d 2^j mod P} of units d mod P = 2^k - 1."""
-    period = (1 << k) - 1
-    seen = bytearray(period)
-    leaders = []
-    for d in range(1, period):
-        if seen[d] or gcd(d, period) != 1:
-            continue
-        leaders.append(d)
-        x = d
-        for _ in range(k):
-            seen[x] = seen[period - x] = 1
-            x = 2 * x % period
-    return leaders
-
-
-def _pair_members(k: int, n: int) -> Iterator[tuple[list[int], WeightEnumerator]]:
-    """One code of each reciprocal pair of degree k: the first 2k bits of
-    its sequence and its length-n enumerator.  k = 2 has a single,
-    self-reciprocal code."""
+def _pair_members(k: int, n: int) -> Iterator[WeightEnumerator]:
+    """Length-n enumerators of one code per reciprocal pair of degree k, in
+    gf2.pair_leaders order (k = 2 has a single, self-reciprocal code)."""
     if not 2 <= k <= ENSEMBLE_CAP:
         raise UnsupportedRangeError(
             f"ensemble enumeration supports 2 <= k <= {ENSEMBLE_CAP}, got {k}"
@@ -228,18 +207,19 @@ def _pair_members(k: int, n: int) -> Iterator[tuple[list[int], WeightEnumerator]
     r = n % period
     # d t mod P in 32 bits while (P - 1)^2 fits
     phases = np.arange(period, dtype=np.uint32 if period <= 0xFFFF else np.uint64)
-    for d in _pair_leaders(k):
+    for d in pair_leaders(k):
         u = base[phases * d % period]
         counts = _window_counts(k, n, [(u, np.roll(u, -r))])
-        yield np.resize(u, 2 * k).tolist(), WeightEnumerator(n=n, dim=k, counts=tuple(counts))
+        yield WeightEnumerator(n=n, dim=k, counts=tuple(counts))
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
     """Exact enumerator for every degree-k maximal-period polynomial,
-    ascending by mask."""
+    ascending by mask.  Leader d decimates construct's sequence (powers of
+    1/x) and gf2's (powers of x), so both name one reciprocal pair."""
+    members = list(_pair_members(k, n))  # its range checks run before any polynomial work
     out = []
-    for head, enum in _pair_members(k, n):
-        p = berlekamp_massey(head)
+    for p, enum in zip(pair_polynomials(k), members):
         out.extend((q, enum) for q in {p, p.reciprocal()})
     return sorted(out, key=lambda member: member[0].mask)
 
@@ -278,7 +258,7 @@ def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistri
     Both codes of a reciprocal pair share one enumerator, so the average
     over one code per pair is, as an exact fraction, the average over all.
     """
-    return average_of(enum for _, enum in _pair_members(k, n))
+    return average_of(_pair_members(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +326,11 @@ def avg_dual_approx(k: int, n: int) -> RealDistribution:
 def avg_primal_approx(k: int, n: int, mode: str = "primary") -> RealDistribution:
     """Closed-form estimate of the average primal weight distribution.
 
-    primary: transform of the dual estimate with its zero-weight term
-    carried explicitly, 2^-(n-k) [K_j(0) + sum_t B_t K_j(t)], which keeps
-    the total at 2^k.  When n >= 2^k the refined 1/(2^k - t) densities
-    are undefined for large t, so the uniform 2^-k density is used for
-    every t instead; both branches agree asymptotically for n << 2^k.
+    primary: 2^-(n-k) [K_j(0) + sum_t B_t K_j(t)], which keeps the total
+    at 2^k.  For n < 2^k, B_t is avg_dual_approx's entry t as an exact
+    rational, and this is its transform.  For n >= 2^k every B_t uses
+    the uniform 2^-k density, while avg_dual_approx keeps 1/(2^k - t)
+    for t < 2^k, so the two are no longer a transform pair.
 
     literal: 2^-n sum_t D_t K_j(t) with no zero-weight term, kept as a
     diagnostic; its values total 0 and go negative at the edges.

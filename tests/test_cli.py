@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, CSV artifacts, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -41,6 +42,12 @@ def test_unknown_reproduce_target_is_usage_error(tmp_path):
 def test_primitives_lists_hex(capsys):
     assert run(["primitives", "--k", "4"]) == 0
     assert capsys.readouterr().out.splitlines() == ["0x13", "0x19"]
+
+
+def test_primitives_k12_stdout_digest(capsys):
+    assert run(["primitives", "--k", "12"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "6c08398321d9347ec1ba9ee39fcd46bb7baa7147aedf78a50d05e2f48f97af12"
 
 
 def test_primitives_domain_error(capsys):

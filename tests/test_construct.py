@@ -280,6 +280,12 @@ def test_serialization_header_must_generate_rows(header, rows):
         PrCode.from_text(text)
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "   "])
+def test_serialization_blank_text_rejected(text):
+    with pytest.raises(ValueError, match="empty"):
+        PrCode.from_text(text)
+
+
 # ---------------------------------------------------------------------------
 # whole periods
 

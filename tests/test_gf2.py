@@ -9,6 +9,7 @@ from util import (
     ref_mod,
     ref_mul,
     ref_order_of_x,
+    ref_primitives,
 )
 
 from prcodes.construct import int_to_bits, lfsr_subsequence
@@ -22,6 +23,8 @@ from prcodes.gf2 import (
     is_irreducible,
     first_primitive,
     is_primitive,
+    pair_leaders,
+    pair_polynomials,
     poly_mul_mod,
 )
 
@@ -219,6 +222,26 @@ def test_enumerate_counts_match_totient_high():
     for k in range(13, 17):
         count = len(enumerate_primitives(k))
         assert count == euler_phi(2**k - 1) // k, f"k={k}"
+
+
+@pytest.mark.parametrize(
+    "k", [*range(2, 15), *(pytest.param(k, marks=pytest.mark.slow) for k in (15, 16))]
+)
+def test_enumerate_matches_candidate_walk(k):
+    assert enumerate_primitives(k) == ref_primitives(k)
+
+
+@pytest.mark.slow
+def test_enumerate_counts_match_totient_beyond_walk():
+    for k in range(17, 21):
+        count = len(enumerate_primitives(k))
+        assert count == euler_phi(2**k - 1) // k, f"k={k}"
+
+
+def test_pair_polynomials_one_per_reciprocal_pair():
+    for k in range(2, 13):
+        pairs = {frozenset((p.mask, p.reciprocal().mask)) for p in pair_polynomials(k)}
+        assert len(pairs) == len(pair_leaders(k)), f"k={k}"
 
 
 def test_enumerate_sorted_and_reciprocal_closed():

@@ -10,6 +10,7 @@ from math import comb
 
 import numpy as np
 
+from prcodes.gf2 import BitPoly, is_primitive
 from prcodes.weights import krawtchouk
 
 
@@ -56,6 +57,13 @@ def ref_is_irreducible(mask: int) -> bool:
         if cand != mask and ref_mod(mask, cand) == 0:
             return False
     return True
+
+
+def ref_primitives(k: int) -> list[BitPoly]:
+    """Every degree-k candidate with both end terms, in mask order, kept
+    when `is_primitive` holds."""
+    candidates = (BitPoly((1 << k) | mid << 1 | 1) for mid in range(1 << (k - 1)))
+    return [p for p in candidates if is_primitive(p)]
 
 
 def ref_factorize(v: int) -> dict[int, int]:
