@@ -175,11 +175,12 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 msgs = np.zeros(b, dtype=np.int64)
             else:
                 msgs = rng.integers(0, size, size=b)
+            rx = rng.standard_normal((b, code.n))
+            rx *= sigma
             if len(high) == 1:
-                tx = low[msgs]
+                rx += low[msgs]
             else:
-                tx = low[msgs & (len(low) - 1)] * high[msgs >> t]
-            rx = tx + sigma * rng.standard_normal((b, code.n))
+                rx += low[msgs & (len(low) - 1)] * high[msgs >> t]
             decisions = _decide(rx, low, high)
             errors += int(np.count_nonzero(decisions != msgs))
             trials += b

@@ -1,12 +1,14 @@
 """Minimum-distance bounds and the union bound on word error rate.
 
-The distance bound reads a (real-valued) average weight profile: the
-largest d whose cumulative mass over weights 3..d stays at or below 1.
-Because codes built from different maximal-period polynomials of one
-degree share no nonzero codeword once n >= 2k, some polynomial of that
-degree must reach the bound; verify_existence finds one with a single
-pass over the exact ensemble, which supplies both the average the bound
-is read from and the per-code distances.
+The distance bound is the largest d whose average mass over weights
+3..d stays at or below 1.  dmin_bound reads it off a real-valued
+profile (a closed form); dmin_bound_exact decides it in integers from
+the summed counts of an exact ensemble and their code count.  Because
+codes built from different maximal-period polynomials of one degree
+share no nonzero codeword once n >= 2k, some polynomial of that degree
+must reach the bound; verify_existence finds one with a single pass
+over the exact ensemble, which supplies both the sums the bound is
+decided from and the per-code distances.
 
 The union bound sums pairwise error probabilities Q(sqrt(i*gamma))
 weighted by the profile, where gamma = 2 Es/N0 so that a weight-i
@@ -17,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, erfc, sqrt
+from typing import Sequence
 
 from .errors import TheoremViolationError, UnsupportedRangeError
 from .gf2 import BitPoly
-from .weights import RealDistribution, average_of, ensemble_enumerators
+from .weights import RealDistribution, ensemble_enumerators, summed_counts
 
 # exhaustive witness search enumerates every degree-k code
 EXISTENCE_CAP = 12
@@ -69,6 +72,18 @@ def dmin_bound(abar: RealDistribution) -> int:
     return best
 
 
+def dmin_bound_exact(count: int, sums: Sequence[int]) -> int:
+    """dmin_bound of the average profile sums / count, decided in integers:
+    the largest d with sum_{j=3..d} sums[j] <= count, at least 2."""
+    best = 2
+    acc = 0
+    for d in range(3, len(sums)):
+        acc += sums[d]
+        if acc <= count:
+            best = d
+    return best
+
+
 def gv_distance(n: int, k: int) -> int:
     """Largest d with sum_{i<=d-2} C(n-1, i) < 2^(n-k)."""
     if not n > k >= 1:
@@ -88,8 +103,8 @@ def gv_distance(n: int, k: int) -> int:
 def verify_existence(k: int, n: int) -> DminReport:
     """Exhaustively confirm some degree-k code meets the distance bound.
 
-    Computes every code's exact enumerator once, reads the bound off
-    their average, and reports the polynomial of smallest mask whose
+    Computes every code's exact enumerator once, decides the bound from
+    their summed counts, and reports the polynomial of smallest mask whose
     exact minimum distance reaches it.  Failure to find one would
     contradict the disjointness-based counting argument, so it raises
     instead of returning an incomplete report.
@@ -101,8 +116,8 @@ def verify_existence(k: int, n: int) -> DminReport:
             f"exhaustive existence scan supports k <= {EXISTENCE_CAP}, got {k}"
         )
     members = ensemble_enumerators(k, n)
-    abar, _ = average_of(enum for _, enum in members)
-    d = dmin_bound(abar)
+    _, count, sums = summed_counts(enum for _, enum in members)
+    d = dmin_bound_exact(count, sums)
     gv = gv_distance(n, k)
     for poly, enum in members:
         wd = enum.min_nonzero_weight()

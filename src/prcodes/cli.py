@@ -32,13 +32,21 @@ import sys
 
 from . import __version__
 from .awgn import SimConfig, simulate_wer
-from .bounds import dmin_bound, ebno_db_to_gamma, gv_distance, union_bound, verify_existence
+from .bounds import (
+    dmin_bound,
+    dmin_bound_exact,
+    ebno_db_to_gamma,
+    gv_distance,
+    union_bound,
+    verify_existence,
+)
 from .construct import build_code
 from .gf2 import BitPoly, enumerate_primitives, is_primitive
 from .weights import (
     avg_dual_approx,
     avg_primal_approx,
     ensemble_average_exact,
+    ensemble_summed_counts,
     kld,
     macwilliams,
     weight_enumerator_exact,
@@ -201,8 +209,8 @@ def _cmd_dmin(args):
               f"witness={rep.witness_poly.to_hex()} witness_d={witness}")
         row = (n, d, witness)
     else:
-        abar, _ = ensemble_average_exact(k, n)
-        d = dmin_bound(abar)
+        _, count, sums = ensemble_summed_counts(k, n)
+        d = dmin_bound_exact(count, sums)
         print(f"dmin_bound={d} gv={gv_distance(n, k)}")
         row = (n, d, "")
     _write_csv(args, f"dmin_k{k}_n{n}.csv", "dmin",

@@ -8,9 +8,9 @@ codewords are exactly the length-n windows of the period-(2^k - 1)
 sequence at all phases.
 
 Codewords and generator rows are packed into ints, bit i holding
-coordinate i.  Whole periods are produced by sequence_chunks, which
-advances an array of register states at once through byte lookup
-tables of the linear map "clock the register m times".
+coordinate i.  Whole periods come from sequence_chunks, which takes
+the sequence packed 64 phases to a word from gf2.packed_sequence and
+unpacks it one chunk of phases at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import UnsupportedRangeError
-from .gf2 import BitPoly, is_primitive
+from .gf2 import BitPoly, is_primitive, packed_sequence
 
 # codeword_set materializes 2^k packed words
 CODEWORD_SET_CAP = 24
@@ -77,61 +77,13 @@ def lfsr_subsequence(p: BitPoly, init: Sequence[int] | str, n: int) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# whole periods, many phases at a time
-#
-# The register state at phase t packs s_t..s_{t+k-1} into bits 0..k-1.
-# Clocking it m times is a linear map on k-bit states, held as the images
-# of the k unit states; maps for m = 2^j come from repeated squaring.
+# whole periods, a chunk of phases at a time
 
-def _apply(cols: Sequence[int], state: int) -> int:
-    out = 0
-    for col in cols:
-        if state & 1:
-            out ^= col
-        state >>= 1
-    return out
-
-
-class _Clock:
-    """Maps that clock p's register by any number of steps."""
-
-    def __init__(self, p: BitPoly):
-        k = p.degree
-        taps = sum(1 << (k - i) for i in range(1, k + 1) if p.coeff(i))
-        # one clock shifts right and feeds the parity of the tapped bits in at the top
-        one = tuple((1 << j >> 1) | ((taps >> j & 1) << (k - 1)) for j in range(k))
-        self.k = k
-        self.powers = [one]  # powers[j] clocks 2^j steps
-
-    def map(self, steps: int) -> tuple[int, ...]:
-        cols = tuple(1 << j for j in range(self.k))
-        j = 0
-        while steps >> j:
-            if j == len(self.powers):
-                sq = self.powers[-1]
-                self.powers.append(tuple(_apply(sq, c) for c in sq))
-            if steps >> j & 1:
-                cols = tuple(_apply(self.powers[j], c) for c in cols)
-            j += 1
-        return cols
-
-    def tables(self, steps: int) -> list[np.ndarray]:
-        """Byte tables: clocking a state x gives XOR_b tables[b][byte b of x]."""
-        cols = self.map(steps)
-        out = []
-        for lo in range(0, self.k, 8):
-            table = [0]
-            for col in cols[lo:lo + 8]:
-                table += [v ^ col for v in table]
-            out.append(np.array(table, dtype=np.uint32))
-        return out
-
-
-def _clock_states(tables: list[np.ndarray], states: np.ndarray) -> np.ndarray:
-    out = tables[0][states & 0xFF]
-    for b, table in enumerate(tables[1:], 1):
-        out ^= table[states >> 8 * b & 0xFF]
-    return out
+def _unpack(packed: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bits start..start+count-1 of a little-endian packed byte array."""
+    skip = start & 7
+    window = packed[start >> 3:(start + count + 7) >> 3]
+    return np.unpackbits(window, count=skip + count, bitorder="little")[skip:]
 
 
 def sequence_chunks(p: BitPoly, offsets: Sequence[int] = (0,)) -> Iterator[tuple[np.ndarray, ...]]:
@@ -140,21 +92,17 @@ def sequence_chunks(p: BitPoly, offsets: Sequence[int] = (0,)) -> Iterator[tuple
     The sequence is the one seeded with 1, 0, ..., 0 (generator row 0).
     For t running over 0..P-1, P = 2^k - 1, in consecutive chunks of at
     most CHUNK phases, yields one uint8 array per offset o holding
-    s_{o + t}; memory stays flat in k.  p must have maximal period.
+    s_{o + t}.  The P + max(o mod P) bits are generated packed (P/8
+    bytes) and only each chunk is unpacked, so the working memory beyond
+    them stays flat in k.  p must have maximal period.
     """
-    clock = _Clock(p)
     period = (1 << p.degree) - 1
+    starts = [o % period for o in offsets]
+    packed = packed_sequence(p, period + max(starts)).view(np.uint8)
     size = min(CHUNK, period)
-    states = np.ones(1, dtype=np.uint32)
-    while len(states) < size:  # phases 0..2m-1 from phases 0..m-1
-        states = np.concatenate([states, _clock_states(clock.tables(len(states)), states)])
-    states = states[:size]
-    streams = [_clock_states(clock.tables(o % period), states) for o in offsets]
-    advance = clock.tables(size)
     for t0 in range(0, period, size):
-        yield tuple((s[:period - t0] & 1).astype(np.uint8) for s in streams)
-        if t0 + size < period:
-            streams = [_clock_states(advance, s) for s in streams]
+        count = min(size, period - t0)
+        yield tuple(_unpack(packed, s + t0, count) for s in starts)
 
 
 def m_sequence(p: BitPoly) -> np.ndarray:

@@ -224,25 +224,32 @@ def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator
     return sorted(out, key=lambda member: member[0].mask)
 
 
-def average_of(enums: Iterable[WeightEnumerator]) -> tuple[RealDistribution, RealDistribution]:
-    """Exact average primal and dual distributions of codes of one (n, dim).
-
-    Counts are summed as integers, one enumerator at a time, and each
-    average is rounded to float once.  The dual average is the transform
-    of the summed primal counts, which by linearity equals the average of
-    the per-code duals.
-    """
-    count, primal_sum = 0, None
+def summed_counts(enums: Iterable[WeightEnumerator]) -> tuple[int, int, list[int]]:
+    """(dim, number of enumerators, their counts summed per weight) for
+    enumerators that share one (n, dim), summed as integers."""
+    count, sums = 0, None
     for e in enums:
-        if primal_sum is None:
-            n, dim, primal_sum = e.n, e.dim, list(e.counts)
+        if sums is None:
+            n, dim, sums = e.n, e.dim, list(e.counts)
         elif (e.n, e.dim) != (n, dim):
             raise ValueError("enumerators must share length and dimension")
         else:
-            primal_sum = [a + b for a, b in zip(primal_sum, e.counts)]
+            sums = [a + b for a, b in zip(sums, e.counts)]
         count += 1
-    if primal_sum is None:
+    if sums is None:
         raise ValueError("need at least one enumerator")
+    return dim, count, sums
+
+
+def average_of(enums: Iterable[WeightEnumerator]) -> tuple[RealDistribution, RealDistribution]:
+    """Exact average primal and dual distributions of codes of one (n, dim).
+
+    The summed_counts totals are divided by the code count and rounded to
+    float once.  The dual average is the transform of the summed primal
+    counts, which by linearity equals the average of the per-code duals.
+    """
+    dim, count, primal_sum = summed_counts(enums)
+    n = len(primal_sum) - 1
     dual_sum = _transform_counts(primal_sum, n, dim)
     primal = tuple(float(Fraction(s, count)) for s in primal_sum)
     dual = tuple(float(Fraction(s, count)) for s in dual_sum)
@@ -259,6 +266,12 @@ def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistri
     over one code per pair is, as an exact fraction, the average over all.
     """
     return average_of(_pair_members(k, n))
+
+
+def ensemble_summed_counts(k: int, n: int) -> tuple[int, int, list[int]]:
+    """summed_counts over one code per reciprocal pair of degree k; their
+    ratios to the code count are the exact averages over all the codes."""
+    return summed_counts(_pair_members(k, n))
 
 
 # ---------------------------------------------------------------------------

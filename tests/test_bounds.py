@@ -8,6 +8,7 @@ from util import ref_first_witness
 from prcodes.bounds import (
     DminReport,
     dmin_bound,
+    dmin_bound_exact,
     ebno_db_to_gamma,
     gv_distance,
     qfunc,
@@ -22,6 +23,8 @@ from prcodes.weights import (
     WeightEnumerator,
     ensemble_average_exact,
     ensemble_enumerators,
+    ensemble_summed_counts,
+    summed_counts,
     weight_enumerator_exact,
 )
 
@@ -145,6 +148,44 @@ def test_bound_matches_exact_integer_threshold():
             assert dmin_bound(abar) == exact, f"k={k} n={n}"
             checked += 1
     assert checked == 272
+
+
+def test_integer_bound_matches_exact_threshold():
+    # the integer decision that verify_existence and `dmin` use, against
+    # the same oracle on the same 272 points
+    checked = 0
+    for k in range(3, 11):
+        for n in range(2 * k, min(2**k, 64)):
+            members = ensemble_enumerators(k, n)
+            count = len(members)
+            exact = 2
+            acc = 0
+            for d in range(3, n + 1):
+                acc += sum(enum.counts[d] for _, enum in members)
+                if acc <= count:
+                    exact = d
+            _, count, sums = summed_counts(enum for _, enum in members)
+            assert dmin_bound_exact(count, sums) == exact, f"k={k} n={n}"
+            _, pairs, pair_sums = ensemble_summed_counts(k, n)
+            assert dmin_bound_exact(pairs, pair_sums) == exact, f"k={k} n={n}"
+            assert verify_existence(k, n).dmin_bound == exact, f"k={k} n={n}"
+            checked += 1
+    assert checked == 272
+
+
+def test_integer_bound_is_exact_where_floats_round_up():
+    # mass 9/28 + 18/28 + 1/28 is exactly 1, but the float running sum
+    # rounds to 1.0000000000000002
+    sums = [28, 0, 0, 9, 18, 1, 5]
+    assert dmin_bound_exact(28, sums) == 5
+    profile = RealDistribution(n=6, values=tuple(s / 28 for s in sums), label="avg")
+    assert dmin_bound(profile) == 4
+
+
+def test_integer_bound_floor_and_empty_tail():
+    assert dmin_bound_exact(3, [3, 0, 0, 4, 0]) == 2
+    assert dmin_bound_exact(3, [3, 0, 0, 0, 0, 3]) == 5
+    assert dmin_bound_exact(1, [1, 0, 0]) == 2
 
 
 def test_report_validation():

@@ -1,6 +1,7 @@
 """LFSR sequences, code construction, and disjointness."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from prcodes.construct import (
     verify_disjoint,
 )
 from prcodes.errors import UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives
+from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive
 from prcodes.weights import weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
@@ -310,3 +311,34 @@ def test_sequence_chunks_offsets(monkeypatch, chunk):
     for i, o in enumerate(offsets):
         got = np.concatenate([part[i] for part in parts]).tolist()
         assert got == ref[o % period:o % period + period]
+
+
+@pytest.mark.parametrize("chunk", [5, 8, 63, 64, 1 << 16])
+def test_sequence_chunks_short_periods_and_far_offsets(monkeypatch, chunk):
+    # k = 2 and 3 have periods shorter than a seed word; offsets run past
+    # one period and land on every residue mod 8
+    monkeypatch.setattr(prcodes.construct, "CHUNK", chunk)
+    for k in range(2, 9):
+        for p in enumerate_primitives(k)[:2]:
+            period = 2**k - 1
+            ref = ref_lfsr_bits(p.mask, 1, 2 * period)
+            offsets = (0, 3, period - 1, period, 2 * period + 5, *range(9, 17))
+            parts = list(sequence_chunks(p, offsets))
+            assert sum(len(part[0]) for part in parts) == period
+            for i, o in enumerate(offsets):
+                got = np.concatenate([part[i] for part in parts]).tolist()
+                assert got == ref[o % period:o % period + period], f"{p} offset={o}"
+
+
+def test_enumerator_memory_stays_flat():
+    # a k = 22 period is 4 MB unpacked and 0.5 MB packed; the enumerator
+    # unpacks one chunk at a time, so its numpy and Python allocations
+    # peak well below a whole unpacked period
+    code = build_code(first_primitive(22), 120)
+    tracemalloc.start()
+    try:
+        weight_enumerator_exact(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, f"peak {peak / 2**20:.2f} MB"

@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from util import (
     ref_factorize,
     ref_is_irreducible,
+    ref_lfsr_bits,
     ref_mod,
     ref_mul,
     ref_order_of_x,
@@ -23,6 +25,7 @@ from prcodes.gf2 import (
     is_irreducible,
     first_primitive,
     is_primitive,
+    packed_sequence,
     pair_leaders,
     pair_polynomials,
     poly_mul_mod,
@@ -284,3 +287,69 @@ def test_berlekamp_massey_short_inputs():
     assert berlekamp_massey([0, 0, 0]) == ONE
     assert berlekamp_massey([0, 0, 0, 1]) == BitPoly.parse("1+x^4")
     assert berlekamp_massey([1, 1, 1, 1]) == BitPoly.parse("1+x")
+
+
+# ---------------------------------------------------------------------------
+# packed sequences
+
+def _unpacked(words, length):
+    assert words.dtype == np.dtype("<u8")
+    assert len(words) == -(-length // 64)
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+    assert not bits[length:].any(), "bits past the length must be zero"
+    return bits[:length].tolist()
+
+
+def test_packed_sequence_matches_bit_recurrence():
+    # every primitive polynomial with k <= 10, at lengths P, P + r and
+    # lengths that are not multiples of 8 or 64
+    for k in range(2, 11):
+        period = 2**k - 1
+        lengths = sorted({1, 7, 63, 64, 65, 100, period, period + 1, period + 9,
+                          2 * period - 1, 64 * k + 13})
+        for p in enumerate_primitives(k):
+            ref = ref_lfsr_bits(p.mask, 1, lengths[-1])
+            for length in lengths:
+                assert _unpacked(packed_sequence(p, length), length) == ref[:length], \
+                    f"{p} length={length}"
+
+
+def test_packed_sequence_short_periods():
+    # k = 2 and 3: the 64 k seed bits already cover many periods
+    for text in ("1+x+x^2", "1+x+x^3", "1+x^2+x^3"):
+        p = BitPoly.parse(text)
+        period = 2**p.degree - 1
+        for length in (1, 2, period, period + 1, 64 * p.degree - 1,
+                       64 * p.degree + 5, 1000, 4096):
+            bits = _unpacked(packed_sequence(p, length), length)
+            assert bits == ref_lfsr_bits(p.mask, 1, length), f"{p} length={length}"
+            assert bits[period:] == bits[:max(length - period, 0)]
+
+
+def test_packed_sequence_reciprocal_taps_give_constant_terms():
+    # pair_polynomials' s_i, the constant term of x^i mod f, is the
+    # sequence of f's reciprocal from the seed 1, 0, ..., 0
+    for k in range(2, 11):
+        for f in enumerate_primitives(k)[:4]:
+            period = 2**k - 1
+            expected, x = [], 1
+            for _ in range(period + 5):
+                expected.append(x & 1)
+                x = ref_mod(x << 1, f.mask)
+            got = _unpacked(packed_sequence(f.reciprocal(), period + 5), period + 5)
+            assert got == expected, f"f={f}"
+
+
+def test_pair_polynomials_match_constant_term_decimation():
+    # the list, element for element and in leader order, read off the
+    # constant terms of x^i mod first_primitive(k) one step at a time
+    for k in range(2, 13):
+        f = first_primitive(k)
+        period = 2**k - 1
+        s, x = [], 1
+        for _ in range(period):
+            s.append(x & 1)
+            x = ref_mod(x << 1, f.mask)
+        expected = [berlekamp_massey([s[d * t % period] for t in range(2 * k)])
+                    for d in pair_leaders(k)]
+        assert pair_polynomials(k) == expected, f"k={k}"
