@@ -6,15 +6,20 @@ every codeword.  No codebook is stored: the symbols of message m are
 ``low[m & (2^t - 1)] * high[m >> t]``, two +-1 tables spanning the low
 t = min(k, LOW_BITS) message bits and the other k - t, so the scores of
 messages h*2^t .. (h+1)*2^t - 1 are ``(rx * high[h]) @ low.T`` and the
-argmax is merged block by block.  Decoder memory is about b * 2^t * 8
-bytes for a batch of b trials, not 2^k * n * 8.
+argmax is merged block by block.  A batch is decoded in tiles of at most
+TILE trials through one reused buffer, so decoder memory is about
+TILE * (n + 2^t) * 8 bytes plus the batch's b message integers, not
+b * 2^t * 8 or 2^k * n * 8.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
 ``max(1, 2^22 // 2^k)`` (messages first, then the noise block), and
-stops at the first batch boundary where the error target is met.
+stops at the first batch boundary where the error target is met.  The
+noise of a batch is drawn tile by tile, which gives the same stream.
 Decisions rely on the float64 GEMM sum of one score not depending on
-how many columns the same call computes, and on flipping signs by +-1
+how many columns the same call computes, nor on how many rows it
+computes (tiles of a split batch keep at least TILE / 2 rows, away from
+BLAS's separate thin-matrix kernels), and on flipping signs by +-1
 being exact; with that, a config reproduces its results bit-for-bit on
 any machine, and ties go to the lowest message.
 """
@@ -37,6 +42,10 @@ DECODER_CAP = 20
 # at a time (2^10-2^12 columns time within ~15% of each other at k = 13-15), and
 # k <= LOW_BITS decodes in one block
 LOW_BITS = 10
+# trials decoded at a time: a batch streams through one (TILE, n) buffer, and
+# 2^22 / 2^11 = TILE leaves every batch at k >= 11 one tile; 1024-2048 rows
+# cost 1.3-1.5x less per trial than whole batches of 2^16-2^19 at k = 3-6
+TILE = 2048
 
 _BATCH_BUDGET = 1 << 22
 
@@ -125,6 +134,16 @@ def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return arg
 
 
+def _tiles(b: int) -> Iterator[slice]:
+    """Row slices of a batch of b trials: the whole batch if b <= TILE,
+    else ceil(b / TILE) slices whose sizes differ by at most one, so each
+    has at least TILE / 2 rows.  Thin products take other BLAS kernels whose
+    sums can differ in the last bit (OpenBLAS 0.3.31 on an AVX-512 Xeon: one
+    row, and rows * 2^t <= 1200 at n >= 32), so a batch is never cut into one."""
+    m = -(-b // TILE)
+    return (slice(b * i // m, b * (i + 1) // m) for i in range(m))
+
+
 def _check_cap(code: PrCode) -> None:
     if code.k > DECODER_CAP:
         raise UnsupportedRangeError(
@@ -163,6 +182,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     t = len(low).bit_length() - 1
     size = 1 << code.k
     batch = max(1, _BATCH_BUDGET // size)
+    buf = np.empty((min(batch, TILE, cfg.max_trials), code.n))
     results = []
     for idx, ebno_db in enumerate(cfg.ebno_db_points):
         rng = np.random.default_rng(cfg.seed ^ idx)
@@ -175,14 +195,16 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 msgs = np.zeros(b, dtype=np.int64)
             else:
                 msgs = rng.integers(0, size, size=b)
-            rx = rng.standard_normal((b, code.n))
-            rx *= sigma
-            if len(high) == 1:
-                rx += low[msgs]
-            else:
-                rx += low[msgs & (len(low) - 1)] * high[msgs >> t]
-            decisions = _decide(rx, low, high)
-            errors += int(np.count_nonzero(decisions != msgs))
+            for rows in _tiles(b):
+                m = msgs[rows]
+                rx = buf[:len(m)]
+                rng.standard_normal(out=rx)
+                rx *= sigma
+                if len(high) == 1:
+                    rx += low[m]
+                else:
+                    rx += low[m & (len(low) - 1)] * high[m >> t]
+                errors += int(np.count_nonzero(_decide(rx, low, high) != m))
             trials += b
         results.append(
             SimResult(

@@ -412,4 +412,5 @@ def pair_polynomials(k: int) -> list[BitPoly]:
 def enumerate_primitives(k: int) -> list[BitPoly]:
     """All degree-k polynomials with maximal order of x, ascending by mask: the
     pair polynomials and their reciprocals, euler_phi(2^k - 1) / k in all."""
-    return sorted({q for p in pair_polynomials(k) for q in (p, p.reciprocal())})
+    return sorted({q for p in pair_polynomials(k) for q in (p, p.reciprocal())},
+                  key=lambda p: p.mask)

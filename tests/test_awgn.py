@@ -13,11 +13,13 @@ from util import ref_codebook_signs, ref_wer_counts
 from prcodes.awgn import (
     DECODER_CAP,
     LOW_BITS,
+    TILE,
     SimConfig,
     SimResult,
     _decide,
     _score_blocks,
     _sign_tables,
+    _tiles,
     ml_decode,
     simulate_wer,
 )
@@ -232,6 +234,88 @@ def test_simulate_matches_reference_loop(k, max_trials, target, zero_only):
            for r in simulate_wer(cfg, zero_codeword_only=zero_only)]
     assert got == ref_wer_counts(code, points, max_trials, target, cfg.seed, zero_only)
     assert any(errors for _, errors in got)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 9, 10])
+@pytest.mark.parametrize("extra, target, zero_only", [
+    (3 * TILE + 300, 10**6, False),  # a short last batch, cut into uneven tiles
+    (TILE + 1, 10**6, False),  # a last batch one row past a tile
+    (3 * TILE + 300, 3, False),  # stops at the first batch boundary past the target
+    (3 * TILE + 300, 10**6, True),
+])
+def test_tiled_simulate_matches_reference_loop(k, extra, target, zero_only):
+    # a batch spans many tiles; the reference decodes it with one product
+    code = build_code(first_primitive(k), 2 * k + 9)
+    batch = (1 << 22) >> k
+    assert batch > TILE
+    points = (1.0,)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=batch + extra,
+                    target_word_errors=target, seed=k * 1000 + 11)
+    got = [(r.trials, r.word_errors)
+           for r in simulate_wer(cfg, zero_codeword_only=zero_only)]
+    assert got == ref_wer_counts(code, points, cfg.max_trials, target, cfg.seed, zero_only)
+    assert got[0][1]
+    if target == 3:
+        assert got[0][0] == batch
+
+
+def test_tiles_cover_a_batch_in_near_equal_slices():
+    for b in [*range(1, 40), *range(TILE - 3, TILE + 4), *range(2 * TILE - 2, 2 * TILE + 3),
+              3 * TILE + 300, 10 * TILE + 1, 200_000, 1 << 19]:
+        tiles = list(_tiles(b))
+        assert tiles[0].start == 0 and tiles[-1].stop == b, b
+        assert all(a.stop == c.start for a, c in zip(tiles, tiles[1:])), b
+        sizes = {s.stop - s.start for s in tiles}
+        assert len(tiles) == -(-b // TILE), b
+        assert max(sizes) - min(sizes) <= 1, b
+        # no thin tile: a split batch keeps at least TILE / 2 rows a tile
+        assert len(tiles) == 1 or min(sizes) >= TILE // 2, b
+
+
+@pytest.mark.parametrize("k", [2, 5, 9, 10, 11, 12])
+def test_scores_do_not_depend_on_tile_rows(k):
+    # simulate_wer decodes tile by tile what the contract defines per batch
+    rng = np.random.default_rng(50 + k)
+    for n in sorted({k, 20, 64}):
+        code = build_code(first_primitive(k), n)
+        low, high = _sign_tables(code)
+        for b in (2047, 2048, 2049, 4097, 5000):
+            rx = rng.standard_normal((b, n))
+            tiles = list(_tiles(b))
+            pieces = zip(_score_blocks(rx, low, high),
+                         *(_score_blocks(rx[s], low, high) for s in tiles))
+            for (offset, scores), *parts in pieces:
+                assert all(o == offset for o, _ in parts)
+                assert np.array_equal(scores, np.concatenate([p for _, p in parts])), (n, b, offset)
+            assert np.array_equal(_decide(rx, low, high),
+                                  np.concatenate([_decide(rx[s], low, high) for s in tiles])), (n, b)
+
+
+@pytest.mark.parametrize("k, n", [(3, 20), (4, 32)])
+def test_simulate_memory_is_tile_sized(k, n):
+    # whole-batch noise, symbol and score arrays would take 63 and 99 MiB
+    code = build_code(first_primitive(k), n)
+    cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=200_000,
+                    target_word_errors=10**6, seed=3)
+    tracemalloc.start()
+    try:
+        (res,) = simulate_wer(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.trials == 200_000
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n", [(4, 32), (3, 20), (5, 32), (6, 20)])
+def test_simulate_matches_reference_at_benchmark_shapes(k, n):
+    code = build_code(first_primitive(k), n)
+    points = (0.0, 1.5, 3.0, 4.5, 6.0)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=200_000,
+                    target_word_errors=100, seed=k * 100 + n)
+    got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    assert got == ref_wer_counts(code, points, 200_000, 100, cfg.seed)
 
 
 def test_simulate_cap():
