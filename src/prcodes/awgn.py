@@ -34,10 +34,8 @@ from typing import Iterator
 import numpy as np
 
 from .construct import PrCode
-from .errors import UnsupportedRangeError
+from .errors import DECODER_CAP, check_k
 
-# exhaustive decoding correlates every trial with all 2^k codewords
-DECODER_CAP = 20
 # message bits spanned by the low table: scores are computed 2^LOW_BITS columns
 # at a time (2^10-2^12 columns time within ~15% of each other at k = 13-15), and
 # k <= LOW_BITS decodes in one block
@@ -144,19 +142,15 @@ def _tiles(b: int) -> Iterator[slice]:
     return (slice(b * i // m, b * (i + 1) // m) for i in range(m))
 
 
-def _check_cap(code: PrCode) -> None:
-    if code.k > DECODER_CAP:
-        raise UnsupportedRangeError(
-            f"exhaustive decoding supports k <= {DECODER_CAP}, got {code.k}"
-        )
-
-
 def ml_decode(code: PrCode, received) -> int:
     """Message whose codeword maximizes correlation with the received vector.
 
-    Ties break toward the lowest message value.
+    Ties break toward the lowest message value.  The vector is scored as a
+    1-row product, which BLAS sends to another kernel than simulate_wer's
+    tiles, so a vector whose top scores tie to the last bit may decode to
+    another message here than it would inside simulate_wer.
     """
-    _check_cap(code)
+    check_k("exhaustive decoding", code.k, DECODER_CAP)
     r = np.asarray(received, dtype=np.float64)
     if r.shape != (code.n,):
         raise ValueError(f"received vector must have length {code.n}")
@@ -177,7 +171,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     message mismatches until target_word_errors or max_trials is hit.
     """
     code = cfg.code
-    _check_cap(code)
+    check_k("exhaustive decoding", code.k, DECODER_CAP)
     low, high = _sign_tables(code)
     t = len(low).bit_length() - 1
     size = 1 << code.k

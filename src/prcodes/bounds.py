@@ -21,12 +21,9 @@ from dataclasses import dataclass
 from math import comb, erfc, sqrt
 from typing import Sequence
 
-from .errors import TheoremViolationError, UnsupportedRangeError
+from .errors import TheoremViolationError
 from .gf2 import BitPoly
 from .weights import RealDistribution, ensemble_enumerators, summed_counts
-
-# exhaustive witness search enumerates every degree-k code
-EXISTENCE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,6 @@ def verify_existence(k: int, n: int) -> DminReport:
     """
     if n < 2 * k:
         raise ValueError(f"existence argument requires n >= 2k = {2 * k}, got {n}")
-    if k > EXISTENCE_CAP:
-        raise UnsupportedRangeError(
-            f"exhaustive existence scan supports k <= {EXISTENCE_CAP}, got {k}"
-        )
     members = ensemble_enumerators(k, n)
     _, count, sums = summed_counts(enum for _, enum in members)
     d = dmin_bound_exact(count, sums)

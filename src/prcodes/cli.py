@@ -41,6 +41,7 @@ from .bounds import (
     verify_existence,
 )
 from .construct import build_code
+from .errors import SLOW_SIMULATE_K
 from .gf2 import BitPoly, enumerate_primitives, is_primitive
 from .weights import (
     avg_dual_approx,
@@ -52,19 +53,15 @@ from .weights import (
     weight_enumerator_exact,
 )
 
-# ensembles above this k, and simulations at or above it, take minutes
-SLOW_ENSEMBLE_K = 13
-SLOW_SIMULATE_K = 12
-
 # canned parameter sets for the reproduce targets: (k, n, reference
-# divergence) rows, of which those with k >= SLOW_ENSEMBLE_K need
-# --allow-slow, and the generator polynomials each curve uses; fig3 runs
-# each of its polynomials at n = 2k, 2k + 4, ..., 48
+# divergence) rows, as (default rows, rows --allow-slow adds), and the
+# generator polynomials each curve uses; fig3 runs each of its polynomials
+# at n = 2k, 2k + 4, ..., 48
 KLD_POINTS = {
-    "dual": [(5, 12, 8.3e-3), (8, 20, 6.17e-4), (10, 25, 3.09e-5),
-             (15, 31, 1.93e-6)],
-    "primal": [(10, 25, 1.8e-3), (10, 45, 3.8e-3), (15, 60, 5.41e-5),
-               (15, 100, 9.47e-5)],
+    "dual": ([(5, 12, 8.3e-3), (8, 20, 6.17e-4), (10, 25, 3.09e-5)],
+             [(15, 31, 1.93e-6)]),
+    "primal": ([(10, 25, 1.8e-3), (10, 45, 3.8e-3)],
+               [(15, 60, 5.41e-5), (15, 100, 9.47e-5)]),
 }
 ENUMERATOR_ROWS = [
     (20, "0x13"),
@@ -112,13 +109,6 @@ def _ebno_list(text: str) -> tuple[float, ...]:
     if not all(math.isfinite(x) for x in points):
         raise ValueError(f"SNR list {text!r} has a non-finite value")
     return points
-
-
-def _require_fast(kind: str, k: int, cap: int, allow_slow: bool) -> None:
-    if k >= cap and not allow_slow:
-        raise ValueError(
-            f"{kind} with k={k} takes minutes; rerun with --allow-slow"
-        )
 
 
 def _exact_and_approx(k: int, n: int, which: str):
@@ -177,7 +167,6 @@ def _cmd_weights(args):
 def _cmd_avg_weights(args):
     k, n, mode = args.k, args.n, args.mode
     if mode == "exact":
-        _require_fast("exact ensemble average", k, SLOW_ENSEMBLE_K, args.allow_slow)
         dist, _ = ensemble_average_exact(k, n)
     elif mode == "approx8":
         dist = avg_dual_approx(k, n)
@@ -191,7 +180,6 @@ def _cmd_avg_weights(args):
 
 def _cmd_kld(args):
     k, n = args.k, args.n
-    _require_fast("exact ensemble average", k, SLOW_ENSEMBLE_K, args.allow_slow)
     value = kld(*_exact_and_approx(k, n, args.which))
     print(f"kld {args.which} k={k} n={n}: {value:.6g}")
     _write_csv(args, f"kld_{args.which}_k{k}_n{n}.csv", "kld",
@@ -201,7 +189,6 @@ def _cmd_kld(args):
 
 def _cmd_dmin(args):
     k, n = args.k, args.n
-    _require_fast("exact ensemble average", k, SLOW_ENSEMBLE_K, args.allow_slow)
     if args.scan:
         rep = verify_existence(k, n)
         d, witness = rep.dmin_bound, rep.witness_d
@@ -230,7 +217,9 @@ def _cmd_union_bound(args):
 
 def _cmd_simulate(args):
     poly = _parse_poly(args.poly)
-    _require_fast("simulation", poly.degree, SLOW_SIMULATE_K, args.allow_slow)
+    if poly.degree >= SLOW_SIMULATE_K and not args.allow_slow:
+        raise ValueError(f"simulation with k={poly.degree} takes minutes; "
+                         "rerun with --allow-slow")
     _simulate_csv(args, f"wer_{poly.to_hex()}_n{args.n}_seed{args.seed}.csv",
                   "simulate", build_code(poly, args.n), _ebno_list(args.ebno_list),
                   args.max_trials, args.target_errors)
@@ -240,7 +229,8 @@ def _cmd_simulate(args):
 # canned reproduction targets
 
 def _kld_points(args, which: str):
-    return [p for p in KLD_POINTS[which] if p[0] < SLOW_ENSEMBLE_K or args.allow_slow]
+    default, extended = KLD_POINTS[which]
+    return default + extended if args.allow_slow else default
 
 
 def _kld_table(args, which: str):
@@ -332,10 +322,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    no_effect = "accepted for compatibility; has no effect"
 
-    def add_common(p, allow_slow=False):
-        if allow_slow:
-            p.add_argument("--allow-slow", action="store_true")
+    def add_common(p, allow_slow_help=None):
+        if allow_slow_help:
+            p.add_argument("--allow-slow", action="store_true", help=allow_slow_help)
         p.add_argument("--outdir", default=None,
                        help="output directory (default: $PRCODES_OUTDIR or .)")
 
@@ -356,14 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", required=True,
                    choices=["exact", "approx8", "approx9", "literal9"])
-    add_common(p, allow_slow=True)
+    add_common(p, allow_slow_help=no_effect)
     p.set_defaults(func=_cmd_avg_weights)
 
     p = sub.add_parser("kld", help="divergence of exact vs approximate average")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", required=True, choices=["dual", "primal"])
-    add_common(p, allow_slow=True)
+    add_common(p, allow_slow_help=no_effect)
     p.set_defaults(func=_cmd_kld)
 
     p = sub.add_parser("dmin", help="minimum-distance bound at one (k, n)")
@@ -371,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--scan", action="store_true",
                    help="exhaustively find a code meeting the bound")
-    add_common(p, allow_slow=True)
+    add_common(p, allow_slow_help=no_effect)
     p.set_defaults(func=_cmd_dmin)
 
     p = sub.add_parser("union-bound", help="union-bound WER curve")
@@ -392,15 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=10_000_000)
     p.add_argument("--target-errors", type=int, default=100)
-    add_common(p, allow_slow=True)
+    add_common(p, allow_slow_help=f"needed for k >= {SLOW_SIMULATE_K}")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce", help="regenerate a canned table or figure")
     p.add_argument("target", choices=TARGETS)
-    p.add_argument("--allow-slow", action="store_true",
-                   help="include the k=15 rows / extended SNR grids")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_common(p, allow_slow_help="include the k=15 rows / extended SNR grids")
     p.set_defaults(func=lambda args: TARGETS[args.target](args))
 
     return parser

@@ -20,11 +20,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedRangeError
+from .errors import CODEWORD_SET_CAP, check_k
 from .gf2 import BitPoly, is_primitive, packed_sequence
 
-# codeword_set materializes 2^k packed words
-CODEWORD_SET_CAP = 24
 # phases per array yielded by sequence_chunks: a few MB of working memory at any k
 CHUNK = 1 << 16
 
@@ -181,10 +179,7 @@ def build_code(p: BitPoly, n: int) -> PrCode:
 
 def codeword_set(code: PrCode) -> set[int]:
     """All 2^k codeword masks, built by doubling over the generator rows."""
-    if code.k > CODEWORD_SET_CAP:
-        raise UnsupportedRangeError(
-            f"codeword_set supports k <= {CODEWORD_SET_CAP}, got {code.k}"
-        )
+    check_k("codeword_set", code.k, CODEWORD_SET_CAP)
     words = [0]
     for row in code.rows:
         words += [w ^ row for w in words]

@@ -1,8 +1,42 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size table that
+every exhaustive computation checks its degree k against.
+
+Each limit below is the largest supported k, with the measured cost at
+the boundary (2-vCPU VM).  check_k is the only code that refuses a size.
+"""
+
+# gf2.first_primitive, and so listing the degree-k family: first_primitive
+# takes 0.002 s at k = 24; enumerate_primitives(24) takes 10-11 s and 78 MB
+ENUMERATION_CAP = 24
+# gf2.is_primitive factors 2^k - 1, and its Miller-Rabin bases are proven
+# only below 2^64; k = 64 takes 6-9 ms, while Pollard rho on 2^256 - 1 was
+# still running after 25 s
+PRIMITIVITY_CAP = 64
+# construct.codeword_set holds 2^k Python ints: 96 MB at k = 20, n = 64, so
+# about 1.5 GB at k = 24
+CODEWORD_SET_CAP = 24
+# weights.weight_enumerator_exact counts 2^k - 1 windows: 0.13-0.22 s at
+# k = 24, n = 120
+ENUMERATOR_CAP = 24
+# a whole degree-k ensemble (its averages, dmin, verify_existence): 1.0-1.9 s
+# at k = 16, n = 32-64; k = 17, n = 34 takes 18.7 s
+ENSEMBLE_CAP = 16
+# awgn exhaustive decoding costs trials * 2^k * n flops: 16 trials at k = 20,
+# n = 64 take 0.34 s
+DECODER_CAP = 20
+# simulate refuses k >= 12 without --allow-slow (the CLI's one slow gate):
+# 20,000 trials at k = 12, n = 24 take 0.24 s, so the default 10^7 take 2 min
+SLOW_SIMULATE_K = 12
 
 
 class UnsupportedRangeError(ValueError):
     """A size parameter exceeds the supported enumeration or search cap."""
+
+
+def check_k(operation: str, k: int, cap: int, low: int = 1) -> None:
+    """Refuse a degree k outside low..cap for the named operation."""
+    if not low <= k <= cap:
+        raise UnsupportedRangeError(f"{operation} supports {low} <= k <= {cap}, got {k}")
 
 
 class InconsistentEnumeratorError(ValueError):

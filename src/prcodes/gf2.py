@@ -27,12 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UnsupportedRangeError
-
-# Listing the degree-k family packs the 2^k - 1 bit sequence into words
-# (2 MB at k = 24) and decimates it once per pair: about 15 s and 80 MB
-# at k = 24 on a 2-vCPU VM.
-ENUMERATION_CAP = 24
+from .errors import ENUMERATION_CAP, PRIMITIVITY_CAP, check_k
 
 _TERM_RE = re.compile(r"^(1|x|x\^(\d+))$")
 
@@ -281,12 +276,15 @@ def is_primitive(p: BitPoly) -> bool:
     forces p to be irreducible): x^(2^k) = x, in k squarings, and
     x^((2^k - 1)/q) != 1 for each prime q.  A zero constant term cannot
     occur in a connection polynomial, so it is rejected as a caller bug.
+    Degrees above errors.PRIMITIVITY_CAP are refused: 2^k - 1 would then
+    be factored with no proven primality test and no time bound.
     """
     k = p.degree
     if k < 2:
         raise ValueError(f"connection polynomial must have degree >= 2, got {p!r}")
     if not p.mask & 1:
         raise ValueError(f"connection polynomial must have constant term 1, got {p!r}")
+    check_k("primitivity test", k, PRIMITIVITY_CAP, low=2)
     t = 2
     for _ in range(k):
         t = _mod(_sqr(t), p.mask)
@@ -299,10 +297,7 @@ def is_primitive(p: BitPoly) -> bool:
 def first_primitive(k: int) -> BitPoly:
     """The degree-k polynomial with maximal order of x and the smallest
     mask, found by testing candidates in mask order."""
-    if not 2 <= k <= ENUMERATION_CAP:
-        raise UnsupportedRangeError(
-            f"enumeration supports 2 <= k <= {ENUMERATION_CAP}, got {k}"
-        )
+    check_k("enumeration", k, ENUMERATION_CAP, low=2)
     candidates = (BitPoly((1 << k) | mid << 1 | 1) for mid in range(1 << (k - 1)))
     return next(p for p in candidates if is_primitive(p))
 

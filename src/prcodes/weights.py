@@ -28,15 +28,13 @@ import numpy as np
 
 from .construct import PrCode, m_sequence, sequence_chunks
 from .errors import (
+    ENSEMBLE_CAP,
+    ENUMERATOR_CAP,
     InconsistentEnumeratorError,
     RecursionInconsistencyError,
-    UnsupportedRangeError,
+    check_k,
 )
 from .gf2 import BitPoly, first_primitive, pair_leaders, pair_polynomials
-
-# exhaustive enumeration caps: one code, and a whole degree-k ensemble
-ENUMERATOR_CAP = 24
-ENSEMBLE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,7 @@ def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
     The windows are those of code.poly's sequence, which are the nonzero
     codewords for every code that build_code returns.
     """
-    if code.k > ENUMERATOR_CAP:
-        raise UnsupportedRangeError(
-            f"exhaustive enumeration supports k <= {ENUMERATOR_CAP}, got {code.k}"
-        )
+    check_k("exhaustive enumeration", code.k, ENUMERATOR_CAP)
     r = code.n % ((1 << code.k) - 1)
     counts = _window_counts(code.k, code.n, sequence_chunks(code.poly, (0, r)))
     return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts))
@@ -196,10 +191,7 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 def _pair_members(k: int, n: int) -> Iterator[WeightEnumerator]:
     """Length-n enumerators of one code per reciprocal pair of degree k, in
     gf2.pair_leaders order (k = 2 has a single, self-reciprocal code)."""
-    if not 2 <= k <= ENSEMBLE_CAP:
-        raise UnsupportedRangeError(
-            f"ensemble enumeration supports 2 <= k <= {ENSEMBLE_CAP}, got {k}"
-        )
+    check_k("ensemble enumeration", k, ENSEMBLE_CAP, low=2)
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
     base = m_sequence(first_primitive(k))

@@ -109,7 +109,7 @@ def test_existence_validation():
     with pytest.raises(ValueError):
         verify_existence(4, 7)  # n < 2k
     with pytest.raises(UnsupportedRangeError):
-        verify_existence(13, 26)
+        verify_existence(17, 34)
 
 
 def test_existence_never_fails_in_guaranteed_regime():

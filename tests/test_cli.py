@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -104,9 +105,28 @@ def test_avg_weights_modes_write_files(tmp_path):
 
 
 def test_slow_gate_requires_flag(tmp_path, capsys):
-    assert run(["avg-weights", "--k", "13", "--n", "27", "--mode", "exact",
+    # the flag changes nothing for an ensemble; the library's k <= 16 limit refuses
+    argv = ["avg-weights", "--k", "13", "--n", "27", "--mode", "exact"]
+    assert run(argv + ["--outdir", str(tmp_path / "plain")]) == 0
+    assert run(argv + ["--allow-slow", "--outdir", str(tmp_path / "flagged")]) == 0
+    name = "avg_weights_exact_k13_n27.csv"
+    assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "flagged" / name).read_bytes()
+    assert run(["avg-weights", "--k", "17", "--n", "27", "--mode", "exact",
                 "--outdir", str(tmp_path)]) == 1
-    assert "--allow-slow" in capsys.readouterr().err
+    assert "2 <= k <= 16, got 17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["dmin"], ["dmin", "--scan"], ["kld", "--which", "dual"]])
+def test_ensemble_commands_run_without_flag(tmp_path, command):
+    assert run(command + ["--k", "13", "--n", "26", "--outdir", str(tmp_path)]) == 0
+
+
+def test_unfactorable_degree_is_refused_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["union-bound", "--poly", "1+x+x^256", "--n", "300", "--ebno-list", "3",
+                "--outdir", str(tmp_path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "2 <= k <= 64, got 256" in capsys.readouterr().err
 
 
 def test_kld_prints_and_writes(tmp_path, capsys):

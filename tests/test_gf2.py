@@ -185,6 +185,13 @@ def test_is_primitive_rejects_bad_inputs():
         is_primitive(BitPoly.parse("1+x"))  # degree 1
 
 
+def test_is_primitive_refuses_degrees_past_the_factoring_cap():
+    assert is_primitive(BitPoly.parse("1+x+x^3+x^4+x^64"))
+    for text in ("1+x+x^65", "1+x+x^256"):
+        with pytest.raises(UnsupportedRangeError):
+            is_primitive(BitPoly.parse(text))
+
+
 def test_primitive_implies_irreducible():
     for k in range(2, 13):
         for p in enumerate_primitives(k):

@@ -1,5 +1,5 @@
 """Import layering: every module of the package imports only the modules
-below it, and only at module level."""
+below it, and only at module level; and only errors.check_k refuses a size."""
 
 import ast
 from pathlib import Path
@@ -67,3 +67,25 @@ def test_no_function_level_package_import(name):
                 assert not list(_package_imports(node)), (
                     f"{name}.{fn.name} imports from the package at line {node.lineno}"
                 )
+
+
+def _range_error_raises(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "UnsupportedRangeError":
+                yield node.lineno
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_only_check_k_raises_range_errors(name):
+    """Every size refusal goes through errors.check_k, so the size table in
+    errors is the one place a limit is set."""
+    tree = _tree(name)
+    lines = list(_range_error_raises(tree))
+    if name == "errors":
+        (check_k,) = [f for f in tree.body
+                      if isinstance(f, ast.FunctionDef) and f.name == "check_k"]
+        assert lines == list(_range_error_raises(check_k)) and len(lines) == 1
+    else:
+        assert not lines, f"{name} raises UnsupportedRangeError itself at line(s) {lines}"
