@@ -15,8 +15,6 @@ from .construct import (
     PrCode,
     bits_to_int,
     build_code,
-    codeword_set,
-    int_to_bits,
     lfsr_subsequence,
     verify_disjoint,
 )
@@ -29,11 +27,8 @@ from .errors import (
 from .gf2 import (
     BitPoly,
     enumerate_primitives,
-    euler_phi,
     factorize,
-    is_irreducible,
     is_primitive,
-    poly_mul_mod,
 )
 from .weights import (
     RealDistribution,

@@ -4,8 +4,10 @@ Every file-producing subcommand writes CSV with a leading comment line
 of the form ``# manifest: {...}`` carrying the command, its parameters,
 the tool version, and the output names, so any artifact can be
 regenerated byte-for-byte from its own header.  `_write_csv` is the only
-code that fixes that format and opens a file.  The output directory
-defaults to $PRCODES_OUTDIR, falling back to the current directory.
+code that fixes that format and opens a file; it derives the command from
+the parsed arguments (the subcommand, plus the target for reproduce), so
+a manifest cannot name another command than the one that wrote it.  The
+output directory defaults to $PRCODES_OUTDIR, else the current directory.
 
 `TARGETS` maps each `prcodes reproduce` target to the function writing it:
 
@@ -77,12 +79,14 @@ WER_N32_POLYS = ["1+x+x^3", "1+x^2+x^5", "1+x+x^3+x^6+x^7", "1+x+x^3+x^4+x^9",
                  "1+x^2+x^3+x^4+x^5+x^8+x^11"]
 
 
-def _write_csv(args, name: str, command: str, params: dict, header: str, rows,
-               seed=None) -> None:
+def _write_csv(args, name: str, params: dict, header: str, rows, seed=None) -> None:
     """Write one artifact under the output directory and print its path."""
     outdir = args.outdir or os.environ.get("PRCODES_OUTDIR") or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
+    command = args.subcommand
+    if command == "reproduce":
+        command += f" {args.target}"
     manifest = {"command": command, "params": params, "version": __version__,
                 "seed": seed, "outputs": [name]}
     with open(path, "w", newline="\n") as f:
@@ -131,12 +135,12 @@ def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
             for db in points]
 
 
-def _simulate_csv(args, name: str, command: str, code, points,
-                  max_trials: int, target_errors: int) -> None:
+def _simulate_csv(args, name: str, code, points, max_trials: int,
+                  target_errors: int) -> None:
     """Simulate ML decoding of `code` over `points` and write the WER CSV."""
     cfg = SimConfig(code=code, ebno_db_points=points, max_trials=max_trials,
                     target_word_errors=target_errors, seed=args.seed)
-    _write_csv(args, name, command,
+    _write_csv(args, name,
                {"poly": code.poly.to_hex(), "n": code.n,
                 "ebno_list": list(cfg.ebno_db_points),
                 "max_trials": max_trials, "target_errors": target_errors},
@@ -159,7 +163,7 @@ def _cmd_weights(args):
     if args.dual:
         enum = macwilliams(enum)
     which = "dual" if args.dual else "primal"
-    _write_csv(args, f"weights_{which}_{poly.to_hex()}_n{args.n}.csv", "weights",
+    _write_csv(args, f"weights_{which}_{poly.to_hex()}_n{args.n}.csv",
                {"poly": poly.to_hex(), "n": args.n, "dual": args.dual},
                "j,value", enumerate(enum.counts))
 
@@ -174,7 +178,7 @@ def _cmd_avg_weights(args):
         dist = avg_primal_approx(k, n, mode="primary")
     else:
         dist = avg_primal_approx(k, n, mode="literal")
-    _write_csv(args, f"avg_weights_{mode}_k{k}_n{n}.csv", "avg-weights",
+    _write_csv(args, f"avg_weights_{mode}_k{k}_n{n}.csv",
                {"k": k, "n": n, "mode": mode}, "j,value", enumerate(dist.values))
 
 
@@ -182,7 +186,7 @@ def _cmd_kld(args):
     k, n = args.k, args.n
     value = kld(*_exact_and_approx(k, n, args.which))
     print(f"kld {args.which} k={k} n={n}: {value:.6g}")
-    _write_csv(args, f"kld_{args.which}_k{k}_n{n}.csv", "kld",
+    _write_csv(args, f"kld_{args.which}_k{k}_n{n}.csv",
                {"k": k, "n": n, "which": args.which}, "k,n,which,kld",
                [(k, n, args.which, value)])
 
@@ -200,7 +204,7 @@ def _cmd_dmin(args):
         d = dmin_bound_exact(count, sums)
         print(f"dmin_bound={d} gv={gv_distance(n, k)}")
         row = (n, d, "")
-    _write_csv(args, f"dmin_k{k}_n{n}.csv", "dmin",
+    _write_csv(args, f"dmin_k{k}_n{n}.csv",
                {"k": k, "n": n, "scan": args.scan}, "n,dmin_bound,witness_d", [row])
 
 
@@ -209,7 +213,7 @@ def _cmd_union_bound(args):
     points = _ebno_list(args.ebno_list)
     rows = _bound_curve(poly, args.n, points, args.source,
                         weighted=not args.no_prefactor)
-    _write_csv(args, f"union_bound_{poly.to_hex()}_n{args.n}.csv", "union-bound",
+    _write_csv(args, f"union_bound_{poly.to_hex()}_n{args.n}.csv",
                {"poly": poly.to_hex(), "n": args.n, "ebno_list": list(points),
                 "source": args.source, "no_prefactor": args.no_prefactor},
                "ebno_db,epsilon_ub", rows)
@@ -221,7 +225,7 @@ def _cmd_simulate(args):
         raise ValueError(f"simulation with k={poly.degree} takes minutes; "
                          "rerun with --allow-slow")
     _simulate_csv(args, f"wer_{poly.to_hex()}_n{args.n}_seed{args.seed}.csv",
-                  "simulate", build_code(poly, args.n), _ebno_list(args.ebno_list),
+                  build_code(poly, args.n), _ebno_list(args.ebno_list),
                   args.max_trials, args.target_errors)
 
 
@@ -239,16 +243,14 @@ def _kld_table(args, which: str):
         value = kld(*_exact_and_approx(k, n, which))
         print(f"k={k} n={n}: computed={value:.3e} reference={ref:.3e}")
         rows.append((k, n, value, ref))
-    _write_csv(args, f"{args.target}.csv", f"reproduce {args.target}",
-               {"allow_slow": args.allow_slow}, "k,n,kld_computed,kld_reference",
-               rows)
+    _write_csv(args, f"{args.target}.csv", {"allow_slow": args.allow_slow},
+               "k,n,kld_computed,kld_reference", rows)
 
 
 def _average_curves(args, which: str):
     for k, n, _ in _kld_points(args, which):
         for tag, dist in zip(("exact", "approx"), _exact_and_approx(k, n, which)):
             _write_csv(args, f"{args.target}_{which}_{tag}_k{k}_n{n}.csv",
-                       f"reproduce {args.target}",
                        {"k": k, "n": n, "allow_slow": args.allow_slow},
                        "j,value", enumerate(dist.values))
 
@@ -257,8 +259,8 @@ def _enumerator_table(args):
     for n, poly_text in ENUMERATOR_ROWS:
         poly = _parse_poly(poly_text)
         enum = weight_enumerator_exact(build_code(poly, n))
-        _write_csv(args, f"table3_k{poly.degree}_n{n}.csv", "reproduce table3",
-                   {"poly": poly.to_hex(), "n": n}, "j,value", enumerate(enum.counts))
+        _write_csv(args, f"table3_k{poly.degree}_n{n}.csv", {"poly": poly.to_hex(), "n": n},
+                   "j,value", enumerate(enum.counts))
 
 
 def _distance_growth(args):
@@ -267,21 +269,20 @@ def _distance_growth(args):
         rows = [(n, dmin_bound(avg_primal_approx(poly.degree, n, mode="primary")),
                  weight_enumerator_exact(build_code(poly, n)).min_nonzero_weight())
                 for n in range(2 * poly.degree, 49, 4)]
-        _write_csv(args, f"fig3_dmin_growth_{poly.to_hex()}.csv", "reproduce fig3",
-                   {"poly": poly.to_hex()}, "n,dmin_bound,witness_d", rows)
+        _write_csv(args, f"fig3_dmin_growth_{poly.to_hex()}.csv", {"poly": poly.to_hex()},
+                   "n,dmin_bound,witness_d", rows)
 
 
 def _wer_curves(args, n: int, polys):
     """Simulated ML word error rate and its union bound, per polynomial."""
     top, max_trials = (8, 2_000_000) if args.allow_slow else (6, 200_000)
     points = tuple(float(x) for x in range(0, top + 1))
-    command = f"reproduce {args.target}"
     stem = args.target.replace("-", "_")
     for poly_text in polys:
         poly = _parse_poly(poly_text)
-        _simulate_csv(args, f"{stem}_wer_{poly.to_hex()}.csv", command,
-                      build_code(poly, n), points, max_trials, 100)
-        _write_csv(args, f"{stem}_ub_{poly.to_hex()}.csv", command,
+        _simulate_csv(args, f"{stem}_wer_{poly.to_hex()}.csv", build_code(poly, n),
+                      points, max_trials, 100)
+        _write_csv(args, f"{stem}_ub_{poly.to_hex()}.csv",
                    {"poly": poly.to_hex(), "n": n, "ebno_list": list(points)},
                    "ebno_db,epsilon_ub",
                    _bound_curve(poly, n, points, "approx9", weighted=True))

@@ -36,11 +36,6 @@ def bits_to_int(bits: Iterable[int]) -> int:
     return mask
 
 
-def int_to_bits(mask: int, length: int) -> list[int]:
-    """Unpack the low `length` bits of a mask, coordinate 0 first."""
-    return [(mask >> i) & 1 for i in range(length)]
-
-
 def _parse_init(init: Sequence[int] | str, k: int) -> list[int]:
     if isinstance(init, str):
         bits = [int(ch) for ch in init]

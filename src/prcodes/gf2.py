@@ -158,34 +158,6 @@ def _powmod(base: int, e: int, m: int) -> int:
     return r
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _mod(a, b)
-    return a
-
-
-def poly_mul_mod(a: BitPoly, b: BitPoly, m: BitPoly) -> BitPoly:
-    """(a*b) mod m over GF(2); the result degree is below deg(m)."""
-    if m.mask == 0:
-        raise ValueError("zero modulus")
-    if m.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    return BitPoly(_mod(_mul(a.mask, b.mask), m.mask))
-
-
-def is_irreducible(p: BitPoly) -> bool:
-    """Irreducibility over GF(2) via repeated squaring and gcd."""
-    a = p.mask
-    if a <= 1:
-        return False
-    b = 2
-    for _ in range(p.degree // 2):
-        b = _mod(_sqr(b), a)
-        if _gcd(b ^ 2, a) != 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # integer factorization (needed for multiplicative-order tests)
 
@@ -256,14 +228,6 @@ def factorize(v: int) -> dict[int, int]:
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))
-
-
-def euler_phi(v: int) -> int:
-    """Euler's totient of v >= 1."""
-    phi = 1
-    for p, e in factorize(v).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +370,6 @@ def pair_polynomials(k: int) -> list[BitPoly]:
 
 def enumerate_primitives(k: int) -> list[BitPoly]:
     """All degree-k polynomials with maximal order of x, ascending by mask: the
-    pair polynomials and their reciprocals, euler_phi(2^k - 1) / k in all."""
+    pair polynomials and their reciprocals, totient(2^k - 1) / k in all."""
     return sorted({q for p in pair_polynomials(k) for q in (p, p.reciprocal())},
                   key=lambda p: p.mask)

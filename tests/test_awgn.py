@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from util import ref_codebook_signs, ref_wer_counts
+from util import ref_codebook_signs, ref_int_to_bits, ref_wer_counts
 
 from prcodes.awgn import (
     DECODER_CAP,
@@ -23,7 +23,7 @@ from prcodes.awgn import (
     ml_decode,
     simulate_wer,
 )
-from prcodes.construct import PrCode, build_code, int_to_bits
+from prcodes.construct import PrCode, build_code
 from prcodes.errors import UnsupportedRangeError
 from prcodes.gf2 import BitPoly, first_primitive
 
@@ -31,7 +31,7 @@ P4 = BitPoly.parse("1+x+x^4")
 
 
 def bpsk(word, n):
-    return np.array([1.0 - 2.0 * b for b in int_to_bits(word, n)])
+    return np.array([1.0 - 2.0 * b for b in ref_int_to_bits(word, n)])
 
 
 @pytest.fixture(scope="module")

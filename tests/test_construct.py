@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from util import ref_lfsr_bits, rotate_mask
+from util import ref_int_to_bits, ref_lfsr_bits, rotate_mask
 
 import prcodes.construct
 from prcodes.construct import (
@@ -14,7 +14,6 @@ from prcodes.construct import (
     bits_to_int,
     build_code,
     codeword_set,
-    int_to_bits,
     lfsr_subsequence,
     m_sequence,
     sequence_chunks,
@@ -99,7 +98,7 @@ def test_encode_matches_recurrence():
         code = build_code(p, n)
         for _ in range(40):
             m = rng.randrange(1 << code.k)
-            expect = bits_to_int(lfsr_subsequence(p, int_to_bits(m, code.k), n))
+            expect = bits_to_int(lfsr_subsequence(p, ref_int_to_bits(m, code.k), n))
             assert code.encode(m) == expect
 
 
@@ -143,9 +142,19 @@ def test_codeword_set_matches_encode():
 
 
 def test_codeword_set_cap():
-    fake = PrCode(poly=P4, k=25, n=25, rows=tuple(1 << i for i in range(25)))
-    with pytest.raises(UnsupportedRangeError):
-        codeword_set(fake)
+    # 2^k Python ints take a 96 MB peak at k = 20, n = 64, so from k = 21
+    # check_k refuses the code before any word is built
+    for k in (21, 25):
+        fake = PrCode(poly=P4, k=k, n=64, rows=tuple(1 << i for i in range(k)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedRangeError,
+                               match=f"codeword_set supports 1 <= k <= 20, got {k}"):
+                codeword_set(fake)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"k={k}: peak {peak / 2**20:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ def test_balance_at_full_period():
         n = 2**k - 1
         for p in enumerate_primitives(k)[:4]:
             for _ in range(5):
-                init = int_to_bits(rng.randrange(1, 1 << k), k)
+                init = ref_int_to_bits(rng.randrange(1, 1 << k), k)
                 assert sum(lfsr_subsequence(p, init, n)) == 2 ** (k - 1)
 
 

@@ -1,7 +1,9 @@
 """Import layering: every module of the package imports only the modules
-below it, and only at module level; and only errors.check_k refuses a size."""
+below it, and only at module level; only errors.check_k refuses a size; and
+every function the bench harness traces still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 import prcodes
 
 PACKAGE = Path(prcodes.__file__).parent
+BENCH_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 # lowest layer first; a module may import only the ones before it
 ORDER = ["errors", "gf2", "construct", "weights", "bounds", "awgn", "cli"]
 
@@ -89,3 +92,16 @@ def test_only_check_k_raises_range_errors(name):
         assert lines == list(_range_error_raises(check_k)) and len(lines) == 1
     else:
         assert not lines, f"{name} raises UnsupportedRangeError itself at line(s) {lines}"
+
+
+def test_bench_traced_functions_exist():
+    """The bench's tracer wraps each name in bench/spans.py's TRACED table by
+    getattr on its module, so a deleted or renamed one breaks every traced
+    run.  The table is read from the source, without importing the bench."""
+    tree = ast.parse(BENCH_SPANS.read_text(), filename=str(BENCH_SPANS))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    missing = [f"{module}.{name}" for module, names in ast.literal_eval(table).items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"prcodes.{module}"), name, None))]
+    assert not missing, f"bench/spans.py traces missing functions: {missing}"

@@ -80,6 +80,19 @@ def ref_factorize(v: int) -> dict[int, int]:
     return out
 
 
+def ref_euler_phi(v: int) -> int:
+    """Euler's totient from the trial-division factorization."""
+    phi = 1
+    for p, e in ref_factorize(v).items():
+        phi *= (p - 1) * p ** (e - 1)
+    return phi
+
+
+def ref_int_to_bits(mask: int, length: int) -> list[int]:
+    """The low `length` bits of a mask, coordinate 0 first."""
+    return [(mask >> i) & 1 for i in range(length)]
+
+
 def tnomial_multiple_count(p_mask: int, k: int, t: int) -> int:
     """Count weight-t masks with constant term 1 and degree <= 2^k - 2
     divisible by p, enumerating all exponent subsets."""
