@@ -6,29 +6,40 @@ every codeword.  No codebook is stored: the symbols of message m are
 ``low[m & (2^t - 1)] * high[m >> t]``, two +-1 tables spanning the low
 t = min(k, LOW_BITS) message bits and the other k - t, so the scores of
 messages h*2^t .. (h+1)*2^t - 1 are ``(rx * high[h]) @ low.T`` and the
-argmax is merged block by block.  A batch is decoded in tiles of at most
-TILE trials through one reused buffer, so decoder memory is about
-TILE * (n + 2^t) * 8 bytes plus the batch's b message integers, not
-b * 2^t * 8 or 2^k * n * 8.
+argmax is merged block by block.  Trials are decoded in tiles of at most
+TILE rows: a batch larger than TILE is cut into near-equal tiles, and
+consecutive batches of at most TILE / 2 trials (k >= 12) are decoded
+stacked, as many whole batches as fit in one tile.  Decoder memory is
+buffers of min(TILE, max_trials) rows allocated once per call and reused:
+the received tile and, with more than one high block, the scores and a
+scratch of flipped rx, about TILE * (2^t + 2n) * 8 bytes plus a batch's b
+message integers; no array is allocated per block, and no 2^k * n * 8
+codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
 ``max(1, 2^22 // 2^k)`` (messages first, then the noise block), and
 stops at the first batch boundary where the error target is met.  The
-noise of a batch is drawn tile by tile, which gives the same stream.
-Decisions rely on the float64 GEMM sum of one score not depending on
-how many columns the same call computes, nor on how many rows it
-computes (tiles of a split batch keep at least TILE / 2 rows, away from
-BLAS's separate thin-matrix kernels), and on flipping signs by +-1
-being exact; with that, a config reproduces its results bit-for-bit on
-any machine, and ties go to the lowest message.
+noise of a batch is drawn tile by tile, which gives the same stream.  A
+stacked tile draws all its batches before decoding them; the stopping
+rule is still applied batch by batch in order, and batches drawn past
+the stop are discarded uncounted, which moves no counted trial since
+each point owns its generator.  Decisions rely on the float64 GEMM sum
+of one score not depending on how many columns the same call computes,
+nor on how many rows it computes (a tile has at least the rows of its
+batch, and tiles of a split batch keep at least TILE / 2 rows, away from
+BLAS's separate thin-matrix kernels), and on flipping signs by +-1 being
+exact; with that, a config reproduces its results bit-for-bit on any
+machine, and ties go to the lowest message.  ml_decode relies on none of
+this: it settles every near-top score in exact arithmetic and returns the
+exact-arithmetic ML message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import fsum, isfinite
 from typing import Iterator
 
 import numpy as np
@@ -41,8 +52,10 @@ from .errors import DECODER_CAP, check_k
 # k <= LOW_BITS decodes in one block
 LOW_BITS = 10
 # trials decoded at a time: a batch streams through one (TILE, n) buffer, and
-# 2^22 / 2^11 = TILE leaves every batch at k >= 11 one tile; 1024-2048 rows
-# cost 1.3-1.5x less per trial than whole batches of 2^16-2^19 at k = 3-6
+# 2^22 / 2^11 = TILE makes a batch at k >= 11 at most one tile, so k >= 12
+# stacks TILE / batch whole batches in one; 1024-2048 rows cost 1.3-1.5x less
+# per trial than whole batches of 2^16-2^19 at k = 3-6, and 1536-row tiles
+# 1.4x less than 128-row batches at k = 15
 TILE = 2048
 
 _BATCH_BUDGET = 1 << 22
@@ -106,26 +119,45 @@ def _sign_tables(code: PrCode) -> tuple[np.ndarray, np.ndarray]:
     return span(rows[:t]), span(rows[t:])
 
 
-def _score_blocks(rx: np.ndarray, low: np.ndarray,
-                  high: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+def _symbols(low: np.ndarray, high: np.ndarray, m):
+    """BPSK symbols of message m (or a row per message of an array m)."""
+    return low[m & (len(low) - 1)] * high[m >> (len(low).bit_length() - 1)]
+
+
+def _score_blocks(rx: np.ndarray, low: np.ndarray, high: np.ndarray,
+                  out: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> Iterator[tuple[int, np.ndarray]]:
     """(offset, scores) per high block: scores[i, j] is the correlation
-    of rx[i] with the codeword of message offset + j."""
-    yield 0, rx @ low.T
+    of rx[i] with the codeword of message offset + j.
+
+    With more than one block, every block is written into one (rows, 2^t)
+    score array, valid until the next block, from one (rows, n) scratch of
+    flipped rx; `out` passes these two arrays, of at least len(rx) rows,
+    to reuse them across calls."""
+    if len(high) == 1:
+        yield 0, rx @ low.T
+        return
+    scores, flipped = out or (np.empty((len(rx), len(low))), np.empty_like(rx))
+    scores, flipped = scores[:len(rx)], flipped[:len(rx)]
+    yield 0, np.matmul(rx, low.T, out=scores)
     for h in range(1, len(high)):
-        yield h * len(low), (rx * high[h]) @ low.T
+        np.multiply(rx, high[h], out=flipped)
+        yield h * len(low), np.matmul(flipped, low.T, out=scores)
 
 
-def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray,
+            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """ML message for each row of rx; ties break toward the lowest message."""
-    blocks = _score_blocks(rx, low, high)
+    blocks = _score_blocks(rx, low, high, out)
     _, scores = next(blocks)
     arg = np.argmax(scores, axis=1)
     if len(high) == 1:
         return arg
-    best = np.take_along_axis(scores, arg[:, None], axis=1)[:, 0]
+    rows = np.arange(len(rx))
+    best = scores[rows, arg]
     for offset, scores in blocks:
         block_arg = np.argmax(scores, axis=1)
-        block_best = np.take_along_axis(scores, block_arg[:, None], axis=1)[:, 0]
+        block_best = scores[rows, block_arg]
         better = block_best > best
         arg[better] = block_arg[better] + offset
         best[better] = block_best[better]
@@ -142,19 +174,55 @@ def _tiles(b: int) -> Iterator[slice]:
     return (slice(b * i // m, b * (i + 1) // m) for i in range(m))
 
 
-def ml_decode(code: PrCode, received) -> int:
-    """Message whose codeword maximizes correlation with the received vector.
+def _stacked_tiles(batch: int, max_trials: int) -> Iterator[list[tuple[int, slice]]]:
+    """The tiles of one point's batches in draw order, each a list of
+    (batch size, rows of that batch): as many whole consecutive batches as
+    fit in TILE rows, or one _tiles slice of a batch larger than TILE."""
+    stack = max(1, TILE // batch)
+    for first in range(0, max_trials, stack * batch):
+        sizes = [min(batch, max_trials - s)
+                 for s in range(first, min(max_trials, first + stack * batch), batch)]
+        if stack == 1:
+            yield from ([(sizes[0], rows)] for rows in _tiles(sizes[0]))
+        else:
+            yield [(b, slice(0, b)) for b in sizes]
 
-    Ties break toward the lowest message value.  The vector is scored as a
-    1-row product, which BLAS sends to another kernel than simulate_wer's
-    tiles, so a vector whose top scores tie to the last bit may decode to
-    another message here than it would inside simulate_wer.
+
+def ml_decode(code: PrCode, received) -> int:
+    """Message whose codeword maximizes correlation with the received vector,
+    in exact arithmetic; ties break toward the lowest message value.
+
+    A float64 sum of n terms, in any order, is within gamma_n = n u / (1 - n u)
+    (u = 2^-53) times their sum of magnitudes of the exact sum, so every
+    score is within gamma_n * sum|r| of its exact value, and only messages
+    scoring within twice that of the computed best can be the exact winner.
+    Each of those, lowest first, is compared with the running winner by the
+    sign of the `math.fsum` of r over the coordinates where the two codewords
+    differ, which is exact.  So the result does not depend on the BLAS
+    kernel or its summation order.  A vector with many equal top scores (the
+    zero vector ties all 2^k) costs one O(n) comparison per tied message.
     """
     check_k("exhaustive decoding", code.k, DECODER_CAP)
     r = np.asarray(received, dtype=np.float64)
     if r.shape != (code.n,):
         raise ValueError(f"received vector must have length {code.n}")
-    return int(_decide(r[None, :], *_sign_tables(code))[0])
+    magnitude = fsum(np.abs(r))
+    if not isfinite(magnitude):
+        raise ValueError("received vector must be finite")
+    low, high = _sign_tables(code)
+    scores = ((high * r) @ low.T).ravel()
+    # gamma_(n+4) also covers the four roundings of the window and the gaps
+    nu = (code.n + 4) * 2.0 ** -53
+    window = 2 * nu / (1 - nu) * magnitude
+    near = np.flatnonzero(scores[np.argmax(scores)] - scores <= window)
+    best = int(near[0])
+    best_symbols = _symbols(low, high, best)
+    for m in near[1:].tolist():
+        symbols = _symbols(low, high, m)
+        differ = symbols != best_symbols
+        if fsum(r[differ] * symbols[differ]) > 0:
+            best, best_symbols = m, symbols
+    return best
 
 
 def _noise_sigma(ebno_db: float, k: int, n: int) -> float:
@@ -173,33 +241,47 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     code = cfg.code
     check_k("exhaustive decoding", code.k, DECODER_CAP)
     low, high = _sign_tables(code)
-    t = len(low).bit_length() - 1
     size = 1 << code.k
     batch = max(1, _BATCH_BUDGET // size)
-    buf = np.empty((min(batch, TILE, cfg.max_trials), code.n))
-    results = []
-    for idx, ebno_db in enumerate(cfg.ebno_db_points):
-        rng = np.random.default_rng(cfg.seed ^ idx)
-        sigma = _noise_sigma(ebno_db, code.k, code.n)
-        trials = 0
-        errors = 0
-        while trials < cfg.max_trials and errors < cfg.target_word_errors:
-            b = min(batch, cfg.max_trials - trials)
-            if zero_codeword_only:
-                msgs = np.zeros(b, dtype=np.int64)
-            else:
-                msgs = rng.integers(0, size, size=b)
-            for rows in _tiles(b):
-                m = msgs[rows]
-                rx = buf[:len(m)]
+    rows = min(TILE, cfg.max_trials)
+    buf = np.empty((rows, code.n))
+    out = None if len(high) == 1 else (np.empty((rows, len(low))), np.empty((rows, code.n)))
+
+    def count(rng: np.random.Generator, sigma: float) -> tuple[int, int]:
+        """(trials, word errors) of one point."""
+        trials = errors = wrong = 0
+        for tile in _stacked_tiles(batch, cfg.max_trials):
+            drawn, filled = [], 0
+            for b, part in tile:
+                if part.start == 0:
+                    if zero_codeword_only:
+                        msgs = np.zeros(b, dtype=np.int64)
+                    else:
+                        msgs = rng.integers(0, size, size=b)
+                m = msgs[part]
+                rx = buf[filled:filled + len(m)]
                 rng.standard_normal(out=rx)
                 rx *= sigma
-                if len(high) == 1:
-                    rx += low[m]
-                else:
-                    rx += low[m & (len(low) - 1)] * high[m >> t]
-                errors += int(np.count_nonzero(_decide(rx, low, high) != m))
-            trials += b
+                rx += low[m] if len(high) == 1 else _symbols(low, high, m)
+                drawn.append((b, part, m))
+                filled += len(m)
+            decided = _decide(buf[:filled], low, high, out)
+            filled = 0
+            for b, part, m in drawn:
+                wrong += int(np.count_nonzero(decided[filled:filled + len(m)] != m))
+                filled += len(m)
+                if part.stop == b:  # a batch boundary: apply the stopping rule
+                    trials += b
+                    errors += wrong
+                    wrong = 0
+                    if errors >= cfg.target_word_errors:
+                        return trials, errors
+        return trials, errors
+
+    results = []
+    for idx, ebno_db in enumerate(cfg.ebno_db_points):
+        trials, errors = count(np.random.default_rng(cfg.seed ^ idx),
+                               _noise_sigma(ebno_db, code.k, code.n))
         results.append(
             SimResult(
                 ebno_db=ebno_db,

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import tracemalloc
@@ -108,22 +109,55 @@ def test_decide_matches_reference_codebook(k):
             assert np.array_equal(_decide(rx, low, high), np.argmax(full, axis=1)), (n, b)
 
 
+def lone_tie(ref, lo_block):
+    """(lo, hi, rx): two messages whose codewords' midpoint rx ties them
+    alone at the top score; hi is in a later block of 2^LOW_BITS than lo
+    if the code has one."""
+    lo = (lo_block << LOW_BITS) + 5
+    first = (lo_block + 1) << LOW_BITS if len(ref) > 1 << LOW_BITS else lo + 1
+    for hi in range(first, len(ref)):
+        rx = (ref[lo] + ref[hi]) / 2
+        scores = ref @ rx
+        if set(np.flatnonzero(scores == scores.max())) == {lo, hi}:
+            return lo, hi, rx
+    pytest.fail("no pair of codewords ties alone")
+
+
 @pytest.mark.parametrize("k, lo_block", [(11, 0), (12, 1)])
 def test_tie_across_high_blocks_breaks_to_lowest_message(k, lo_block):
     code = build_code(first_primitive(k), 2 * k + 1)
     ref = ref_codebook_signs(code)
-    # two messages in different blocks of 2^LOW_BITS whose midpoint ties them alone
-    lo = (lo_block << LOW_BITS) + 5
-    for hi in range((lo_block + 1) << LOW_BITS, 1 << k):
-        rx = (ref[lo] + ref[hi]) / 2
-        scores = ref @ rx
-        if set(np.flatnonzero(scores == scores.max())) == {lo, hi}:
-            break
-    else:
-        pytest.fail("no pair of codewords ties alone")
+    lo, hi, rx = lone_tie(ref, lo_block)
     assert ml_decode(code, rx) == lo
     assert list(_decide(np.stack([rx, -rx, rx]), *_sign_tables(code))) == [
         lo, int(np.argmax(ref @ -rx)), lo]
+
+
+@pytest.mark.parametrize("k, lo_block", [(4, 0), (11, 0), (12, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_near_tie_decodes_to_exact_winner(k, lo_block, sign):
+    # nudging the lone tie by 2^-60 on one coordinate where the two codewords
+    # differ moves their exact scores 2^-59 apart; every float64 sum of the
+    # +-1 and 0 terms loses the nudge, so the computed scores still tie
+    code = build_code(first_primitive(k), 2 * k + 1)
+    ref = ref_codebook_signs(code)
+    lo, hi, rx = lone_tie(ref, lo_block)
+    j = int(np.flatnonzero(ref[lo] != ref[hi])[0])
+    rx[j] += sign * 2.0 ** -60 * ref[hi][j]
+    exact = [sum(Fraction(x) * int(s) for x, s in zip(rx, row)) for row in ref]
+    winner = max(range(len(ref)), key=lambda m: (exact[m], -m))
+    assert winner == (hi if sign > 0 else lo)
+    computed = ref @ rx
+    assert computed[lo] == computed[hi] and np.argmax(computed) == lo
+    assert ml_decode(code, rx) == winner
+
+
+def test_decode_rejects_non_finite(code20):
+    for bad in (math.nan, math.inf):
+        rx = np.ones(20)
+        rx[3] = bad
+        with pytest.raises(ValueError):
+            ml_decode(code20, rx)
 
 
 def test_decode_at_cap_needs_no_codebook():
@@ -259,6 +293,40 @@ def test_tiled_simulate_matches_reference_loop(k, extra, target, zero_only):
         assert got[0][0] == batch
 
 
+@pytest.mark.parametrize("k", [12, 13, 15])
+@pytest.mark.parametrize("case", ["ragged", "below-a-batch", "stop-first-of-tile",
+                                  "stop-inside-tile", "zero-codeword", "tile-batch-1"])
+def test_stacked_simulate_matches_reference_loop(k, case):
+    # TILE // batch whole batches share a tile; the reference decodes each alone
+    code = build_code(first_primitive(k), 2 * k + 9)
+    batch = (1 << 22) >> k
+    stack = TILE // batch
+    assert stack > 1
+    seed = k * 1000 + 13
+    max_trials, target, stop = {
+        "ragged": (TILE + 3 * batch + 77, 10**6, None),
+        "below-a-batch": (batch // 2 + 3, 10**6, None),
+        "stop-first-of-tile": (3 * TILE, None, stack),
+        "stop-inside-tile": (3 * TILE, None, stack + stack // 2),
+        "zero-codeword": (TILE + 3 * batch + 77, 10**6, None),
+        "tile-batch-1": (TILE + batch + 1, 10**6, None),
+    }[case]
+    points = (0.0,) if stop else (0.0, 2.5)
+    if stop:
+        # one error past the first `stop` batches stops at the end of batch `stop`
+        (_, before), = ref_wer_counts(code, points, stop * batch, 10**6, seed)
+        target = before + 1
+    zero_only = case == "zero-codeword"
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=max_trials,
+                    target_word_errors=target, seed=seed)
+    got = [(r.trials, r.word_errors)
+           for r in simulate_wer(cfg, zero_codeword_only=zero_only)]
+    assert got == ref_wer_counts(code, points, max_trials, target, seed, zero_only)
+    assert all(errors for _, errors in got)
+    if stop:
+        assert got[0][0] == (stop + 1) * batch
+
+
 def test_tiles_cover_a_batch_in_near_equal_slices():
     for b in [*range(1, 40), *range(TILE - 3, TILE + 4), *range(2 * TILE - 2, 2 * TILE + 3),
               3 * TILE + 300, 10 * TILE + 1, 200_000, 1 << 19]:
@@ -289,6 +357,13 @@ def test_scores_do_not_depend_on_tile_rows(k):
                 assert np.array_equal(scores, np.concatenate([p for _, p in parts])), (n, b, offset)
             assert np.array_equal(_decide(rx, low, high),
                                   np.concatenate([_decide(rx[s], low, high) for s in tiles])), (n, b)
+        # simulate_wer decodes consecutive batches of up to TILE / 2 rows stacked
+        out = (np.empty((TILE, len(low))), np.empty((TILE, n)))
+        rx = rng.standard_normal((TILE, n))
+        stacked = _decide(rx, low, high, out)
+        for b in (4, 128, 512, 1024):
+            alone = [_decide(rx[i:i + b], low, high) for i in range(0, TILE, b)]
+            assert np.array_equal(stacked, np.concatenate(alone)), (n, b)
 
 
 @pytest.mark.parametrize("k, n", [(3, 20), (4, 32)])
@@ -305,6 +380,35 @@ def test_simulate_memory_is_tile_sized(k, n):
         tracemalloc.stop()
     assert res.trials == 200_000
     assert peak < 8 * 2**20
+
+
+def test_simulate_memory_is_buffer_sized_at_high_k():
+    # the (TILE, 2^t) scores and two (TILE, n) blocks are allocated once per
+    # call; a fresh score array per high block would add 16 MiB
+    code = build_code(first_primitive(15), 64)
+    low, _ = _sign_tables(code)
+    cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=4096,
+                    target_word_errors=10**6, seed=3)
+    tracemalloc.start()
+    try:
+        (res,) = simulate_wer(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.trials == 4096
+    assert peak < TILE * (len(low) + 2 * code.n) * 8 + 2**20
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [12, 13, 14, 15])
+@pytest.mark.parametrize("n", [32, 48, 64])
+def test_simulate_matches_reference_at_highk_shapes(k, n):
+    code = build_code(first_primitive(k), n)
+    points = (3.0, 4.5, 6.0)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=1536,
+                    target_word_errors=100, seed=k * 100 + n)
+    got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    assert got == ref_wer_counts(code, points, 1536, 100, cfg.seed)
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ computes by smarter routes, so disagreements point at real bugs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -157,13 +158,16 @@ def ref_first_witness(k: int, n: int, d: int) -> int:
     raise AssertionError(f"no degree-{k} polynomial reaches distance {d} at n={n}")
 
 
+@lru_cache(maxsize=2)
 def ref_codebook_signs(code) -> np.ndarray:
     """(2^k, n) BPSK symbols (bit 0 -> +1, bit 1 -> -1) of every codeword,
-    row m for message m, one `encode` call per message."""
+    row m for message m, one `encode` call per message.  Read-only, and
+    cached: a k = 15 codebook takes about half a second to build."""
     signs = np.empty((1 << code.k, code.n))
     for m in range(1 << code.k):
         word = code.encode(m)
         signs[m] = [1.0 - 2.0 * ((word >> i) & 1) for i in range(code.n)]
+    signs.flags.writeable = False
     return signs
 
 
