@@ -15,11 +15,11 @@ PRIMITIVITY_CAP = 64
 # construct.codeword_set holds 2^k Python ints: a 96 MB tracemalloc peak at
 # k = 20, n = 64, doubling with each k beyond
 CODEWORD_SET_CAP = 20
-# weights.weight_enumerator_exact counts 2^k - 1 windows: 0.13-0.22 s at
-# k = 24, n = 120
+# weights.weight_enumerator_exact counts 2^k codewords up to n = 192, else
+# 2^k - 1 windows: 0.09 s at k = 24, n = 120, and 0.11-0.13 s at n = 192-1000
 ENUMERATOR_CAP = 24
-# a whole degree-k ensemble (its averages, dmin, verify_existence): 1.0-1.9 s
-# at k = 16, n = 32-64; k = 17, n = 34 takes 18.7 s
+# a whole degree-k ensemble (its averages, dmin, verify_existence): 0.4-0.5 s
+# at k = 16, n = 32-64, 1.2-1.7 s at n = 192-256; k = 17, n = 34 takes 2.6 s
 ENSEMBLE_CAP = 16
 # awgn exhaustive decoding costs trials * 2^k * n flops: 16 trials at k = 20,
 # n = 64 take 0.34 s

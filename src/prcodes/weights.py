@@ -1,9 +1,13 @@
 """Hamming weight distributions and their transforms.
 
-Exact enumerators are integer vectors A_0..A_n.  The nonzero codewords
-of an (n, k) code are the n-bit windows of its sequence at the P = 2^k - 1
-phases, so A is a count of window weights plus the zero word, read from
-two copies of the sequence n mod P phases apart.  The binary MacWilliams
+Exact enumerators are integer vectors A_0..A_n, counted by one of two
+kernels chosen by the length n.  Up to SPAN_MAX_N coordinates, A is the
+histogram of popcounts over the GF(2) span of k generator rows packed
+in 64-bit words, 2^k codewords of ceil(n/64) words each.  Longer codes
+use that their nonzero codewords are the n-bit windows of the sequence
+at the P = 2^k - 1 phases: A is a count of window weights plus the zero
+word, read from two copies of the sequence n mod P phases apart, at a
+cost in P that does not grow with n.  The binary MacWilliams
 transform maps an enumerator to its dual's through the Krawtchouk
 kernel; everything on that path is arbitrary-precision integer
 arithmetic, so a non-integer or negative output is reported as an error
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, lcm, log
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +39,16 @@ from .errors import (
     check_k,
 )
 from .gf2 import BitPoly, first_primitive, pair_leaders, pair_polynomials
+
+# longest code counted over the span of its rows, at O(2^k n/64) word
+# operations; longer ones count windows at O(P) whatever n is.  At n = 192
+# the span took 2, 8, 29 and 94 ms at k = 18, 20, 22, 24 against 5, 14, 49
+# and 117 ms for the windows; at n = 256 they break even at k = 24 (2-vCPU VM)
+SPAN_MAX_N = 192
+# rows whose codewords _span_counts builds once; the others are walked in
+# Gray order, one XOR of a 2^SPAN_LOW_BITS-column block per step.  Of 11-16,
+# 14 was fastest or within 10% of it at k = 22-24, n = 84-192 (2-vCPU VM)
+SPAN_LOW_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -114,15 +128,51 @@ def _window_counts(k: int, n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray
     return counts
 
 
-def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
-    """Exact weight distribution, counted over the windows of the code's sequence.
+def _span_counts(rows: Sequence[int], n: int) -> list[int]:
+    """A_0..A_n of the GF(2) span of k linearly independent n-bit rows.
 
-    The windows are those of code.poly's sequence, which are the nonzero
-    codewords for every code that build_code returns.
+    The codewords of the low min(k, SPAN_LOW_BITS) rows are built once by
+    XOR doubling, as ceil(n/64) planes of uint64 words, one column per
+    codeword.  Each combination of the high rows, taken in Gray order so
+    that one row changes per step, is XORed onto that block; the popcounts
+    of the coset are summed over the planes, in the narrowest unsigned
+    type that holds n, and binned.  The bits of a row past bit n are
+    zero, so the sums are the codeword weights.
+    """
+    k, planes = len(rows), -(-n // 64)
+    low = min(k, SPAN_LOW_BITS)
+    weight = np.min_scalar_type(n)
+    words = np.frombuffer(b"".join(r.to_bytes(8 * planes, "little") for r in rows),
+                          dtype="<u8").reshape(k, planes)
+    block = np.zeros((planes, 1 << low), dtype=np.uint64)
+    for i in range(low):
+        np.bitwise_xor(block[:, :1 << i], words[i, :, None], out=block[:, 1 << i:2 << i])
+    counts = np.zeros(n + 1, dtype=np.int64)
+    flip = np.zeros(planes, dtype=np.uint64)
+    coset = np.empty_like(block)
+    ones = np.empty(block.shape, dtype=np.uint8)
+    for g in range(1 << (k - low)):
+        if g:
+            flip ^= words[low + (g & -g).bit_length() - 1]
+        np.bitwise_xor(block, flip[:, None], out=coset)
+        np.bitwise_count(coset, out=ones)
+        counts += np.bincount(ones.sum(axis=0, dtype=weight), minlength=n + 1)
+    return counts.tolist()
+
+
+def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
+    """Exact weight distribution of a code that build_code returns.
+
+    Up to SPAN_MAX_N coordinates it is counted over the span of
+    code.rows; longer codes count the windows of code.poly's sequence at
+    all 2^k - 1 phases, which are their nonzero codewords.
     """
     check_k("exhaustive enumeration", code.k, ENUMERATOR_CAP)
-    r = code.n % ((1 << code.k) - 1)
-    counts = _window_counts(code.k, code.n, sequence_chunks(code.poly, (0, r)))
+    if code.n <= SPAN_MAX_N:
+        counts = _span_counts(code.rows, code.n)
+    else:
+        r = code.n % ((1 << code.k) - 1)
+        counts = _window_counts(code.k, code.n, sequence_chunks(code.poly, (0, r)))
     return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts))
 
 
@@ -196,6 +246,15 @@ def _pair_members(k: int, n: int) -> Iterator[WeightEnumerator]:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
     base = m_sequence(first_primitive(k))
     period = len(base)
+    if n <= SPAN_MAX_N:
+        # the windows of u at phases 0..k-1 are independent, so they span its code
+        steps, mask = np.arange(n + k - 1), (1 << n) - 1
+        for d in pair_leaders(k):
+            u = np.packbits(base[steps * d % period], bitorder="little")
+            bits = int.from_bytes(u.tobytes(), "little")
+            counts = _span_counts([(bits >> j) & mask for j in range(k)], n)
+            yield WeightEnumerator(n=n, dim=k, counts=tuple(counts))
+        return
     r = n % period
     # d t mod P in 32 bits while (P - 1)^2 fits
     phases = np.arange(period, dtype=np.uint32 if period <= 0xFFFF else np.uint64)

@@ -1,6 +1,7 @@
 """Weight enumerators, the MacWilliams transform, ensemble averages,
 closed-form approximations, and KL divergence."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -15,13 +16,16 @@ from util import (
 )
 
 import prcodes.construct
-from prcodes.construct import PrCode, build_code
+import prcodes.weights
+from prcodes.construct import PrCode, build_code, sequence_chunks
 from prcodes.errors import InconsistentEnumeratorError, UnsupportedRangeError
 from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive
 from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
     _krawtchouk_table,
+    _span_counts,
+    _window_counts,
     average_of,
     avg_dual_approx,
     avg_primal_approx,
@@ -117,7 +121,42 @@ def test_enumerator_across_chunk_boundaries(monkeypatch, chunk):
             if n < p.degree:
                 continue
             enum = weight_enumerator_exact(build_code(p, n))
-            assert list(enum.counts) == ref_weight_counts(p.mask, n), f"{p} n={n}"
+            expected = ref_weight_counts(p.mask, n)
+            assert list(enum.counts) == expected, f"{p} n={n}"
+            # the window kernel directly, since short codes take the span kernel
+            chunks = sequence_chunks(p, (0, n % (2**p.degree - 1)))
+            assert _window_counts(p.degree, n, chunks) == expected, f"{p} n={n}"
+
+
+# window lengths around one, two and three 64-bit planes, the largest span
+# length, and one and a little over one period
+KERNEL_NS = (63, 64, 65, 127, 128, 129, 191, 192, 193)
+_cached_ref_counts = functools.cache(ref_weight_counts)
+
+
+def _kernel_cases(k):
+    period = 2**k - 1
+    p = enumerate_primitives(k)[-1]
+    for n in sorted({k, *KERNEL_NS, period, period + 3}):
+        if n >= k:
+            yield p, n, _cached_ref_counts(p.mask, n)
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_span_and_window_kernels_match_brute_force(k):
+    for p, n, expected in _kernel_cases(k):
+        assert _span_counts(build_code(p, n).rows, n) == expected, f"{p} n={n}"
+        chunks = sequence_chunks(p, (0, n % (2**k - 1)))
+        assert _window_counts(k, n, chunks) == expected, f"{p} n={n}"
+
+
+@pytest.mark.parametrize("low_bits", [2, 3])
+@pytest.mark.parametrize("k", range(2, 11))
+def test_span_kernel_gray_walk_matches_brute_force(monkeypatch, k, low_bits):
+    # few low rows, so that the Gray walk over the high rows runs at small k
+    monkeypatch.setattr(prcodes.weights, "SPAN_LOW_BITS", low_bits)
+    for p, n, expected in _kernel_cases(k):
+        assert _span_counts(build_code(p, n).rows, n) == expected, f"{p} n={n}"
 
 
 def _sliding_counts(p, n):
@@ -270,7 +309,9 @@ def test_ensemble_cap():
 def test_ensemble_enumerators_match_per_code(k):
     period = 2**k - 1
     polys = enumerate_primitives(k)
-    for n in sorted({k, 2 * k, period, period + 3}):
+    # 191-193 straddle the largest length counted over the span of the rows
+    spans = {191, 192, 193} if k >= 8 else set()
+    for n in sorted({k, 2 * k, period, period + 3} | spans):
         members = ensemble_enumerators(k, n)
         assert [p for p, _ in members] == polys
         for p, enum in members:
