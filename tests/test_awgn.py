@@ -11,15 +11,18 @@ import numpy as np
 import pytest
 from util import ref_codebook_signs, ref_int_to_bits, ref_wer_counts
 
+from prcodes import awgn
 from prcodes.awgn import (
     DECODER_CAP,
     LOW_BITS,
     TILE,
     SimConfig,
     SimResult,
+    _certified,
     _decide,
     _score_blocks,
     _sign_tables,
+    _symbols,
     _tiles,
     ml_decode,
     simulate_wer,
@@ -27,6 +30,7 @@ from prcodes.awgn import (
 from prcodes.construct import PrCode, build_code
 from prcodes.errors import UnsupportedRangeError
 from prcodes.gf2 import BitPoly, first_primitive
+from prcodes.weights import weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
 
@@ -325,6 +329,115 @@ def test_stacked_simulate_matches_reference_loop(k, case):
     assert all(errors for _, errors in got)
     if stop:
         assert got[0][0] == (stop + 1) * batch
+
+
+@pytest.mark.parametrize("k", [11, 12, 13, 14, 15])
+def test_certified_rows_decode_to_their_sent_message(k):
+    # a certified row's sent message is the full-tile decision
+    code = build_code(first_primitive(k), 2 * k + 9)
+    d_min = weight_enumerator_exact(code).min_nonzero_weight()
+    low, high = _sign_tables(code)
+    rng = np.random.default_rng(k)
+    shares = []
+    for ebno_db in (0.0, 2.0, 4.0, 6.0, 8.0):
+        sigma = math.sqrt(code.n / (2 * code.k) * 10 ** (-ebno_db / 10))
+        sent = rng.integers(0, 1 << k, size=512)
+        symbols = _symbols(low, high, sent)
+        rx = symbols + sigma * rng.standard_normal(symbols.shape)
+        certified = _certified(rx * symbols, d_min)
+        assert np.array_equal(_decide(rx, low, high)[certified], sent[certified]), ebno_db
+        shares.append(np.count_nonzero(certified) / len(sent))
+    assert shares[0] < 0.5 < shares[-1], shares
+
+
+def min_weight_neighbour(code):
+    """(m, c, D, d_min): a message m, a message c < m whose codeword
+    differs from m's on d_min coordinates D, and the code's d_min, all by
+    brute force over the codebook."""
+    ref = ref_codebook_signs(code)
+    weights = np.count_nonzero(ref < 0, axis=1)
+    d_min = int(weights[1:].min())
+    m = (1 << code.k) - 1
+    c = m ^ int(np.flatnonzero(weights == d_min)[0])
+    return m, c, np.flatnonzero(ref[m] != ref[c]), d_min
+
+
+@pytest.mark.parametrize("k", [11, 12])
+@pytest.mark.parametrize("case", ["beaten", "tie", "near-tie", "inside-slack", "outside-slack"])
+def test_certification_bound(k, case):
+    # rx equals m's symbols off D; on D, y = rx * s_m is 0 but for one
+    # coordinate j, where it is the case's value (all of D when "beaten")
+    code = build_code(first_primitive(k), 2 * k + 9)
+    m, c, D, d_min = min_weight_neighbour(code)
+    assert d_min == weight_enumerator_exact(code).min_nonzero_weight()
+    low, high = _sign_tables(code)
+    s = _symbols(low, high, m)
+    nu = (code.n + 4) * 2.0 ** -53
+    slack = 4 * nu / (1 - nu) * (code.n - d_min)
+    y = np.ones(code.n)
+    y[D] = 0.0
+    y[D[0]] = {"beaten": -2.0 ** -10, "tie": 0.0, "near-tie": 2.0 ** -60,
+               "inside-slack": slack / 2, "outside-slack": 2 * slack}[case]
+    if case == "beaten":
+        # c wins by 2 d_min 2^-10; the d_min + 1 smallest y_i sum to > 0
+        y[D] = y[D[0]]
+    rx = y * s
+    certified = _certified((rx * s)[None], d_min)[0]
+    assert certified == (case == "outside-slack")
+    decided = int(_decide(rx[None], low, high)[0])
+    # on a tie, and in the near-tie that float64 cannot see, the lower c wins
+    assert decided == (m if case in ("inside-slack", "outside-slack") else c)
+
+
+@pytest.mark.parametrize("k", [11, 12, 13, 14, 15])
+def test_compacted_scores_match_the_full_tile(k):
+    # simulate_wer scores the uncertified rows of a tile, uncertified first,
+    # as one product of 2..TILE rows: each piece of a shuffled tile, of
+    # 2..1500 rows, must score as its rows do in the whole tile
+    rng = np.random.default_rng(70 + k)
+    for n in (20, 32, 48, 64, 100):
+        code = build_code(first_primitive(k), n)
+        low, high = _sign_tables(code)
+        rx = rng.standard_normal((TILE, n))
+        cuts = np.cumsum([0, 2, 3, 63, 64, 65, 351, 1500])
+        order = rng.permutation(TILE)
+        subsets = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        blocks = zip(_score_blocks(rx, low, high), *(_score_blocks(rx[r], low, high) for r in subsets))
+        for (offset, scores), *parts in blocks:
+            for rows, (_, part) in zip(subsets, parts):
+                assert np.array_equal(part, scores[rows]), (n, len(rows), offset)
+
+
+def spy(monkeypatch, name):
+    """The arguments of each call simulate_wer makes to awgn.<name> from now on."""
+    calls = []
+    real = getattr(awgn, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(awgn, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["all-certified", "padded"])
+def test_simulate_certified_tiles_match_reference_loop(monkeypatch, case):
+    code = build_code(first_primitive(12), 33)
+    ebno_db, max_trials = {"all-certified": (12.0, 2 * TILE + 300),
+                           "padded": (5.0, 200)}[case]
+    cfg = SimConfig(code=code, ebno_db_points=(ebno_db,), max_trials=max_trials,
+                    target_word_errors=10**6, seed=41)
+    certified, decided = spy(monkeypatch, "_certified"), spy(monkeypatch, "_decide")
+    got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    assert got == ref_wer_counts(code, (ebno_db,), max_trials, 10**6, cfg.seed)
+    # each tile is certified against the code's minimum distance
+    assert [d_min for _, d_min in certified] == [min_weight_neighbour(code)[3]] * len(certified)
+    if case == "all-certified":
+        assert len(certified) == 3 and decided == []
+    else:
+        # fewer than 64 uncertified rows are padded with certified ones
+        assert [len(rx) for rx, *_ in decided] == [64] and got[0][1]
 
 
 def test_tiles_cover_a_batch_in_near_equal_slices():
