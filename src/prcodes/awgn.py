@@ -11,18 +11,25 @@ TILE rows: a batch larger than TILE is cut into near-equal tiles, and
 consecutive batches of at most TILE / 2 trials (k >= 12) are decoded
 stacked, as many whole batches as fit in one tile.  With more than one
 high block (k > LOW_BITS), the simulator knows each row's sent message m
-and first tries to certify it: if the d_min smallest terms of rx * s_m
-sum to more than a rounding slack, no other codeword can score as high
-in any summation order (Taipale & Pursley, IEEE T-IT 37(1), 1991), so
-the row counts as decoded correctly.  Only the other rows are decoded,
-compacted into one product of at least _MIN_ROWS rows.  The share
-certified grows with SNR and d_min: 20-96% of a tile at 3-6 dB for
-k = 12-14.  Decoder memory is buffers of min(TILE, max_trials) rows
-allocated once per call and reused: the received tile and, with more
-than one high block, the scores, a scratch of flipped rx (which also
-holds rx * s_m and the compacted rows) and the tile's sent messages,
-about TILE * (2^t + 2n) * 8 bytes plus a batch's b message integers; no
-array is allocated per block, and no 2^k * n * 8 codebook is built.
+and first tries to certify it against a list, made once per call, of
+every codeword lighter than a weight W (at most min(2^t, 2^(k-4)) of
+them).  If y = rx * s_m sums to more than a rounding slack over the
+support of each listed codeword, and the W smallest y_i do too, no
+other codeword can score as high in any summation order (the listed
+ones checked exactly, as in ordered-statistics decoding, Fossorier &
+Lin, IEEE T-IT 41(5), 1995; the rest bounded by the least y_i, Taipale
+& Pursley, IEEE T-IT 37(1), 1991), so the row counts as decoded
+correctly.  Only the other rows are decoded, compacted into one product
+of at least _MIN_ROWS rows.  The share certified grows with SNR and W:
+75-89% of a tile at 3 dB and 94-99% at 4.5 dB for k = 11-15, n = 2k + 9,
+and 35%, 78% and 99% at 3, 4.5 and 6 dB for k = 15, n = 64.  Decoder
+memory is buffers of min(TILE, max_trials) rows allocated once per call
+and reused: the received tile and, with more than one high block, the
+scores (whose head also takes the list's scores), a scratch of flipped
+rx (which also holds rx * s_m and the compacted rows) and the tile's
+sent messages, about TILE * (2^t + 2n) * 8 bytes, plus the list's
+L * n * 8 (L <= 2^t) and a batch's b message integers; no array is
+allocated per block, and no 2^k * n * 8 codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
@@ -40,11 +47,11 @@ BLAS's separate thin-matrix kernels), and on flipping signs by +-1 being
 exact; with that, a config reproduces its results bit-for-bit on any
 machine, and ties go to the lowest message.  A compacted product keeps
 at least min(_MIN_ROWS, tile) rows, away from the 1-row kernel.  A
-certified row relies on no BLAS property: its sent message has the
-strictly largest computed score in any summation order, so _decide would
-return it too.  ml_decode relies on none of this: it settles every
-near-top score in exact arithmetic and returns the exact-arithmetic ML
-message.
+certified row relies on no BLAS property: its test holds however the
+list's sums are computed, and its sent message has the strictly largest
+computed score in any summation order, so _decide would return it too.
+ml_decode relies on none of this: it settles every near-top score in
+exact arithmetic and returns the exact-arithmetic ML message.
 """
 
 from __future__ import annotations
@@ -55,10 +62,11 @@ from math import fsum, isfinite
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .construct import PrCode
+from .construct import PrCode, m_sequence
 from .errors import DECODER_CAP, check_k
-from .weights import weight_enumerator_exact
+from .weights import _window_weights
 
 # message bits spanned by the low table: scores are computed 2^LOW_BITS columns
 # at a time (2^10-2^12 columns time within ~15% of each other at k = 13-15), and
@@ -181,40 +189,69 @@ def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray,
     return arg
 
 
-def _certified(y: np.ndarray, d_min: int) -> np.ndarray:
+def _light_codewords(code: PrCode) -> tuple[int, np.ndarray]:
+    """(W, light): the largest weight W with at most min(2^t, 2^(k-4))
+    nonzero codewords lighter than it, t = min(k, LOW_BITS), and those
+    codewords, one 0/1 row each.  Their scores fit in a (rows, 2^t) score
+    buffer, and at most 2^(k-4) keeps their product small beside the
+    decoding it saves (at k = 11, 1024 codewords made simulate_wer 5-25%
+    slower than 128 at n = 31-100, 3-6 dB).
+
+    The nonzero codewords are the n-windows of code.poly's sequence at its
+    P = 2^k - 1 phases, so one pass of weights._window_weights over the
+    period weighs them all, and the light ones are read off the sequence
+    extended to P + n bits.  A row of light takes n * 8 bytes.
+    """
+    budget = min(1 << min(code.k, LOW_BITS), 1 << (code.k - 4))
+    period = (1 << code.k) - 1
+    r = code.n % period
+    seq = np.resize(m_sequence(code.poly), period + code.n)
+    weights, = _window_weights(code.k, code.n, int(np.count_nonzero(seq[:r])),
+                               [(seq[:period], seq[r:r + period])])
+    heavy = int(np.searchsorted(np.cumsum(np.bincount(weights)), budget, side="right"))
+    phases = (np.flatnonzero(weights < heavy) + 1) % period  # weights[t] is phase t + 1
+    return heavy, sliding_window_view(seq, code.n)[phases].astype(np.float64)
+
+
+def _certified(y: np.ndarray, heavy: int, light: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Mask of the rows of y = rx * s, s the symbols of the message m sent
     in that row, where m has the strictly largest computed score of every
-    message, however the scores are summed; overwrites y.
+    message, however the scores are summed; overwrites y and scores.
 
-    A codeword c != m differs from m's on a set D of at least d_min
-    coordinates, and S_m - S_c = 2 * sum_{i in D} y_i (y_i is rx_i with an
-    exact sign flip), which is at least 2L, L the sum of the d_min smallest
-    y_i.  Every computed score is within gamma_n * sum|rx| of its exact
-    value, so the computed S_m beats every computed S_c once L >
-    gamma_n * sum|rx|.  The computed L and sum|rx| are each within
-    gamma_n * sum|rx| of theirs, so a computed L above twice ml_decode's
-    window, 4 nu / (1 - nu) times the computed sum|rx| with nu = (n + 4) u,
-    proves that.  (The max(d_min, N) smallest y_i, N of them negative, give
-    the tighter bound but certify the same rows: with N > d_min both sums
-    are negative.)
+    light holds every nonzero codeword lighter than heavy, one 0/1 row
+    each.  A codeword c != m differs from m's on the support D of a nonzero
+    codeword, and S_m - S_c = 2 * sum_{i in D} y_i (y_i is rx_i with an
+    exact sign flip).  If D is listed, that sum is a column of y @ light.T,
+    computed into a (rows, len(light)) view of scores.  Otherwise |D| >=
+    heavy, and the sum is at least that of the max(heavy, N) smallest y_i,
+    N of them negative: with N <= heavy that is the sum of the heavy
+    smallest, and with N > heavy both are negative.  So S_m - S_c >= 2L
+    for every c, L the smaller of the list's minimum and the sum of the
+    heavy smallest y_i.  Every computed score, and every computed sum of
+    at most n of the y_i, is within gamma_n * sum|rx| of its exact value,
+    so the computed S_m beats every computed S_c once L > gamma_n *
+    sum|rx|, and a computed L above twice ml_decode's window, 4 nu / (1 -
+    nu) times the computed sum|rx| with nu = (n + 4) u, proves that.
     """
     nu = (y.shape[1] + 4) * 2.0 ** -53
-    y.partition(d_min - 1, axis=1)
-    least = y[:, :d_min].sum(axis=1)
+    listed = scores.reshape(-1)[:len(y) * len(light)].reshape(len(y), len(light))
+    least = np.matmul(y, light.T, out=listed).min(axis=1, initial=np.inf)
+    y.partition(heavy - 1, axis=1)
+    np.minimum(least, y[:, :heavy].sum(axis=1), out=least)
     return least > 4 * nu / (1 - nu) * np.abs(y, out=y).sum(axis=1)
 
 
-def _decide_uncertified(rx: np.ndarray, sent: np.ndarray, d_min: int,
+def _decide_uncertified(rx: np.ndarray, sent: np.ndarray, listing: tuple[int, np.ndarray],
                         low: np.ndarray, high: np.ndarray,
                         out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """_decide(rx, low, high) for a tile whose rows carry the messages
-    `sent`, given y = rx * symbols(sent) in out[1]: a row that _certified
-    settles keeps its sent message, and only the others are decoded,
-    compacted into out[1], padded with certified rows to at least
-    _MIN_ROWS, and scored with rx as the flip scratch.  Overwrites rx,
-    out[1] and sent, and returns sent.
+    `sent`, given y = rx * symbols(sent) in out[1] and listing = (W, the
+    codewords lighter than W): a row that _certified settles keeps its
+    sent message, and only the others are decoded, compacted into out[1],
+    padded with certified rows to at least _MIN_ROWS, and scored with rx
+    as the flip scratch.  Overwrites rx, out and sent, and returns sent.
     """
-    certified = _certified(out[1][:len(rx)], d_min)
+    certified = _certified(out[1][:len(rx)], *listing, out[0])
     left = len(rx) - int(np.count_nonzero(certified))
     if left:
         rows = np.argsort(certified, kind="stable")[:max(left, min(_MIN_ROWS, len(rx)))]
@@ -305,8 +342,8 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     rows = min(TILE, cfg.max_trials)
     out = None
     if len(high) > 1:
-        # the enumerator's temporaries are freed before the buffers exist
-        d_min = weight_enumerator_exact(code).min_nonzero_weight()
+        # the scan's temporaries are freed before the buffers exist
+        listing = _light_codewords(code)
         out = (np.empty((rows, len(low))), np.empty((rows, code.n)))
         sent = np.empty(rows, dtype=np.int64)
     buf = np.empty((rows, code.n))
@@ -338,7 +375,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
             if out is None:
                 decided = _decide(buf[:filled], low, high)
             else:
-                decided = _decide_uncertified(buf[:filled], sent[:filled], d_min, low, high, out)
+                decided = _decide_uncertified(buf[:filled], sent[:filled], listing, low, high, out)
             filled = 0
             for b, part, m in drawn:
                 wrong += int(np.count_nonzero(decided[filled:filled + len(m)] != m))

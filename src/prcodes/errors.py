@@ -23,12 +23,13 @@ ENUMERATOR_CAP = 24
 ENSEMBLE_CAP = 16
 # awgn exhaustive decoding costs 2^k * n flops per decoded trial, and
 # simulate_wer decodes only the trials it cannot certify: 16 trials at
-# k = 20, n = 64 take 0.1 s (a tile under 64 rows is decoded whole); 256
-# take 0.96 s at 0 dB and 0.26 s at 8 dB
+# k = 20, n = 64 take 0.1 s at 0-4 dB (a tile under 64 rows is decoded
+# whole) and 0.02 s at 8 dB; 256 take 0.81 s at 0 dB, 0.53 s at 4 dB and
+# 0.02 s at 8 dB, 17 ms of it listing the light codewords
 DECODER_CAP = 20
 # simulate refuses k >= 12 without --allow-slow (the CLI's one slow gate):
-# 20,000 trials at k = 12, n = 24 take 0.15 s at 0 dB and 0.02 s at 9 dB,
-# so the default 10^7 take 10 s to over a minute
+# 20,000 trials at k = 12, n = 24 take 0.10 s at 0 dB, 0.04 s at 3 dB and
+# 0.02-0.03 s at 6-9 dB, so the default 10^7 take 10 s to about a minute
 SLOW_SIMULATE_K = 12
 
 

@@ -100,31 +100,40 @@ class RealDistribution:
 # ---------------------------------------------------------------------------
 # exact enumerators
 
-def _window_counts(k: int, n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
-    """A_0..A_n of the n-windows of one period-(2^k - 1) sequence.
+def _window_weights(k: int, n: int, first: int,
+                    chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
+    """Weights of the n-windows of one period-(2^k - 1) sequence, per chunk.
 
     chunks yields bit-array pairs (s[t..t+c), s[t+r..t+r+c)) that together
-    cover t = 0..P-1, with r = n mod P.  The window at phase t weighs
-    n // P full periods of 2^(k-1) ones plus w(t), the weight of
-    s[t..t+r), and w(t+1) - w(t) = s[t+r] - s[t].  Running sums of those
-    steps give w(t+1) - w(0) for every t, which over a whole period is
-    every phase once, since w(P) = w(0); w(0) is read off the first r bits.
+    cover t = 0..P-1 in order, with r = n mod P; for each, this yields the
+    int64 weights of the windows at phases t+1..t+c (phase P is phase 0).
+    The window at phase t weighs n // P full periods of 2^(k-1) ones plus
+    w(t), the weight of s[t..t+r), and w(t+1) - w(t) = s[t+r] - s[t], so
+    the weights are running sums of those steps from first = w(0).
     """
-    laps, r = divmod(n, (1 << k) - 1)
-    shifted = np.zeros(2 * r + 1, dtype=np.int64)  # phases by w(t) - w(0) + r
-    level, first, t0 = r, 0, 0
+    weight = (n // ((1 << k) - 1) << (k - 1)) + first
     for head, tail in chunks:
-        first += int(np.count_nonzero(head[:max(r - t0, 0)]))
-        levels = np.cumsum(np.subtract(tail, head, dtype=np.int8))
-        levels += level
-        shifted += np.bincount(levels, minlength=2 * r + 1)
-        level = int(levels[-1])
-        t0 += len(head)
+        weights = np.cumsum(np.subtract(tail, head, dtype=np.int8))
+        weights += weight
+        weight = int(weights[-1])
+        yield weights
+
+
+def _window_counts(k: int, n: int, first: int,
+                   chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
+    """A_0..A_n of the n-windows of one period-(2^k - 1) sequence, from
+    _window_weights' chunks and first: every phase once, plus the zero word.
+    A window weighs lightest + 0..r, so each chunk is binned over r + 1 places."""
+    laps, r = divmod(n, (1 << k) - 1)
+    lightest = laps << (k - 1)
+    shifted = np.zeros(r + 1, dtype=np.int64)
+    for weights in _window_weights(k, n, first, chunks):
+        weights -= lightest
+        shifted += np.bincount(weights, minlength=r + 1)
     counts = [0] * (n + 1)
     counts[0] = 1
-    offset = (laps << (k - 1)) + first - r
     for i in np.flatnonzero(shifted):
-        counts[offset + i] += int(shifted[i])
+        counts[lightest + i] += int(shifted[i])
     return counts
 
 
@@ -172,7 +181,8 @@ def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
         counts = _span_counts(code.rows, code.n)
     else:
         r = code.n % ((1 << code.k) - 1)
-        counts = _window_counts(code.k, code.n, sequence_chunks(code.poly, (0, r)))
+        first = (code.rows[0] & ((1 << r) - 1)).bit_count()  # row 0 is s_0..s_(n-1)
+        counts = _window_counts(code.k, code.n, first, sequence_chunks(code.poly, (0, r)))
     return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts))
 
 
@@ -260,7 +270,7 @@ def _pair_members(k: int, n: int) -> Iterator[WeightEnumerator]:
     phases = np.arange(period, dtype=np.uint32 if period <= 0xFFFF else np.uint64)
     for d in pair_leaders(k):
         u = base[phases * d % period]
-        counts = _window_counts(k, n, [(u, np.roll(u, -r))])
+        counts = _window_counts(k, n, int(np.count_nonzero(u[:r])), [(u, np.roll(u, -r))])
         yield WeightEnumerator(n=n, dim=k, counts=tuple(counts))
 
 

@@ -20,6 +20,7 @@ from prcodes.awgn import (
     SimResult,
     _certified,
     _decide,
+    _light_codewords,
     _score_blocks,
     _sign_tables,
     _symbols,
@@ -331,12 +332,59 @@ def test_stacked_simulate_matches_reference_loop(k, case):
         assert got[0][0] == (stop + 1) * batch
 
 
+def codebook_words(code):
+    """(words, weights): row x of words is the 0/1 codeword of message x,
+    by brute force over the codebook, and weights[x] is its weight."""
+    words = ref_codebook_signs(code) < 0
+    return words, np.count_nonzero(words, axis=1)
+
+
+def assert_listing(code, heavy, light):
+    """W is the largest weight with at most min(2^t, 2^(k-4)) lighter
+    nonzero codewords, and light is each of those once, as 0/1 rows."""
+    words, weights = codebook_words(code)
+    words, weights = words[1:], weights[1:]
+    budget = min(1 << min(code.k, LOW_BITS), 1 << (code.k - 4))
+    assert np.count_nonzero(weights < heavy) <= budget < np.count_nonzero(weights <= heavy)
+    assert light.dtype == np.float64 and light.shape[1] == code.n
+    assert set(np.unique(light).tolist()) <= {0.0, 1.0}
+    assert sorted(row.tobytes() for row in light.astype(bool)) == \
+        sorted(row.tobytes() for row in words[weights < heavy])
+
+
+@pytest.mark.parametrize("k, n", [*((k, n) for k in range(11, 16) for n in (20, 33, 48, 64, 100)),
+                                  (11, 2047), (11, 2100)])
+def test_light_codewords_match_the_codebook(k, n):
+    # n = 2^k - 1 is the simplex code, whose 2047 words all weigh 1024 and
+    # leave the list empty; n = 2100 > 2^k - 1 repeats coordinates
+    code = build_code(first_primitive(k), n)
+    heavy, light = _light_codewords(code)
+    assert_listing(code, heavy, light)
+    words, weights = codebook_words(code)
+    words, weights = words[1:], weights[1:]
+    # the list's lightest word, or W when it is empty, is the minimum distance
+    d_min = weight_enumerator_exact(code).min_nonzero_weight()
+    assert min(light.sum(axis=1).tolist(), default=heavy) == d_min == weights.min()
+    if n == 2047:
+        assert len(light) == 0 and heavy == 1024
+    # a certified row's y = rx * s_m sums to more than 0 over every codeword
+    rng = np.random.default_rng(k * 1000 + n)
+    y = 1.0 + rng.standard_normal((3, 128, n)) * np.array([0.3, 0.6, 1.0])[:, None, None]
+    y = y.reshape(-1, n)
+    certified = _certified(y.copy(), heavy, light, np.empty((len(y), len(light))))
+    assert certified.any()
+    assert ((y[certified] @ words.T).min(axis=1) > 0).all()
+
+
 @pytest.mark.parametrize("k", [11, 12, 13, 14, 15])
 def test_certified_rows_decode_to_their_sent_message(k):
     # a certified row's sent message is the full-tile decision
     code = build_code(first_primitive(k), 2 * k + 9)
     d_min = weight_enumerator_exact(code).min_nonzero_weight()
+    heavy, light = _light_codewords(code)
     low, high = _sign_tables(code)
+    scores = np.empty((512, len(low)))
+    nu = (code.n + 4) * 2.0 ** -53
     rng = np.random.default_rng(k)
     shares = []
     for ebno_db in (0.0, 2.0, 4.0, 6.0, 8.0):
@@ -344,45 +392,70 @@ def test_certified_rows_decode_to_their_sent_message(k):
         sent = rng.integers(0, 1 << k, size=512)
         symbols = _symbols(low, high, sent)
         rx = symbols + sigma * rng.standard_normal(symbols.shape)
-        certified = _certified(rx * symbols, d_min)
+        y = rx * symbols
+        # the minimum-distance test alone: the d_min smallest y_i against the slack
+        by_distance = (np.partition(y, d_min - 1, axis=1)[:, :d_min].sum(axis=1)
+                       > 4 * nu / (1 - nu) * np.abs(y).sum(axis=1))
+        certified = _certified(y, heavy, light, scores)
         assert np.array_equal(_decide(rx, low, high)[certified], sent[certified]), ebno_db
+        assert not (by_distance & ~certified).any(), ebno_db
         shares.append(np.count_nonzero(certified) / len(sent))
     assert shares[0] < 0.5 < shares[-1], shares
 
 
-def min_weight_neighbour(code):
-    """(m, c, D, d_min): a message m, a message c < m whose codeword
-    differs from m's on d_min coordinates D, and the code's d_min, all by
-    brute force over the codebook."""
-    ref = ref_codebook_signs(code)
-    weights = np.count_nonzero(ref < 0, axis=1)
+def neighbour(code, case):
+    """(m, c, D): the message m = 2^k - 1 and a message c < m whose codeword
+    differs from m's on the support D of a nonzero codeword, by brute force
+    over the codebook.  D weighs d_min ("min"); more than d_min and less
+    than W and 2 d_min, so that it is listed and holds no other codeword
+    ("heavier"); or W, holding no listed codeword ("at-W")."""
+    words, weights = codebook_words(code)
     d_min = int(weights[1:].min())
+    heavy, _ = _light_codewords(code)
+    if case == "min":
+        fits = weights == d_min
+    elif case == "heavier":
+        fits = (d_min < weights) & (weights < min(heavy, 2 * d_min))
+    else:
+        listed = words[(0 < weights) & (weights < heavy)].astype(np.int64)
+        inside = (words.astype(np.int64) @ listed.T == listed.sum(axis=1)).any(axis=1)
+        fits = (weights == heavy) & ~inside
+    x = int(np.flatnonzero(fits)[0])
     m = (1 << code.k) - 1
-    c = m ^ int(np.flatnonzero(weights == d_min)[0])
-    return m, c, np.flatnonzero(ref[m] != ref[c]), d_min
+    return m, m ^ x, np.flatnonzero(words[x])
 
 
 @pytest.mark.parametrize("k", [11, 12])
-@pytest.mark.parametrize("case", ["beaten", "tie", "near-tie", "inside-slack", "outside-slack"])
+@pytest.mark.parametrize("case", ["beaten", "beaten-heavier", "beaten-at-W", "tie", "near-tie",
+                                  "inside-slack", "outside-slack"])
 def test_certification_bound(k, case):
     # rx equals m's symbols off D; on D, y = rx * s_m is 0 but for one
-    # coordinate j, where it is the case's value (all of D when "beaten")
+    # coordinate j, where it is the case's value (all of D when beaten).
+    # D weighs d_min, but for a listed heavier codeword and one of weight W
     code = build_code(first_primitive(k), 2 * k + 9)
-    m, c, D, d_min = min_weight_neighbour(code)
-    assert d_min == weight_enumerator_exact(code).min_nonzero_weight()
+    m, c, D = neighbour(code, {"beaten-heavier": "heavier", "beaten-at-W": "at-W"}.get(case, "min"))
+    heavy, light = _light_codewords(code)
+    d_min = weight_enumerator_exact(code).min_nonzero_weight()
+    if case == "beaten-heavier":
+        assert d_min < len(D) < heavy
+    elif case == "beaten-at-W":
+        assert len(D) == heavy
+    else:
+        assert len(D) == d_min
     low, high = _sign_tables(code)
     s = _symbols(low, high, m)
     nu = (code.n + 4) * 2.0 ** -53
-    slack = 4 * nu / (1 - nu) * (code.n - d_min)
+    slack = 4 * nu / (1 - nu) * (code.n - len(D))
     y = np.ones(code.n)
     y[D] = 0.0
-    y[D[0]] = {"beaten": -2.0 ** -10, "tie": 0.0, "near-tie": 2.0 ** -60,
-               "inside-slack": slack / 2, "outside-slack": 2 * slack}[case]
-    if case == "beaten":
-        # c wins by 2 d_min 2^-10; the d_min + 1 smallest y_i sum to > 0
+    y[D[0]] = {"tie": 0.0, "near-tie": 2.0 ** -60, "inside-slack": slack / 2,
+               "outside-slack": 2 * slack}.get(case, -2.0 ** -10)
+    if case.startswith("beaten"):
+        # c wins by 2 |D| 2^-10.  Below W, the W smallest y_i sum to > 0 and
+        # only the list sees it; at W, every listed codeword sums to > 0
         y[D] = y[D[0]]
     rx = y * s
-    certified = _certified((rx * s)[None], d_min)[0]
+    certified = _certified((rx * s)[None], heavy, light, np.empty((1, len(light))))[0]
     assert certified == (case == "outside-slack")
     decided = int(_decide(rx[None], low, high)[0])
     # on a tie, and in the near-tie that float64 cannot see, the lower c wins
@@ -431,8 +504,9 @@ def test_simulate_certified_tiles_match_reference_loop(monkeypatch, case):
     certified, decided = spy(monkeypatch, "_certified"), spy(monkeypatch, "_decide")
     got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
     assert got == ref_wer_counts(code, (ebno_db,), max_trials, 10**6, cfg.seed)
-    # each tile is certified against the code's minimum distance
-    assert [d_min for _, d_min in certified] == [min_weight_neighbour(code)[3]] * len(certified)
+    # each tile is certified against W and every codeword lighter than W
+    for _, heavy, light, _ in certified:
+        assert_listing(code, heavy, light)
     if case == "all-certified":
         assert len(certified) == 3 and decided == []
     else:
@@ -497,11 +571,15 @@ def test_simulate_memory_is_tile_sized(k, n):
 
 def test_simulate_memory_is_buffer_sized_at_high_k():
     # the (TILE, 2^t) scores and two (TILE, n) blocks are allocated once per
-    # call; a fresh score array per high block would add 16 MiB
+    # call; a fresh score array per high block would add 16 MiB.  The list of
+    # light codewords adds 855 * 64 * 8 bytes (437 KB) to the slack's share
     code = build_code(first_primitive(15), 64)
     low, _ = _sign_tables(code)
     cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=4096,
                     target_word_errors=10**6, seed=3)
+    # numpy imports numpy.random on first use, as an earlier test in the suite
+    # does; its module objects (0.55 MB) are not decoder memory
+    np.random.default_rng()
     tracemalloc.start()
     try:
         (res,) = simulate_wer(cfg)

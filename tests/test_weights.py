@@ -110,6 +110,13 @@ def test_enumerator_matches_brute_force(k):
             assert list(enum.counts) == ref_weight_counts(p.mask, n), f"{p} n={n}"
 
 
+def windows(p, n):
+    """_window_counts' inputs for p's n-windows: the weight of the first
+    n mod P bits of the sequence seeded with 1, 0, ..., 0, and its chunks."""
+    r = n % (2**p.degree - 1)
+    return sum(ref_lfsr_bits(p.mask, 1, r)), sequence_chunks(p, (0, r))
+
+
 @pytest.mark.parametrize("chunk", [62, 63, 64, 126, 127, 128])
 def test_enumerator_across_chunk_boundaries(monkeypatch, chunk):
     # periods 63, 127 and 255 against chunks just below, at and above
@@ -124,8 +131,7 @@ def test_enumerator_across_chunk_boundaries(monkeypatch, chunk):
             expected = ref_weight_counts(p.mask, n)
             assert list(enum.counts) == expected, f"{p} n={n}"
             # the window kernel directly, since short codes take the span kernel
-            chunks = sequence_chunks(p, (0, n % (2**p.degree - 1)))
-            assert _window_counts(p.degree, n, chunks) == expected, f"{p} n={n}"
+            assert _window_counts(p.degree, n, *windows(p, n)) == expected, f"{p} n={n}"
 
 
 # window lengths around one, two and three 64-bit planes, the largest span
@@ -146,8 +152,7 @@ def _kernel_cases(k):
 def test_span_and_window_kernels_match_brute_force(k):
     for p, n, expected in _kernel_cases(k):
         assert _span_counts(build_code(p, n).rows, n) == expected, f"{p} n={n}"
-        chunks = sequence_chunks(p, (0, n % (2**k - 1)))
-        assert _window_counts(k, n, chunks) == expected, f"{p} n={n}"
+        assert _window_counts(k, n, *windows(p, n)) == expected, f"{p} n={n}"
 
 
 @pytest.mark.parametrize("low_bits", [2, 3])
