@@ -19,17 +19,24 @@ other codeword can score as high in any summation order (the listed
 ones checked exactly, as in ordered-statistics decoding, Fossorier &
 Lin, IEEE T-IT 41(5), 1995; the rest bounded by the least y_i, Taipale
 & Pursley, IEEE T-IT 37(1), 1991), so the row counts as decoded
-correctly.  Only the other rows are decoded, compacted into one product
-of at least _MIN_ROWS rows.  The share certified grows with SNR and W:
-75-89% of a tile at 3 dB and 94-99% at 4.5 dB for k = 11-15, n = 2k + 9,
-and 35%, 78% and 99% at 3, 4.5 and 6 dB for k = 15, n = 64.  Decoder
-memory is buffers of min(TILE, max_trials) rows allocated once per call
-and reused: the received tile and, with more than one high block, the
-scores (whose head also takes the list's scores), a scratch of flipped
-rx (which also holds rx * s_m and the compacted rows) and the tile's
+correctly.  The share certified grows with SNR and W: 75-89% of a tile
+at 3 dB and 94-99% at 4.5 dB for k = 11-15, n = 2k + 9, and 35%, 78% and
+99% at 3, 4.5 and 6 dB for k = 15, n = 64.  The other rows are scored in
+float32 against float32 copies of the tables, and a row whose float32
+best beats its runner-up by more than every rounding of either precision
+could close settles there: float64 would decide the same in any order.
+At 0-6 dB on k = 11-15 codes 0-2 rows in 4096 did not; only those are
+decoded in float64, compacted into one product of at least _MIN_ROWS
+rows.  Decoder memory is buffers of min(TILE, max_trials) rows
+allocated once per call and reused: the received tile and, with more
+than one high block, the scores (whose head also takes the list's
+scores, and whose float32 halves take the float32 scores and block
+maxima), a scratch of flipped rx (which also holds rx * s_m, then the
+float32 rows and their flips, then the compacted rows) and the tile's
 sent messages, about TILE * (2^t + 2n) * 8 bytes, plus the list's
-L * n * 8 (L <= 2^t) and a batch's b message integers; no array is
-allocated per block, and no 2^k * n * 8 codebook is built.
+L * n * 8 (L <= 2^t), the float32 tables' (2^t + 2^(k-t)) * n * 4, a
+few vectors of one entry per row and a batch's b message integers; no
+array is allocated per block, and no 2^k * n * 8 codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
@@ -39,7 +46,7 @@ noise of a batch is drawn tile by tile, which gives the same stream.  A
 stacked tile draws all its batches before decoding them; the stopping
 rule is still applied batch by batch in order, and batches drawn past
 the stop are discarded uncounted, which moves no counted trial since
-each point owns its generator.  Decisions rely on the float64 GEMM sum
+each point owns its generator.  Float64 decisions rely on the GEMM sum
 of one score not depending on how many columns the same call computes,
 nor on how many rows it computes (a tile has at least the rows of its
 batch, and tiles of a split batch keep at least TILE / 2 rows, away from
@@ -50,7 +57,9 @@ at least min(_MIN_ROWS, tile) rows, away from the 1-row kernel.  A
 certified row relies on no BLAS property: its test holds however the
 list's sums are computed, and its sent message has the strictly largest
 computed score in any summation order, so _decide would return it too.
-ml_decode relies on none of this: it settles every near-top score in
+Neither does a float32-settled row, by the bounds in _decide_float32, so
+only the float64 fallback relies on the GEMM facts above.  ml_decode
+relies on none of this: it settles every near-top score in
 exact arithmetic and returns the exact-arithmetic ML message.
 """
 
@@ -58,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, isfinite
+from math import fsum, inf, isfinite
 from typing import Iterator
 
 import numpy as np
@@ -144,9 +153,10 @@ def _sign_tables(code: PrCode) -> tuple[np.ndarray, np.ndarray]:
     return span(rows[:t]), span(rows[t:])
 
 
-def _symbols(low: np.ndarray, high: np.ndarray, m):
-    """BPSK symbols of message m (or a row per message of an array m)."""
-    return low[m & (len(low) - 1)] * high[m >> (len(low).bit_length() - 1)]
+def _symbols(low: np.ndarray, high: np.ndarray, m, out: np.ndarray | None = None):
+    """BPSK symbols of message m (or a row per message of an array m, into
+    `out` if given)."""
+    return np.multiply(low[m & (len(low) - 1)], high[m >> (len(low).bit_length() - 1)], out=out)
 
 
 def _score_blocks(rx: np.ndarray, low: np.ndarray, high: np.ndarray,
@@ -241,22 +251,98 @@ def _certified(y: np.ndarray, heavy: int, light: np.ndarray, scores: np.ndarray)
     return least > 4 * nu / (1 - nu) * np.abs(y, out=y).sum(axis=1)
 
 
+def _float32_slack(n: int) -> float:
+    """B of _decide_float32 for rows of n coordinates: twice a float32
+    score's error bound gamma_n(u) + u (u = 2^-24), plus _certified's
+    slack 4 nu / (1 - nu) (nu = (n + 4) 2^-53, twice ml_decode's window).
+    Infinite, so that nothing settles, from n = 2^20 on, where a (2^10, n)
+    float64 table alone would take 8 GiB."""
+    if n >= 1 << 20:
+        return inf
+    u, nu = 2.0 ** -24, (n + 4) * 2.0 ** -53
+    return 2 * (n * u / (1 - n * u) + u) + 4 * nu / (1 - nu)
+
+
+def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray, high32: np.ndarray,
+                    out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(settled, decided) for the rows `rows` of rx, scored in float32
+    against (low32, high32), float32 copies of the sign tables: decided[i]
+    is the float32 ML message of rx[rows[i]], and where settled[i] holds,
+    _decide(rx, low, high) returns it too, however either product is
+    summed.  Overwrites out: its float32 halves hold the cast rows and
+    their flips, the scores and the block maxima.
+
+    Each row x = float32(rx) is scored block by block and each block
+    reduced to its maximum; then the winning block is scored once more
+    for its best message c and the runner-up inside it, and the row's
+    runner-up score r is the larger of that and the other blocks' maxima.
+    A score sums n terms +-x_i, so in any order a computed float32 score is
+    within gamma_n(u) A of its exact value, A = sum|x_i|, u = 2^-24; and x_i
+    is within u |x_i| of rx_i, or within 2^-150 where rx_i underflows.  A
+    row settles only if its float64 sum A' of |x_i| is at least n 2^-60
+    and at most 2^64: then no cast or sum overflows, and underflow, even
+    flushed to zero in the cast, the inputs or the sums, costs less than
+    2^-63 A.  So every computed float32 score, in either pass, is within
+    e A of the exact score S of rx, e = gamma_n(u) + u + 2^-63, and sum|rx|
+    <= (1 + e) A.  _decide's float64 scores are within gamma_n(2^-53)
+    sum|rx| of S in any order, so best - r > 2 (e + gamma_n(2^-53) (1 + e))
+    A leaves c the strictly largest float64 score, which _decide returns.
+    A float64 gap best - r above _float32_slack(n) * A' proves that bound
+    with room for the rounding of the gap, of A' and of the product.
+    """
+    n, t = rx.shape[1], len(low32).bit_length() - 1
+    rows32, flips32 = np.split(out[1].reshape(-1).view(np.float32), 2)
+    x = rows32[:len(rows) * n].reshape(len(rows), n)
+    flipped = flips32[:len(rows) * n].reshape(len(rows), n)
+    scores32, maxima32 = np.split(out[0].reshape(-1).view(np.float32), 2)
+    scores = scores32[:len(rows) << t].reshape(len(rows), 1 << t)
+    # a row's 2^(k - t) block maxima fit in 2^t floats up to DECODER_CAP
+    maxima = maxima32[:len(rows) * len(high32)].reshape(len(rows), -1)
+    index = np.arange(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the whole tile is cast into the flip half, then its rows compacted
+        cast = flips32[:rx.size].reshape(rx.shape)
+        np.copyto(cast, rx, casting="same_kind")
+        np.take(cast, rows, axis=0, out=x, mode="clip")
+        magnitude = np.abs(x, out=flipped).sum(axis=1, dtype=np.float64)
+        for h, signs in enumerate(high32):
+            np.matmul(np.multiply(x, signs, out=flipped), low32.T, out=scores)
+            maxima[:, h] = scores[index, scores.argmax(axis=1)]
+        block = maxima.argmax(axis=1)
+        np.multiply(x, np.take(high32, block, axis=0, out=flipped, mode="clip"), out=flipped)
+        arg = np.matmul(flipped, low32.T, out=scores).argmax(axis=1)
+        best = scores[index, arg]
+        scores[index, arg] = maxima[index, block] = -np.inf
+        runner = np.maximum(scores[index, scores.argmax(axis=1)], maxima.max(axis=1))
+        gap = np.subtract(best, runner, dtype=np.float64)
+    settled = ((gap > _float32_slack(n) * magnitude)
+               & (magnitude >= n * 2.0 ** -60) & (magnitude <= 2.0 ** 64))
+    return settled, (block << t) + arg
+
+
 def _decide_uncertified(rx: np.ndarray, sent: np.ndarray, listing: tuple[int, np.ndarray],
-                        low: np.ndarray, high: np.ndarray,
+                        low: np.ndarray, high: np.ndarray, tables32: tuple[np.ndarray, np.ndarray],
                         out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """_decide(rx, low, high) for a tile whose rows carry the messages
-    `sent`, given y = rx * symbols(sent) in out[1] and listing = (W, the
-    codewords lighter than W): a row that _certified settles keeps its
-    sent message, and only the others are decoded, compacted into out[1],
-    padded with certified rows to at least _MIN_ROWS, and scored with rx
-    as the flip scratch.  Overwrites rx, out and sent, and returns sent.
+    `sent`, given y = rx * symbols(sent) in out[1], listing = (W, the
+    codewords lighter than W) and tables32, float32 copies of (low, high):
+    a row that _certified settles keeps its sent message, the others are
+    scored in float32 by _decide_float32, and only the rows that neither
+    settles are decoded in float64, compacted into out[1], padded with
+    settled rows to at least _MIN_ROWS, and scored with rx as the flip
+    scratch.  Overwrites rx, out and sent, and returns sent.
     """
-    certified = _certified(out[1][:len(rx)], *listing, out[0])
-    left = len(rx) - int(np.count_nonzero(certified))
-    if left:
-        rows = np.argsort(certified, kind="stable")[:max(left, min(_MIN_ROWS, len(rx)))]
-        packed = np.take(rx, rows, axis=0, out=out[1][:len(rows)], mode="clip")
-        sent[rows] = _decide(packed, low, high, (out[0], rx))
+    done = _certified(out[1][:len(rx)], *listing, out[0])
+    rows = np.flatnonzero(~done)
+    if len(rows):
+        settled, decided = _decide_float32(rx, rows, *tables32, out)
+        sent[rows] = decided
+        done[rows[settled]] = True
+        left = len(rx) - int(np.count_nonzero(done))
+        if left:
+            rows = np.argsort(done, kind="stable")[:max(left, min(_MIN_ROWS, len(rx)))]
+            packed = np.take(rx, rows, axis=0, out=out[1][:len(rows)], mode="clip")
+            sent[rows] = _decide(packed, low, high, (out[0], rx))
     return sent
 
 
@@ -346,6 +432,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
         listing = _light_codewords(code)
         out = (np.empty((rows, len(low))), np.empty((rows, code.n)))
         sent = np.empty(rows, dtype=np.int64)
+        tables32 = (low.astype(np.float32), high.astype(np.float32))
     buf = np.empty((rows, code.n))
 
     def count(rng: np.random.Generator, sigma: float) -> tuple[int, int]:
@@ -366,16 +453,18 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 if out is None:
                     rx += low[m]
                 else:
-                    symbols = _symbols(low, high, m)
-                    rx += symbols
-                    np.multiply(rx, symbols, out=out[1][filled:filled + len(m)])
+                    # y = rx * s_m, with s_m written straight into its place
+                    y = _symbols(low, high, m, out[1][filled:filled + len(m)])
+                    rx += y
+                    y *= rx
                     sent[filled:filled + len(m)] = m
                 drawn.append((b, part, m))
                 filled += len(m)
             if out is None:
                 decided = _decide(buf[:filled], low, high)
             else:
-                decided = _decide_uncertified(buf[:filled], sent[:filled], listing, low, high, out)
+                decided = _decide_uncertified(buf[:filled], sent[:filled], listing, low, high,
+                                              tables32, out)
             filled = 0
             for b, part, m in drawn:
                 wrong += int(np.count_nonzero(decided[filled:filled + len(m)] != m))

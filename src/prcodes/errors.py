@@ -22,14 +22,14 @@ ENUMERATOR_CAP = 24
 # at k = 16, n = 32-64, 1.2-1.7 s at n = 192-256; k = 17, n = 34 takes 2.6 s
 ENSEMBLE_CAP = 16
 # awgn exhaustive decoding costs 2^k * n flops per decoded trial, and
-# simulate_wer decodes only the trials it cannot certify: 16 trials at
-# k = 20, n = 64 take 0.1 s at 0-4 dB (a tile under 64 rows is decoded
-# whole) and 0.02 s at 8 dB; 256 take 0.81 s at 0 dB, 0.53 s at 4 dB and
-# 0.02 s at 8 dB, 17 ms of it listing the light codewords
+# simulate_wer decodes only the trials it cannot certify, most of them in
+# float32: 16 trials at k = 20, n = 64 take 0.09 s at 0-4 dB and 0.01 s at
+# 8 dB; 256 take 0.50 s at 0 dB, 0.36 s at 4 dB and 0.02 s at 8 dB, 17 ms
+# of it listing the light codewords
 DECODER_CAP = 20
 # simulate refuses k >= 12 without --allow-slow (the CLI's one slow gate):
-# 20,000 trials at k = 12, n = 24 take 0.10 s at 0 dB, 0.04 s at 3 dB and
-# 0.02-0.03 s at 6-9 dB, so the default 10^7 take 10 s to about a minute
+# 20,000 trials at k = 12, n = 24 take 0.11 s at 0 dB, 0.05 s at 3 dB and
+# 0.03 s at 6-9 dB, so the default 10^7 take 15 s to about a minute
 SLOW_SIMULATE_K = 12
 
 

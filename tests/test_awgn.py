@@ -1,5 +1,6 @@
 """ML decoding and Monte Carlo WER measurement."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,9 @@ from prcodes.awgn import (
     SimResult,
     _certified,
     _decide,
+    _decide_float32,
+    _decide_uncertified,
+    _float32_slack,
     _light_codewords,
     _score_blocks,
     _sign_tables,
@@ -114,13 +118,17 @@ def test_decide_matches_reference_codebook(k):
             assert np.array_equal(_decide(rx, low, high), np.argmax(full, axis=1)), (n, b)
 
 
-def lone_tie(ref, lo_block):
+def lone_tie(ref, lo_block, same_block=False):
     """(lo, hi, rx): two messages whose codewords' midpoint rx ties them
     alone at the top score; hi is in a later block of 2^LOW_BITS than lo
-    if the code has one."""
+    if the code has one, or in lo's block if same_block."""
     lo = (lo_block << LOW_BITS) + 5
-    first = (lo_block + 1) << LOW_BITS if len(ref) > 1 << LOW_BITS else lo + 1
-    for hi in range(first, len(ref)):
+    end = (lo_block + 1) << LOW_BITS
+    if same_block or len(ref) <= 1 << LOW_BITS:
+        his = range(lo + 1, min(end, len(ref)))
+    else:
+        his = range(end, len(ref))
+    for hi in his:
         rx = (ref[lo] + ref[hi]) / 2
         scores = ref @ rx
         if set(np.flatnonzero(scores == scores.max())) == {lo, hi}:
@@ -481,37 +489,176 @@ def test_compacted_scores_match_the_full_tile(k):
                 assert np.array_equal(part, scores[rows]), (n, len(rows), offset)
 
 
+def tables32(code):
+    low, high = _sign_tables(code)
+    return low.astype(np.float32), high.astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 33, 64, 100, 2100, 1 << 16, (1 << 20) - 1])
+def test_float32_slack_covers_every_rounding(n):
+    # _decide_float32 settles a row when the float64 gap g' of its float32
+    # scores exceeds fl(B A'), A' the float64 sum of |x_i|.  g' <= g (1 + v),
+    # A' >= A (1 - gamma_(n-1)(v)) and fl(B A') >= B A' (1 - v), so g exceeds
+    # B (1 - gamma_(n-1)(v)) (1 - v) / (1 + v) A, which must cover twice each
+    # score's float32 error e A plus twice _decide's gamma_n(v) (1 + e) A
+    u, v = Fraction(1, 1 << 24), Fraction(1, 1 << 53)
+
+    def gamma(m, w):
+        return m * w / (1 - m * w)
+
+    e = gamma(n, u) + u + Fraction(1, 1 << 63)
+    need = 2 * (e + gamma(n, v) * (1 + e))
+    assert Fraction(_float32_slack(n)) * (1 - gamma(n - 1, v)) * (1 - v) / (1 + v) > need
+    assert _float32_slack(1 << 20) == math.inf
+
+
+@pytest.mark.parametrize("k, n", [*((k, n) for k in range(11, 16) for n in (20, 33, 48, 64)),
+                                  (11, 2100)])
+def test_float32_settled_rows_match_decide_and_ml_decode(k, n):
+    # rows that _decide_float32 settles, from a shuffled subset of a tile as
+    # _certified leaves it, are the whole tile's _decide messages and the
+    # exact ML messages; n = 2100 > 2^k - 1 repeats coordinates
+    code = build_code(first_primitive(k), n)
+    low, high = _sign_tables(code)
+    out = (np.empty((512, len(low))), np.empty((512, n)))
+    rng = np.random.default_rng(k * 1000 + n)
+    for ebno_db in (0.0, 3.0, 6.0):
+        sigma = math.sqrt(n / (2 * k) * 10 ** (-ebno_db / 10))
+        sent = rng.integers(0, 1 << k, size=512)
+        rx = _symbols(low, high, sent) + sigma * rng.standard_normal((512, n))
+        full = _decide(rx, low, high)
+        rows = np.sort(rng.choice(512, 384, replace=False))
+        settled, decided = _decide_float32(rx, rows, *tables32(code), out)
+        assert np.array_equal(decided[settled], full[rows[settled]]), ebno_db
+        for i in rng.choice(np.flatnonzero(settled), 6, replace=False):
+            assert ml_decode(code, rx[rows[i]]) == decided[i], (ebno_db, i)
+        # nearly every row settles, so the float64 fallback is rare
+        assert np.count_nonzero(settled) >= 0.95 * len(rows), ebno_db
+
+
+def toward(ref, lo, hi, rx, move):
+    """rx with the first coordinate where the codewords of lo and hi
+    differ set to `move` toward hi's symbol."""
+    rx = rx.copy()
+    j = int(np.flatnonzero(ref[lo] != ref[hi])[0])
+    rx[j] = move * ref[hi][j]
+    return rx
+
+
+@pytest.mark.parametrize("k", [11, 12])
+def test_float32_settles_only_rows_it_can_prove(k):
+    # ties and near-ties float32 cannot resolve, and rows outside float32's
+    # normal range, must fall back to float64 and come out as _decide's
+    code = build_code(first_primitive(k), 2 * k + 1)
+    ref = ref_codebook_signs(code)
+    low, high = _sign_tables(code)
+    rng = np.random.default_rng(k)
+    lo, hi, across = lone_tie(ref, 0)
+    assert lo >> LOW_BITS != hi >> LOW_BITS
+    lo_in, hi_in, inside = lone_tie(ref, 0, same_block=True)
+    assert lo_in >> LOW_BITS == hi_in >> LOW_BITS
+    total = np.abs(across).sum()
+
+    def window(fraction):
+        # a move whose exact float32 gap, twice the move, is about `fraction`
+        # of the window B * sum|x|; on a 2^-18 grid, every float32 partial
+        # sum of the +-1, 0 and move terms is exact
+        return round(fraction * _float32_slack(code.n) * total / 2 * 2**18) / 2**18
+
+    clean = _symbols(low, high, rng.integers(0, 1 << k, size=2)) + 0.3 * rng.standard_normal((2, code.n))
+    cases = {
+        "tie-across-blocks": across,
+        "tie-in-block": inside,
+        "zero": np.zeros(code.n),
+        # 2^-30 sum|rx| is below float32's resolution but not float64's
+        "near-tie": toward(ref, lo, hi, across, 2.0 ** -30 * total),
+        "inside-window": toward(ref, lo, hi, across, window(0.5)),
+        "overflow": 1e39 * clean[0],
+        "subnormal": 1e-40 * clean[1],
+        "outside-window": toward(ref, lo, hi, across, window(2.0)),
+    }
+    names = list(cases)
+    tile = np.concatenate([np.stack(list(cases.values())),
+                           _symbols(low, high, rng.integers(0, 1 << k, size=120))
+                           + rng.standard_normal((120, code.n))])
+    full = _decide(tile, low, high)
+    # float64 sees every move toward hi
+    assert [full[names.index(c)] for c in ("near-tie", "inside-window", "outside-window")] == [hi] * 3
+    out = (np.empty((len(tile), len(low))), np.empty((len(tile), code.n)))
+    settled, decided = _decide_float32(tile, np.arange(len(tile)), *tables32(code), out)
+    assert dict(zip(names, settled.tolist())) == {c: c == "outside-window" for c in names}
+    assert np.array_equal(decided[settled], full[settled])
+    # through the tile path: certify against the sent messages, settle in
+    # float32, fall back to float64 for the rest, padded to _MIN_ROWS
+    sent = rng.integers(0, 1 << k, size=len(tile))
+    np.multiply(tile, _symbols(low, high, sent), out=out[1])
+    decided = _decide_uncertified(tile.copy(), sent, _light_codewords(code), low, high,
+                                  tables32(code), out)
+    assert np.array_equal(decided, full)
+
+
 def spy(monkeypatch, name):
-    """The arguments of each call simulate_wer makes to awgn.<name> from now on."""
+    """(arguments, a copy of the result) of each call simulate_wer makes to
+    awgn.<name> from now on."""
     calls = []
     real = getattr(awgn, name)
 
     def wrapper(*args):
-        calls.append(args)
-        return real(*args)
+        result = real(*args)
+        calls.append((args, copy.deepcopy(result)))
+        return result
 
     monkeypatch.setattr(awgn, name, wrapper)
     return calls
 
 
-@pytest.mark.parametrize("case", ["all-certified", "padded"])
+@pytest.mark.parametrize("case", ["all-certified", "padded", "fallback"])
 def test_simulate_certified_tiles_match_reference_loop(monkeypatch, case):
     code = build_code(first_primitive(12), 33)
     ebno_db, max_trials = {"all-certified": (12.0, 2 * TILE + 300),
-                           "padded": (5.0, 200)}[case]
+                           "padded": (5.0, 200), "fallback": (5.0, 200)}[case]
     cfg = SimConfig(code=code, ebno_db_points=(ebno_db,), max_trials=max_trials,
                     target_word_errors=10**6, seed=41)
-    certified, decided = spy(monkeypatch, "_certified"), spy(monkeypatch, "_decide")
+    if case == "fallback":
+        # the first two rows of each tile are swapped for tie rows, which
+        # neither the certificate nor float32 can settle; their decisions
+        # are checked, then swapped back for the rows' exact ML messages
+        ref = ref_codebook_signs(code)
+        lo, hi, across = lone_tie(ref, 0)
+        lo_in, _, inside = lone_tie(ref, 0, same_block=True)
+        ties = np.stack([across, inside])
+        real = awgn._decide_uncertified
+
+        def injected(rx, sent, listing, low, high, tables, out):
+            kept = rx[:2].copy()
+            rx[:2] = ties
+            np.multiply(ties, _symbols(low, high, sent[:2]), out=out[1][:2])
+            decided = real(rx, sent, listing, low, high, tables, out)
+            assert decided[:2].tolist() == [lo, lo_in]
+            decided[:2] = [ml_decode(code, r) for r in kept]
+            return decided
+
+        monkeypatch.setattr(awgn, "_decide_uncertified", injected)
+    certified, stage = spy(monkeypatch, "_certified"), spy(monkeypatch, "_decide_float32")
+    decided = spy(monkeypatch, "_decide")
     got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
     assert got == ref_wer_counts(code, (ebno_db,), max_trials, 10**6, cfg.seed)
     # each tile is certified against W and every codeword lighter than W
-    for _, heavy, light, _ in certified:
+    for (_, heavy, light, _), _ in certified:
         assert_listing(code, heavy, light)
+    # the float32 stage scores exactly the rows the certificate leaves
+    assert [rows.tolist() for (_, rows, *_), _ in stage] == \
+        [np.flatnonzero(~mask).tolist() for _, mask in certified if not mask.all()]
     if case == "all-certified":
-        assert len(certified) == 3 and decided == []
+        assert len(certified) == 3 and stage == [] and decided == []
+    elif case == "padded":
+        # every row the certificate leaves settles in float32
+        assert len(stage) == 1 and stage[0][1][0].all() and decided == [] and got[0][1]
     else:
-        # fewer than 64 uncertified rows are padded with certified ones
-        assert [len(rx) for rx, *_ in decided] == [64] and got[0][1]
+        # the tie rows fall back to float64, padded with settled rows to 64
+        (_, rows, *_), (settled, _) = stage[0]
+        assert rows[:2].tolist() == [0, 1] and not settled[:2].any() and settled[2:].all()
+        assert [len(rx) for (rx, *_), _ in decided] == [64] and got[0][1]
 
 
 def test_tiles_cover_a_batch_in_near_equal_slices():
@@ -572,7 +719,8 @@ def test_simulate_memory_is_tile_sized(k, n):
 def test_simulate_memory_is_buffer_sized_at_high_k():
     # the (TILE, 2^t) scores and two (TILE, n) blocks are allocated once per
     # call; a fresh score array per high block would add 16 MiB.  The list of
-    # light codewords adds 855 * 64 * 8 bytes (437 KB) to the slack's share
+    # light codewords adds 855 * 64 * 8 bytes (437 KB) to the slack's share,
+    # and the float32 sign tables (1024 + 32) * 64 * 4 bytes (264 KB)
     code = build_code(first_primitive(15), 64)
     low, _ = _sign_tables(code)
     cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=4096,
@@ -600,6 +748,19 @@ def test_simulate_matches_reference_at_highk_shapes(k, n):
                     target_word_errors=100, seed=k * 100 + n)
     got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
     assert got == ref_wer_counts(code, points, 1536, 100, cfg.seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n", [(12, 64), (13, 32), (14, 48), (15, 64), (11, 2100)])
+def test_simulate_matches_reference_at_low_snr(monkeypatch, k, n):
+    # at 0 dB the certificate leaves most rows, so most are scored in float32
+    code = build_code(first_primitive(k), n)
+    cfg = SimConfig(code=code, ebno_db_points=(0.0,), max_trials=3000,
+                    target_word_errors=10**6, seed=k * 100 + n + 1)
+    stage = spy(monkeypatch, "_decide_float32")
+    got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    assert got == ref_wer_counts(code, (0.0,), 3000, 10**6, cfg.seed)
+    assert sum(len(rows) for (_, rows, *_), _ in stage) > 3000 / 2
 
 
 @pytest.mark.slow
