@@ -13,9 +13,7 @@ from .bounds import (
 )
 from .construct import (
     PrCode,
-    bits_to_int,
     build_code,
-    lfsr_subsequence,
     verify_disjoint,
 )
 from .errors import (

@@ -32,11 +32,13 @@ allocated once per call and reused: the received tile and, with more
 than one high block, the scores (whose head also takes the list's
 scores, and whose float32 halves take the float32 scores and block
 maxima), a scratch of flipped rx (which also holds rx * s_m, then the
-float32 rows and their flips, then the compacted rows) and the tile's
-sent messages, about TILE * (2^t + 2n) * 8 bytes, plus the list's
-L * n * 8 (L <= 2^t), the float32 tables' (2^t + 2^(k-t)) * n * 4, a
-few vectors of one entry per row and a batch's b message integers; no
-array is allocated per block, and no 2^k * n * 8 codebook is built.
+float32 rows and their flips) and the tile's sent messages, about
+TILE * (2^t + 2n) * 8 bytes, plus the list's L * n * 8 (L <= 2^t), the
+float32 tables' (2^t + 2^(k-t)) * n * 4, a few vectors of one entry per
+row and a batch's b message integers.  The rare float64 fallback
+allocates its compacted rows, their scores and their flips once per
+tile that has any.  No array is allocated per block, and no
+2^k * n * 8 codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
@@ -159,31 +161,27 @@ def _symbols(low: np.ndarray, high: np.ndarray, m, out: np.ndarray | None = None
     return np.multiply(low[m & (len(low) - 1)], high[m >> (len(low).bit_length() - 1)], out=out)
 
 
-def _score_blocks(rx: np.ndarray, low: np.ndarray, high: np.ndarray,
-                  out: tuple[np.ndarray, np.ndarray] | None = None
+def _score_blocks(rx: np.ndarray, low: np.ndarray, high: np.ndarray
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """(offset, scores) per high block: scores[i, j] is the correlation
     of rx[i] with the codeword of message offset + j.
 
     With more than one block, every block is written into one (rows, 2^t)
     score array, valid until the next block, from one (rows, n) scratch of
-    flipped rx; `out` passes these two arrays, of at least len(rx) rows,
-    to reuse them across calls."""
+    flipped rx, both allocated once per call."""
     if len(high) == 1:
         yield 0, rx @ low.T
         return
-    scores, flipped = out or (np.empty((len(rx), len(low))), np.empty_like(rx))
-    scores, flipped = scores[:len(rx)], flipped[:len(rx)]
+    scores, flipped = np.empty((len(rx), len(low))), np.empty_like(rx)
     yield 0, np.matmul(rx, low.T, out=scores)
     for h in range(1, len(high)):
         np.multiply(rx, high[h], out=flipped)
         yield h * len(low), np.matmul(flipped, low.T, out=scores)
 
 
-def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray,
-            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """ML message for each row of rx; ties break toward the lowest message."""
-    blocks = _score_blocks(rx, low, high, out)
+    blocks = _score_blocks(rx, low, high)
     _, scores = next(blocks)
     arg = np.argmax(scores, axis=1)
     if len(high) == 1:
@@ -328,9 +326,8 @@ def _decide_uncertified(rx: np.ndarray, sent: np.ndarray, listing: tuple[int, np
     codewords lighter than W) and tables32, float32 copies of (low, high):
     a row that _certified settles keeps its sent message, the others are
     scored in float32 by _decide_float32, and only the rows that neither
-    settles are decoded in float64, compacted into out[1], padded with
-    settled rows to at least _MIN_ROWS, and scored with rx as the flip
-    scratch.  Overwrites rx, out and sent, and returns sent.
+    settles are decoded in float64, compacted and padded with settled
+    rows to at least _MIN_ROWS.  Overwrites out and sent, and returns sent.
     """
     done = _certified(out[1][:len(rx)], *listing, out[0])
     rows = np.flatnonzero(~done)
@@ -341,8 +338,7 @@ def _decide_uncertified(rx: np.ndarray, sent: np.ndarray, listing: tuple[int, np
         left = len(rx) - int(np.count_nonzero(done))
         if left:
             rows = np.argsort(done, kind="stable")[:max(left, min(_MIN_ROWS, len(rx)))]
-            packed = np.take(rx, rows, axis=0, out=out[1][:len(rows)], mode="clip")
-            sent[rows] = _decide(packed, low, high, (out[0], rx))
+            sent[rows] = _decide(rx[rows], low, high)
     return sent
 
 

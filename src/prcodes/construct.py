@@ -8,15 +8,16 @@ codewords are exactly the length-n windows of the period-(2^k - 1)
 sequence at all phases.
 
 Codewords and generator rows are packed into ints, bit i holding
-coordinate i.  Whole periods come from sequence_chunks, which takes
-the sequence packed 64 phases to a word from gf2.packed_sequence and
-unpacks it one chunk of phases at a time.
+coordinate i.  Every bit comes from gf2.packed_sequence, which packs
+the sequence seeded with 1, 0, ..., 0 64 phases to a word: build_code
+reads all k rows off its first n + k bits, and sequence_chunks unpacks
+whole periods one chunk of phases at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,48 +26,6 @@ from .gf2 import BitPoly, is_primitive, packed_sequence
 
 # phases per array yielded by sequence_chunks: a few MB of working memory at any k
 CHUNK = 1 << 16
-
-
-def bits_to_int(bits: Iterable[int]) -> int:
-    """Pack bits (coordinate 0 first) into an int mask."""
-    mask = 0
-    for i, b in enumerate(bits):
-        if b:
-            mask |= 1 << i
-    return mask
-
-
-def _parse_init(init: Sequence[int] | str, k: int) -> list[int]:
-    if isinstance(init, str):
-        bits = [int(ch) for ch in init]
-    else:
-        bits = [int(b) for b in init]
-    if len(bits) != k:
-        raise ValueError(f"initial state must have exactly {k} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("initial state bits must be 0 or 1")
-    return bits
-
-
-def lfsr_subsequence(p: BitPoly, init: Sequence[int] | str, n: int) -> list[int]:
-    """First n bits of the recurrence driven by p from the given state.
-
-    Bits 0..k-1 equal init; every later bit is the tap sum of the k
-    preceding ones.  An all-zero state stays at zero forever.
-    """
-    k = p.degree
-    if k < 1:
-        raise ValueError("connection polynomial must have degree >= 1")
-    if n < 1:
-        raise ValueError("subsequence length must be >= 1")
-    bits = _parse_init(init, k)
-    taps = [i for i in range(1, k + 1) if p.coeff(i)]
-    for t in range(k, n):
-        b = 0
-        for i in taps:
-            b ^= bits[t - i]
-        bits.append(b)
-    return bits[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -129,46 +88,36 @@ class PrCode:
             m ^= low
         return word
 
-    def to_text(self) -> str:
-        """Serialize as a "k n poly_hex" header plus one hex row per line."""
-        lines = [f"{self.k} {self.n} {self.poly.to_hex()}"]
-        lines.extend(hex(r) for r in self.rows)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PrCode":
-        """Parse to_text output; the header must name a maximal-period
-        polynomial of degree k, and the rows must be the ones it generates."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("code text is empty")
-        k_s, n_s, poly_hex = lines[0].split()
-        k, n = int(k_s), int(n_s)
-        rows = tuple(int(ln, 16) for ln in lines[1:])
-        if len(rows) != k:
-            raise ValueError(f"expected {k} generator rows, got {len(rows)}")
-        code = build_code(BitPoly.parse(poly_hex), n)
-        if (code.k, code.rows) != (k, rows):
-            raise ValueError(f"header {lines[0]!r} does not generate the given rows")
-        return code
-
 
 def build_code(p: BitPoly, n: int) -> PrCode:
     """Construct the (n, k) code for a maximal-period connection polynomial.
 
     n may exceed the sequence period 2^k - 1, in which case coordinates
     repeat; analyses that assume n <= 2^k - 1 must check that themselves.
+
+    All k rows are read off one sequence s = R_0 of n + k bits from
+    gf2.packed_sequence, R_i being the sequence seeded with e_i.  The
+    left shift S of R_i starts from the k bits after its first: for
+    i >= 1 they are e_{i-1} plus, at place k - 1, c_k = p_{k-i}; for
+    i = 0 they are e_{k-1}, as c_k = p_k = 1.  By linearity
+    S R_0 = R_{k-1} and S R_i = R_{i-1} + p_{k-i} R_{k-1}.  So with
+    a_{-1} = 0, the steps a_j = S(a_{j-1} + p_j s) give a_j = R_{k-1-j}
+    for j = 0..k-1: a_0 = S R_0 = R_{k-1}, and if a_{j-1} = R_{k-j}, then
+    a_j = R_{k-j-1} + p_j R_{k-1} + p_j R_{k-1} = R_{k-1-j}; the last
+    step returns R_0 itself.  On ints a shift is `>> 1`, and a_j keeps
+    n + k - 1 - j >= n valid bits, of which the first n are row k-1-j.
     """
     if not is_primitive(p):
         raise ValueError(f"{p!r} does not generate a maximum-length sequence")
     k = p.degree
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
-    rows = []
-    for i in range(k):
-        init = [0] * k
-        init[i] = 1
-        rows.append(bits_to_int(lfsr_subsequence(p, init, n)))
+    s = int.from_bytes(packed_sequence(p, n + k).tobytes(), "little")
+    rows = [0] * k
+    a = 0
+    for j in range(k):
+        a = (a ^ s if p.coeff(j) else a) >> 1
+        rows[k - 1 - j] = a & ((1 << n) - 1)
     return PrCode(poly=p, k=k, n=n, rows=tuple(rows))
 
 

@@ -300,7 +300,8 @@ def packed_sequence(p: BitPoly, length: int) -> np.ndarray:
     seed 1, 0, ..., 0, packed little-endian: bit j of word w ('<u8') is
     s_{64 w + j}, and bits past `length` are zero.
 
-    The first k words come from the bit recurrence.  After that, with W
+    The first k words come from the bit recurrence, stepped only as far
+    as `length` when that is shorter.  After that, with W
     words built and L the largest power of two with k L <= W, words
     W..W+L-1 are the XOR over the taps i of the words L i places back.
     """
@@ -310,7 +311,7 @@ def packed_sequence(p: BitPoly, length: int) -> np.ndarray:
     size = -(-length // 64)
     words = np.zeros(max(size, k), dtype="<u8")
     state, seed = 1, 0  # state bit j is s_{t+j}
-    for t in range(64 * k):
+    for t in range(min(64 * k, length)):
         seed |= (state & 1) << t
         state = state >> 1 | ((state & feedback).bit_count() & 1) << (k - 1)
     words[:k] = np.frombuffer(seed.to_bytes(8 * k, "little"), dtype="<u8")

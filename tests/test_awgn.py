@@ -692,9 +692,8 @@ def test_scores_do_not_depend_on_tile_rows(k):
             assert np.array_equal(_decide(rx, low, high),
                                   np.concatenate([_decide(rx[s], low, high) for s in tiles])), (n, b)
         # simulate_wer decodes consecutive batches of up to TILE / 2 rows stacked
-        out = (np.empty((TILE, len(low))), np.empty((TILE, n)))
         rx = rng.standard_normal((TILE, n))
-        stacked = _decide(rx, low, high, out)
+        stacked = _decide(rx, low, high)
         for b in (4, 128, 512, 1024):
             alone = [_decide(rx[i:i + b], low, high) for i in range(0, TILE, b)]
             assert np.array_equal(stacked, np.concatenate(alone)), (n, b)

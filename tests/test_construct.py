@@ -11,57 +11,42 @@ import prcodes.construct
 from prcodes.construct import (
     PrCode,
     _share_nonzero_codeword,
-    bits_to_int,
     build_code,
     codeword_set,
-    lfsr_subsequence,
     m_sequence,
     sequence_chunks,
     verify_disjoint,
 )
 from prcodes.errors import UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive
+from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive, is_primitive
 from prcodes.weights import weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
 
 
-def seq_str(bits):
-    return "".join(str(b) for b in bits)
+def seq_str(word, n):
+    return "".join(map(str, ref_int_to_bits(word, n)))
+
+
+def pack(bits):
+    return sum(b << i for i, b in enumerate(bits))
 
 
 # ---------------------------------------------------------------------------
-# sequence generation
+# sequence generation: a message is the code's seed, coordinate 0 first
 
 def test_sequence_degree4():
-    assert seq_str(lfsr_subsequence(P4, "0001", 15)) == "000111101011001"
-    assert sum(lfsr_subsequence(P4, "0001", 15)) == 8
+    word = build_code(P4, 15).encode(8)  # the seed 0, 0, 0, 1
+    assert seq_str(word, 15) == "000111101011001"
+    assert word.bit_count() == 8
 
 
 def test_sequence_degree2():
-    p = BitPoly.parse("1+x+x^2")
-    assert seq_str(lfsr_subsequence(p, "01", 6)) == "011011"
+    assert seq_str(build_code(BitPoly.parse("1+x+x^2"), 6).encode(2), 6) == "011011"
 
 
 def test_sequence_zero_state():
-    assert lfsr_subsequence(P4, "0000", 10) == [0] * 10
-
-
-def test_sequence_short_n_returns_prefix():
-    assert lfsr_subsequence(P4, "1011", 2) == [1, 0]
-
-
-def test_sequence_validation():
-    with pytest.raises(ValueError):
-        lfsr_subsequence(P4, "001", 10)  # wrong state length
-    with pytest.raises(ValueError):
-        lfsr_subsequence(P4, "0021", 10)  # not a bit
-    with pytest.raises(ValueError):
-        lfsr_subsequence(P4, "0001", 0)
-
-
-def test_sequence_accepts_lists():
-    assert lfsr_subsequence(P4, [0, 0, 0, 1], 15) == lfsr_subsequence(P4, "0001", 15)
+    assert build_code(P4, 10).encode(0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +76,27 @@ def test_build_rejects_bad_inputs():
         build_code(P4, 3)  # n < k
 
 
+def test_rows_match_bit_serial_recurrence():
+    # row i is the recurrence seeded with e_i, stepped one bit at a time;
+    # full periods are stepped up to k = 14, and n past the period to k = 8
+    rng = random.Random(23)
+    for k in range(2, 25):
+        polys = []
+        while len(polys) < (1 if k == 2 else 2):  # 1 + x + x^2 is the one at k = 2
+            p = BitPoly(1 << k | rng.getrandbits(k - 1) << 1 | 1)
+            if is_primitive(p) and p not in polys:
+                polys.append(p)
+        ns = {k, 63, 64, 65}
+        if k <= 14:
+            ns.add(2**k - 1)
+        if k <= 8:
+            ns.add(2**k + 5)
+        for p in polys:
+            for n in sorted(ns):
+                rows = build_code(p, n).rows
+                assert rows == tuple(pack(ref_lfsr_bits(p.mask, 1 << i, n)) for i in range(k)), (p, n)
+
+
 def test_encode_matches_recurrence():
     rng = random.Random(7)
     for poly_text, n in [("1+x+x^4", 20), ("1+x^2+x^5", 17)]:
@@ -98,8 +104,7 @@ def test_encode_matches_recurrence():
         code = build_code(p, n)
         for _ in range(40):
             m = rng.randrange(1 << code.k)
-            expect = bits_to_int(lfsr_subsequence(p, ref_int_to_bits(m, code.k), n))
-            assert code.encode(m) == expect
+            assert code.encode(m) == pack(ref_lfsr_bits(p.mask, m, n))
 
 
 def test_encode_linearity():
@@ -205,8 +210,8 @@ def test_balance_at_full_period():
         n = 2**k - 1
         for p in enumerate_primitives(k)[:4]:
             for _ in range(5):
-                init = ref_int_to_bits(rng.randrange(1, 1 << k), k)
-                assert sum(lfsr_subsequence(p, init, n)) == 2 ** (k - 1)
+                state = rng.randrange(1, 1 << k)
+                assert sum(ref_lfsr_bits(p.mask, state, n)) == 2 ** (k - 1)
 
 
 def test_shift_closure_at_full_period():
@@ -221,8 +226,7 @@ def test_shift_closure_at_full_period():
 def test_no_zero_run_of_length_k():
     for k in range(3, 9):
         p = enumerate_primitives(k)[0]
-        init = [1] + [0] * (k - 1)
-        bits = lfsr_subsequence(p, init, 2 * (2**k - 1))
+        bits = ref_lfsr_bits(p.mask, 1, 2 * (2**k - 1))
         run = best = 0
         for b in bits:
             run = run + 1 if b == 0 else 0
@@ -262,49 +266,13 @@ def test_no_weight_one_or_two_words_beyond_double_length_high():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-def test_serialization_roundtrip():
-    code = build_code(P4, 20)
-    text = code.to_text()
-    assert text.splitlines()[0] == "4 20 0x13"
-    assert PrCode.from_text(text) == code
-
-
-def test_serialization_row_count_checked():
-    code = build_code(P4, 20)
-    text = "\n".join(code.to_text().splitlines()[:-1])
-    with pytest.raises(ValueError):
-        PrCode.from_text(text)
-
-
-@pytest.mark.parametrize("header, rows", [
-    ("4 10 0x13", build_code(BitPoly.parse("0x19"), 10).rows),  # another polynomial's rows
-    ("4 10 0x11", build_code(P4, 10).rows),  # 1 + x^4 is not maximal-period
-    ("3 10 0x13", build_code(P4, 10).rows[:3]),  # 0x13 has degree 4, not k = 3
-    ("4 3 0x13", tuple(r & 0b111 for r in build_code(P4, 10).rows)),  # n < k
-])
-def test_serialization_header_must_generate_rows(header, rows):
-    text = "\n".join([header, *map(hex, rows)]) + "\n"
-    with pytest.raises(ValueError):
-        PrCode.from_text(text)
-
-
-@pytest.mark.parametrize("text", ["", "\n\n", "   "])
-def test_serialization_blank_text_rejected(text):
-    with pytest.raises(ValueError, match="empty"):
-        PrCode.from_text(text)
-
-
-# ---------------------------------------------------------------------------
 # whole periods
 
 def test_m_sequence_is_row_zero_period():
     for k in range(2, 11):
         for p in enumerate_primitives(k)[:3]:
             period = 2**k - 1
-            expected = lfsr_subsequence(p, [1] + [0] * (k - 1), period)
-            assert m_sequence(p).tolist() == expected
+            assert m_sequence(p).tolist() == ref_lfsr_bits(p.mask, 1, period)
 
 
 @pytest.mark.parametrize("chunk", [8, 63, 64, 1 << 16])
@@ -339,11 +307,12 @@ def test_sequence_chunks_short_periods_and_far_offsets(monkeypatch, chunk):
                 assert got == ref[o % period:o % period + period], f"{p} offset={o}"
 
 
-def test_enumerator_memory_stays_flat():
-    # a k = 22 period is 4 MB unpacked and 0.5 MB packed; the enumerator
-    # unpacks one chunk at a time, so its numpy and Python allocations
-    # peak well below a whole unpacked period
-    code = build_code(first_primitive(22), 120)
+@pytest.mark.parametrize("n", [120, 300])
+def test_enumerator_memory_stays_flat(n):
+    # a k = 22 period is 4 MB unpacked and 0.5 MB packed; n = 120 takes the
+    # span kernel, and n = 300 the window kernel, which unpacks one chunk of
+    # sequence_chunks at a time; either peaks well below a whole unpacked period
+    code = build_code(first_primitive(22), n)
     tracemalloc.start()
     try:
         weight_enumerator_exact(code)

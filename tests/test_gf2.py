@@ -7,7 +7,6 @@ import pytest
 from util import (
     ref_euler_phi,
     ref_factorize,
-    ref_int_to_bits,
     ref_is_irreducible,
     ref_lfsr_bits,
     ref_mod,
@@ -16,7 +15,6 @@ from util import (
     ref_primitives,
 )
 
-from prcodes.construct import lfsr_subsequence
 from prcodes.errors import UnsupportedRangeError
 from prcodes.gf2 import (
     BitPoly,
@@ -256,8 +254,8 @@ def test_berlekamp_massey_recovers_every_primitive():
     rng = random.Random(19)
     for k in range(2, 11):
         for p in enumerate_primitives(k):
-            init = ref_int_to_bits(rng.randrange(1, 1 << k), k)
-            assert berlekamp_massey(lfsr_subsequence(p, init, 2 * k)) == p
+            state = rng.randrange(1, 1 << k)
+            assert berlekamp_massey(ref_lfsr_bits(p.mask, state, 2 * k)) == p
 
 
 def test_berlekamp_massey_short_inputs():
