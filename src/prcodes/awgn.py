@@ -1,43 +1,35 @@
 """Monte Carlo word-error-rate measurement over binary-input AWGN.
 
 Codewords are BPSK-mapped (bit 0 -> +1, bit 1 -> -1) at unit symbol
-energy; the decoder exhaustively correlates the received vector against
-every codeword.  No codebook is stored: the symbols of message m are
-``low[m & (2^t - 1)] * high[m >> t]``, two +-1 tables spanning the low
-t = min(k, LOW_BITS) message bits and the other k - t, so the scores of
-messages h*2^t .. (h+1)*2^t - 1 are ``(rx * high[h]) @ low.T`` and the
-argmax is merged block by block.  Trials are decoded in tiles of at most
-TILE rows: a batch larger than TILE is cut into near-equal tiles, and
-consecutive batches of at most TILE / 2 trials (k >= 12) are decoded
-stacked, as many whole batches as fit in one tile.  With more than one
-high block (k > LOW_BITS), the simulator knows each row's sent message m
-and first tries to certify it against a list, made once per call, of
-every codeword lighter than a weight W (at most min(2^t, 2^(k-4)) of
-them).  If y = rx * s_m sums to more than a rounding slack over the
-support of each listed codeword, and the W smallest y_i do too, no
-other codeword can score as high in any summation order (the listed
-ones checked exactly, as in ordered-statistics decoding, Fossorier &
-Lin, IEEE T-IT 41(5), 1995; the rest bounded by the least y_i, Taipale
-& Pursley, IEEE T-IT 37(1), 1991), so the row counts as decoded
-correctly.  The share certified grows with SNR and W: 75-89% of a tile
-at 3 dB and 94-99% at 4.5 dB for k = 11-15, n = 2k + 9, and 35%, 78% and
-99% at 3, 4.5 and 6 dB for k = 15, n = 64.  The other rows are scored in
-float32 against float32 copies of the tables, and a row whose float32
-best beats its runner-up by more than every rounding of either precision
-could close settles there: float64 would decide the same in any order.
-At 0-6 dB on k = 11-15 codes 0-2 rows in 4096 did not; only those are
-decoded in float64, compacted into one product of at least _MIN_ROWS
-rows.  Decoder memory is buffers of min(TILE, max_trials) rows
-allocated once per call and reused: the received tile and, with more
-than one high block, the scores (whose head also takes the list's
-scores, and whose float32 halves take the float32 scores and block
-maxima), a scratch of flipped rx (which also holds rx * s_m, then the
-float32 rows and their flips) and the tile's sent messages, about
-TILE * (2^t + 2n) * 8 bytes, plus the list's L * n * 8 (L <= 2^t), the
-float32 tables' (2^t + 2^(k-t)) * n * 4, a few vectors of one entry per
-row and a batch's b message integers.  The rare float64 fallback
-allocates its compacted rows, their scores and their flips once per
-tile that has any.  No array is allocated per block, and no
+energy; the decoder finds the message whose codeword correlates best
+with the received vector.  No codebook is stored: the symbols of message
+m are ``low[m & (2^t - 1)] * high[m >> t]``, two +-1 tables spanning the
+low t = min(k, LOW_BITS) message bits and the other k - t.  Trials are
+decoded in tiles of at most TILE rows: a batch larger than TILE is cut
+into near-equal tiles, and consecutive batches of at most TILE / 2
+trials (k >= 12) are decoded stacked, as many whole batches as fit in
+one tile.  At k <= LOW_BITS a tile is decided by one product against
+low, the whole codebook.  With more than one high block (k > LOW_BITS),
+the simulator knows each row's sent message m and first tries to
+certify it against a list, made once per call, of every codeword
+lighter than a weight W (at most min(2^t, 2^(k-4)) of them).  If y = rx
+* s_m sums to more than a rounding slack over the support of each
+listed codeword, and the W smallest y_i do too, m is the exact ML
+message (the listed codewords checked exactly, as in ordered-statistics
+decoding, Fossorier & Lin, IEEE T-IT 41(5), 1995; the rest bounded by
+the least y_i, Taipale & Pursley, IEEE T-IT 37(1), 1991).  The share
+certified grows with SNR and W: 75-89% of a tile at 3 dB and 94-99% at
+4.5 dB for k = 11-15, n = 2k + 9, and 35%, 78% and 99% at 3, 4.5 and 6
+dB for k = 15, n = 64.  The other rows are scored in float32 against
+float32 copies of the tables, and a row whose float32 best beats its
+runner-up by more than every rounding could close settles there as the
+exact ML message.  At 0-6 dB on k = 11-15 codes 0-2 rows in 4096 did
+not; each of those is decided by ml_decode's exact core, one row at a
+time.  Decoder memory is two (min(TILE, max_trials), n) float64 buffers
+allocated once per call, the received tile and, at k > LOW_BITS, y; per
+tile, the list's (rows, L) scores (L <= 2^t) and the float32 stage's
+(rows, 2^t) scores, cast rows and flips; and, per call, the list's L * n
+* 8 bytes and the float32 tables' (2^t + 2^(k-t)) * n * 4.  No
 2^k * n * 8 codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
@@ -48,28 +40,23 @@ noise of a batch is drawn tile by tile, which gives the same stream.  A
 stacked tile draws all its batches before decoding them; the stopping
 rule is still applied batch by batch in order, and batches drawn past
 the stop are discarded uncounted, which moves no counted trial since
-each point owns its generator.  Float64 decisions rely on the GEMM sum
-of one score not depending on how many columns the same call computes,
-nor on how many rows it computes (a tile has at least the rows of its
-batch, and tiles of a split batch keep at least TILE / 2 rows, away from
-BLAS's separate thin-matrix kernels), and on flipping signs by +-1 being
-exact; with that, a config reproduces its results bit-for-bit on any
-machine, and ties go to the lowest message.  A compacted product keeps
-at least min(_MIN_ROWS, tile) rows, away from the 1-row kernel.  A
-certified row relies on no BLAS property: its test holds however the
-list's sums are computed, and its sent message has the strictly largest
-computed score in any summation order, so _decide would return it too.
-Neither does a float32-settled row, by the bounds in _decide_float32, so
-only the float64 fallback relies on the GEMM facts above.  ml_decode
-relies on none of this: it settles every near-top score in
-exact arithmetic and returns the exact-arithmetic ML message.
+each point owns its generator.  At k <= LOW_BITS decisions rely on one
+GEMM fact: the float64 sum of one score does not depend on how many
+rows the same call computes (a tile has at least the rows of its batch,
+and tiles of a split batch keep at least TILE / 2 rows, away from BLAS's
+separate thin-matrix kernels); with that, a config reproduces its
+results bit-for-bit on any machine, and ties go to the lowest message.
+At k > LOW_BITS every decision is the exact-arithmetic ML message, ties
+to the lowest, and relies on no BLAS property: a certified row's test
+holds however the list's sums are computed, a float32-settled row's by
+the bounds in _decide_float32, and the rest are decided exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, inf, isfinite
+from math import fsum, inf
 from typing import Iterator
 
 import numpy as np
@@ -91,10 +78,6 @@ LOW_BITS = 10
 TILE = 2048
 
 _BATCH_BUDGET = 1 << 22
-# fewest rows of a compacted product of uncertified rows: subsets of 2-1500
-# rows of a tile scored bit-identically to the whole tile at k = 11-15,
-# n = 20-100, and only 1-row products differed (OpenBLAS 0.3.31, Xeon)
-_MIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -114,8 +97,8 @@ class SimConfig:
             raise ValueError("target_word_errors must be >= 1")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must fit in 64 bits")
-        if not all(isfinite(x) for x in self.ebno_db_points):
-            raise ValueError("ebno_db_points must be finite")
+        for ebno_db in self.ebno_db_points:
+            _noise_sigma(ebno_db, self.code.k, self.code.n)
 
 
 @dataclass(frozen=True)
@@ -161,49 +144,19 @@ def _symbols(low: np.ndarray, high: np.ndarray, m, out: np.ndarray | None = None
     return np.multiply(low[m & (len(low) - 1)], high[m >> (len(low).bit_length() - 1)], out=out)
 
 
-def _score_blocks(rx: np.ndarray, low: np.ndarray, high: np.ndarray
-                  ) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, scores) per high block: scores[i, j] is the correlation
-    of rx[i] with the codeword of message offset + j.
-
-    With more than one block, every block is written into one (rows, 2^t)
-    score array, valid until the next block, from one (rows, n) scratch of
-    flipped rx, both allocated once per call."""
-    if len(high) == 1:
-        yield 0, rx @ low.T
-        return
-    scores, flipped = np.empty((len(rx), len(low))), np.empty_like(rx)
-    yield 0, np.matmul(rx, low.T, out=scores)
-    for h in range(1, len(high)):
-        np.multiply(rx, high[h], out=flipped)
-        yield h * len(low), np.matmul(flipped, low.T, out=scores)
-
-
-def _decide(rx: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """ML message for each row of rx; ties break toward the lowest message."""
-    blocks = _score_blocks(rx, low, high)
-    _, scores = next(blocks)
-    arg = np.argmax(scores, axis=1)
-    if len(high) == 1:
-        return arg
-    rows = np.arange(len(rx))
-    best = scores[rows, arg]
-    for offset, scores in blocks:
-        block_arg = np.argmax(scores, axis=1)
-        block_best = scores[rows, block_arg]
-        better = block_best > best
-        arg[better] = block_arg[better] + offset
-        best[better] = block_best[better]
-    return arg
+def _decide(rx: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """ML message for each row of rx at k <= LOW_BITS, where low spans the
+    whole codebook; ties break toward the lowest message."""
+    return np.argmax(rx @ low.T, axis=1)
 
 
 def _light_codewords(code: PrCode) -> tuple[int, np.ndarray]:
     """(W, light): the largest weight W with at most min(2^t, 2^(k-4))
     nonzero codewords lighter than it, t = min(k, LOW_BITS), and those
-    codewords, one 0/1 row each.  Their scores fit in a (rows, 2^t) score
-    buffer, and at most 2^(k-4) keeps their product small beside the
-    decoding it saves (at k = 11, 1024 codewords made simulate_wer 5-25%
-    slower than 128 at n = 31-100, 3-6 dB).
+    codewords, one 0/1 row each.  Their scores take no more room than one
+    (rows, 2^t) block of message scores, and at most 2^(k-4) keeps their
+    product small beside the decoding it saves (at k = 11, 1024 codewords
+    made simulate_wer 5-25% slower than 128 at n = 31-100, 3-6 dB).
 
     The nonzero codewords are the n-windows of code.poly's sequence at its
     P = 2^k - 1 phases, so one pass of weights._window_weights over the
@@ -221,29 +174,29 @@ def _light_codewords(code: PrCode) -> tuple[int, np.ndarray]:
     return heavy, sliding_window_view(seq, code.n)[phases].astype(np.float64)
 
 
-def _certified(y: np.ndarray, heavy: int, light: np.ndarray, scores: np.ndarray) -> np.ndarray:
+def _certified(y: np.ndarray, heavy: int, light: np.ndarray) -> np.ndarray:
     """Mask of the rows of y = rx * s, s the symbols of the message m sent
-    in that row, where m has the strictly largest computed score of every
-    message, however the scores are summed; overwrites y and scores.
+    in that row, where m is the exact ML message and has the strictly
+    largest computed score of every message, however the scores are
+    summed; overwrites y.
 
     light holds every nonzero codeword lighter than heavy, one 0/1 row
     each.  A codeword c != m differs from m's on the support D of a nonzero
     codeword, and S_m - S_c = 2 * sum_{i in D} y_i (y_i is rx_i with an
-    exact sign flip).  If D is listed, that sum is a column of y @ light.T,
-    computed into a (rows, len(light)) view of scores.  Otherwise |D| >=
-    heavy, and the sum is at least that of the max(heavy, N) smallest y_i,
-    N of them negative: with N <= heavy that is the sum of the heavy
-    smallest, and with N > heavy both are negative.  So S_m - S_c >= 2L
-    for every c, L the smaller of the list's minimum and the sum of the
-    heavy smallest y_i.  Every computed score, and every computed sum of
-    at most n of the y_i, is within gamma_n * sum|rx| of its exact value,
-    so the computed S_m beats every computed S_c once L > gamma_n *
-    sum|rx|, and a computed L above twice ml_decode's window, 4 nu / (1 -
-    nu) times the computed sum|rx| with nu = (n + 4) u, proves that.
+    exact sign flip).  If D is listed, that sum is a column of y @ light.T.
+    Otherwise |D| >= heavy, and the sum is at least that of the max(heavy,
+    N) smallest y_i, N of them negative: with N <= heavy that is the sum
+    of the heavy smallest, and with N > heavy both are negative.  So S_m -
+    S_c >= 2L for every c, L the smaller of the list's minimum and the sum
+    of the heavy smallest y_i.  Every computed score, and every computed
+    sum of at most n of the y_i, is within gamma_n * sum|rx| of its exact
+    value, so the exact S_m beats every S_c, and the computed S_m every
+    computed S_c, once L > gamma_n * sum|rx|, and a computed L above twice
+    ml_decode's window, 4 nu / (1 - nu) times the computed sum|rx| with nu
+    = (n + 4) u, proves that.
     """
     nu = (y.shape[1] + 4) * 2.0 ** -53
-    listed = scores.reshape(-1)[:len(y) * len(light)].reshape(len(y), len(light))
-    least = np.matmul(y, light.T, out=listed).min(axis=1, initial=np.inf)
+    least = (y @ light.T).min(axis=1, initial=np.inf)
     y.partition(heavy - 1, axis=1)
     np.minimum(least, y[:, :heavy].sum(axis=1), out=least)
     return least > 4 * nu / (1 - nu) * np.abs(y, out=y).sum(axis=1)
@@ -261,14 +214,12 @@ def _float32_slack(n: int) -> float:
     return 2 * (n * u / (1 - n * u) + u) + 4 * nu / (1 - nu)
 
 
-def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray, high32: np.ndarray,
-                    out: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray,
+                    high32: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(settled, decided) for the rows `rows` of rx, scored in float32
     against (low32, high32), float32 copies of the sign tables: decided[i]
     is the float32 ML message of rx[rows[i]], and where settled[i] holds,
-    _decide(rx, low, high) returns it too, however either product is
-    summed.  Overwrites out: its float32 halves hold the cast rows and
-    their flips, the scores and the block maxima.
+    it is the exact ML message, however the product is summed.
 
     Each row x = float32(rx) is scored block by block and each block
     reduced to its maximum; then the winning block is scored once more
@@ -281,33 +232,25 @@ def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray, high32:
     and at most 2^64: then no cast or sum overflows, and underflow, even
     flushed to zero in the cast, the inputs or the sums, costs less than
     2^-63 A.  So every computed float32 score, in either pass, is within
-    e A of the exact score S of rx, e = gamma_n(u) + u + 2^-63, and sum|rx|
-    <= (1 + e) A.  _decide's float64 scores are within gamma_n(2^-53)
-    sum|rx| of S in any order, so best - r > 2 (e + gamma_n(2^-53) (1 + e))
-    A leaves c the strictly largest float64 score, which _decide returns.
-    A float64 gap best - r above _float32_slack(n) * A' proves that bound
-    with room for the rounding of the gap, of A' and of the product.
+    e A of the exact score S of rx, e = gamma_n(u) + u + 2^-63, and best -
+    r > 2 e A leaves c the unique exact winner.  A float64 gap best - r
+    above _float32_slack(n) * A' proves that bound with room for the
+    rounding of the gap, of A' and of the product; the slack also covers
+    twice float64's gamma_n(2^-53) (1 + e) A, so float64 would pick c too.
     """
     n, t = rx.shape[1], len(low32).bit_length() - 1
-    rows32, flips32 = np.split(out[1].reshape(-1).view(np.float32), 2)
-    x = rows32[:len(rows) * n].reshape(len(rows), n)
-    flipped = flips32[:len(rows) * n].reshape(len(rows), n)
-    scores32, maxima32 = np.split(out[0].reshape(-1).view(np.float32), 2)
-    scores = scores32[:len(rows) << t].reshape(len(rows), 1 << t)
-    # a row's 2^(k - t) block maxima fit in 2^t floats up to DECODER_CAP
-    maxima = maxima32[:len(rows) * len(high32)].reshape(len(rows), -1)
     index = np.arange(len(rows))
     with np.errstate(over="ignore", invalid="ignore"):
-        # the whole tile is cast into the flip half, then its rows compacted
-        cast = flips32[:rx.size].reshape(rx.shape)
-        np.copyto(cast, rx, casting="same_kind")
-        np.take(cast, rows, axis=0, out=x, mode="clip")
+        x = rx[rows].astype(np.float32)
+        flipped = np.empty_like(x)
         magnitude = np.abs(x, out=flipped).sum(axis=1, dtype=np.float64)
+        scores = np.empty((len(rows), 1 << t), dtype=np.float32)
+        maxima = np.empty((len(rows), len(high32)), dtype=np.float32)
         for h, signs in enumerate(high32):
             np.matmul(np.multiply(x, signs, out=flipped), low32.T, out=scores)
             maxima[:, h] = scores[index, scores.argmax(axis=1)]
         block = maxima.argmax(axis=1)
-        np.multiply(x, np.take(high32, block, axis=0, out=flipped, mode="clip"), out=flipped)
+        np.multiply(x, high32[block], out=flipped)
         arg = np.matmul(flipped, low32.T, out=scores).argmax(axis=1)
         best = scores[index, arg]
         scores[index, arg] = maxima[index, block] = -np.inf
@@ -318,27 +261,22 @@ def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray, high32:
     return settled, (block << t) + arg
 
 
-def _decide_uncertified(rx: np.ndarray, sent: np.ndarray, listing: tuple[int, np.ndarray],
-                        low: np.ndarray, high: np.ndarray, tables32: tuple[np.ndarray, np.ndarray],
-                        out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """_decide(rx, low, high) for a tile whose rows carry the messages
-    `sent`, given y = rx * symbols(sent) in out[1], listing = (W, the
+def _decide_uncertified(rx: np.ndarray, y: np.ndarray, sent: np.ndarray,
+                        listing: tuple[int, np.ndarray], low: np.ndarray, high: np.ndarray,
+                        tables32: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The exact ML message of each row of a tile rx whose rows carry the
+    messages `sent`, given y = rx * symbols(sent), listing = (W, the
     codewords lighter than W) and tables32, float32 copies of (low, high):
     a row that _certified settles keeps its sent message, the others are
-    scored in float32 by _decide_float32, and only the rows that neither
-    settles are decoded in float64, compacted and padded with settled
-    rows to at least _MIN_ROWS.  Overwrites out and sent, and returns sent.
+    scored in float32 by _decide_float32, and the rows that neither
+    settles are decided one at a time by _exact_ml.  Overwrites y and
+    sent, and returns sent.
     """
-    done = _certified(out[1][:len(rx)], *listing, out[0])
-    rows = np.flatnonzero(~done)
+    rows = np.flatnonzero(~_certified(y, *listing))
     if len(rows):
-        settled, decided = _decide_float32(rx, rows, *tables32, out)
-        sent[rows] = decided
-        done[rows[settled]] = True
-        left = len(rx) - int(np.count_nonzero(done))
-        if left:
-            rows = np.argsort(done, kind="stable")[:max(left, min(_MIN_ROWS, len(rx)))]
-            sent[rows] = _decide(rx[rows], low, high)
+        settled, sent[rows] = _decide_float32(rx, rows, *tables32)
+        for i in rows[~settled].tolist():
+            sent[i] = _exact_ml(rx[i], low, high)
     return sent
 
 
@@ -366,6 +304,24 @@ def _stacked_tiles(batch: int, max_trials: int) -> Iterator[list[tuple[int, slic
             yield [(b, slice(0, b)) for b in sizes]
 
 
+def _exact_ml(r: np.ndarray, low: np.ndarray, high: np.ndarray) -> int:
+    """ml_decode's message for a finite received row r, given the code's
+    sign tables."""
+    scores = ((high * r) @ low.T).ravel()
+    # gamma_(n+4) also covers the four roundings of the window and the gaps
+    nu = (len(r) + 4) * 2.0 ** -53
+    window = 2 * nu / (1 - nu) * fsum(np.abs(r))
+    near = np.flatnonzero(scores[np.argmax(scores)] - scores <= window)
+    best = int(near[0])
+    best_symbols = _symbols(low, high, best)
+    for m in near[1:].tolist():
+        symbols = _symbols(low, high, m)
+        differ = symbols != best_symbols
+        if fsum(r[differ] * symbols[differ]) > 0:
+            best, best_symbols = m, symbols
+    return best
+
+
 def ml_decode(code: PrCode, received) -> int:
     """Message whose codeword maximizes correlation with the received vector,
     in exact arithmetic; ties break toward the lowest message value.
@@ -384,29 +340,23 @@ def ml_decode(code: PrCode, received) -> int:
     r = np.asarray(received, dtype=np.float64)
     if r.shape != (code.n,):
         raise ValueError(f"received vector must have length {code.n}")
-    magnitude = fsum(np.abs(r))
-    if not isfinite(magnitude):
+    if not np.isfinite(r).all():
         raise ValueError("received vector must be finite")
-    low, high = _sign_tables(code)
-    scores = ((high * r) @ low.T).ravel()
-    # gamma_(n+4) also covers the four roundings of the window and the gaps
-    nu = (code.n + 4) * 2.0 ** -53
-    window = 2 * nu / (1 - nu) * magnitude
-    near = np.flatnonzero(scores[np.argmax(scores)] - scores <= window)
-    best = int(near[0])
-    best_symbols = _symbols(low, high, best)
-    for m in near[1:].tolist():
-        symbols = _symbols(low, high, m)
-        differ = symbols != best_symbols
-        if fsum(r[differ] * symbols[differ]) > 0:
-            best, best_symbols = m, symbols
-    return best
+    return _exact_ml(r, *_sign_tables(code))
 
 
 def _noise_sigma(ebno_db: float, k: int, n: int) -> float:
-    """Per-dimension noise std dev at unit symbol energy."""
-    es_n0 = (k / n) * 10.0 ** (ebno_db / 10.0)
-    return float(np.sqrt(1.0 / (2.0 * es_n0)))
+    """Per-dimension noise std dev at unit symbol energy; a ValueError
+    names the SNR point if it is not a positive finite float."""
+    try:
+        es_n0 = (k / n) * 10.0 ** (ebno_db / 10.0)
+    except OverflowError:
+        es_n0 = inf
+    sigma = float(np.sqrt(1.0 / (2.0 * es_n0))) if es_n0 else inf
+    if not 0 < sigma < inf:
+        raise ValueError(f"Eb/N0 = {ebno_db} dB gives noise sigma {sigma} at k = {k}, n = {n}; "
+                         "it must be a positive finite float")
+    return sigma
 
 
 def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[SimResult]:
@@ -422,12 +372,11 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     size = 1 << code.k
     batch = max(1, _BATCH_BUDGET // size)
     rows = min(TILE, cfg.max_trials)
-    out = None
+    ys = None
     if len(high) > 1:
         # the scan's temporaries are freed before the buffers exist
         listing = _light_codewords(code)
-        out = (np.empty((rows, len(low))), np.empty((rows, code.n)))
-        sent = np.empty(rows, dtype=np.int64)
+        ys = np.empty((rows, code.n))
         tables32 = (low.astype(np.float32), high.astype(np.float32))
     buf = np.empty((rows, code.n))
 
@@ -446,21 +395,21 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 rx = buf[filled:filled + len(m)]
                 rng.standard_normal(out=rx)
                 rx *= sigma
-                if out is None:
+                if ys is None:
                     rx += low[m]
                 else:
                     # y = rx * s_m, with s_m written straight into its place
-                    y = _symbols(low, high, m, out[1][filled:filled + len(m)])
+                    y = _symbols(low, high, m, ys[filled:filled + len(m)])
                     rx += y
                     y *= rx
-                    sent[filled:filled + len(m)] = m
                 drawn.append((b, part, m))
                 filled += len(m)
-            if out is None:
-                decided = _decide(buf[:filled], low, high)
+            if ys is None:
+                decided = _decide(buf[:filled], low)
             else:
-                decided = _decide_uncertified(buf[:filled], sent[:filled], listing, low, high,
-                                              tables32, out)
+                sent = np.concatenate([m for _, _, m in drawn])
+                decided = _decide_uncertified(buf[:filled], ys[:filled], sent, listing, low, high,
+                                              tables32)
             filled = 0
             for b, part, m in drawn:
                 wrong += int(np.count_nonzero(decided[filled:filled + len(m)] != m))

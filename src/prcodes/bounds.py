@@ -18,7 +18,7 @@ competitor contributes Q(sqrt(2 i (k/n) Eb/N0)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, erfc, sqrt
+from math import comb, erfc, inf, sqrt
 from typing import Sequence
 
 from .errors import TheoremViolationError
@@ -49,8 +49,18 @@ def qfunc(x: float) -> float:
 
 
 def ebno_db_to_gamma(ebno_db: float, k: int, n: int) -> float:
-    """Pairwise-error SNR scale: gamma = 2 Es/N0 with Es/N0 = (k/n) Eb/N0."""
-    return 2.0 * (k / n) * 10.0 ** (ebno_db / 10.0)
+    """Pairwise-error SNR scale: gamma = 2 Es/N0 with Es/N0 = (k/n) Eb/N0.
+
+    A ValueError names the SNR point unless gamma and the noise variance
+    1/gamma are both positive finite floats."""
+    try:
+        gamma = 2.0 * (k / n) * 10.0 ** (ebno_db / 10.0)
+    except OverflowError:
+        gamma = inf
+    if not (0 < gamma < inf and 1 / gamma < inf):
+        raise ValueError(f"Eb/N0 = {ebno_db} dB gives gamma {gamma} at k = {k}, n = {n}; "
+                         "it and 1/gamma must be positive finite floats")
+    return gamma
 
 
 def dmin_bound(abar: RealDistribution) -> int:

@@ -25,7 +25,6 @@ from prcodes.awgn import (
     _decide_uncertified,
     _float32_slack,
     _light_codewords,
-    _score_blocks,
     _sign_tables,
     _symbols,
     _tiles,
@@ -98,24 +97,42 @@ def test_decode_validation(code20):
         ml_decode(fake, np.ones(21))
 
 
+def tables32(code):
+    low, high = _sign_tables(code)
+    return low.astype(np.float32), high.astype(np.float32)
+
+
+def decide_high_k(code, rx, sent):
+    """_decide_uncertified's messages for the rows of rx, sent as `sent`."""
+    low, high = _sign_tables(code)
+    return _decide_uncertified(rx, rx * _symbols(low, high, sent), sent.copy(),
+                               _light_codewords(code), low, high, tables32(code))
+
+
+def ref_decide(code, rx):
+    """Float64 argmax of rx against the brute-force codebook, 64 rows at a time."""
+    ref = ref_codebook_signs(code)
+    return np.concatenate([np.argmax(part @ ref.T, axis=1)
+                           for part in np.split(rx, range(64, len(rx), 64))])
+
+
 @pytest.mark.parametrize("k", [2, 5, 9, 10, 11, 12, 14])
 def test_decide_matches_reference_codebook(k):
-    # n > 2^k - 1 repeats coordinates; b = 1 is the ml_decode shape
+    # n > 2^k - 1 repeats coordinates; b = 1 is the ml_decode shape.  Above
+    # LOW_BITS the rows are pure noise, so few certify, and the float32 and
+    # exact tiers decide the rest
     rng = np.random.default_rng(k)
     for n in sorted({k, 2 * k, 33, 64, 100, 130}):
         code = build_code(first_primitive(k), n)
-        ref = ref_codebook_signs(code)
         low, high = _sign_tables(code)
-        assert len(low) * len(high) == 1 << k
+        assert np.array_equal(_symbols(low, high, np.arange(1 << k)), ref_codebook_signs(code))
         for b in (1, 2, 3, 5, 17, 128, 1000):
             rx = rng.standard_normal((b, n))
-            full = rx @ ref.T
-            offsets = []
-            for offset, scores in _score_blocks(rx, low, high):
-                offsets.append(offset)
-                assert np.array_equal(scores, full[:, offset:offset + len(low)]), (n, b, offset)
-            assert offsets == list(range(0, 1 << k, len(low)))
-            assert np.array_equal(_decide(rx, low, high), np.argmax(full, axis=1)), (n, b)
+            if k <= LOW_BITS:
+                decided = _decide(rx, low)
+            else:
+                decided = decide_high_k(code, rx, rng.integers(0, 1 << k, size=b))
+            assert np.array_equal(decided, ref_decide(code, rx)), (n, b)
 
 
 def lone_tie(ref, lo_block, same_block=False):
@@ -142,7 +159,8 @@ def test_tie_across_high_blocks_breaks_to_lowest_message(k, lo_block):
     ref = ref_codebook_signs(code)
     lo, hi, rx = lone_tie(ref, lo_block)
     assert ml_decode(code, rx) == lo
-    assert list(_decide(np.stack([rx, -rx, rx]), *_sign_tables(code))) == [
+    sent = np.array([hi, lo, hi])
+    assert list(decide_high_k(code, np.stack([rx, -rx, rx]), sent)) == [
         lo, int(np.argmax(ref @ -rx)), lo]
 
 
@@ -202,9 +220,10 @@ def test_config_validation(code20):
         SimConfig(code=code20, ebno_db_points=(3.0,), seed=1 << 64)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3100.0, -3240.0, 3090.0])
 def test_config_rejects_non_finite_snr(code20, bad):
-    with pytest.raises(ValueError):
+    # -3100 dB gives sigma = inf, -3240 dB Es/N0 = 0 and 3090 dB an overflow
+    with pytest.raises(ValueError, match=f"Eb/N0 = {bad} dB"):
         SimConfig(code=code20, ebno_db_points=(3.0, bad))
 
 
@@ -379,19 +398,18 @@ def test_light_codewords_match_the_codebook(k, n):
     rng = np.random.default_rng(k * 1000 + n)
     y = 1.0 + rng.standard_normal((3, 128, n)) * np.array([0.3, 0.6, 1.0])[:, None, None]
     y = y.reshape(-1, n)
-    certified = _certified(y.copy(), heavy, light, np.empty((len(y), len(light))))
+    certified = _certified(y.copy(), heavy, light)
     assert certified.any()
     assert ((y[certified] @ words.T).min(axis=1) > 0).all()
 
 
 @pytest.mark.parametrize("k", [11, 12, 13, 14, 15])
 def test_certified_rows_decode_to_their_sent_message(k):
-    # a certified row's sent message is the full-tile decision
+    # a certified row's sent message is the float64 decision and the exact one
     code = build_code(first_primitive(k), 2 * k + 9)
     d_min = weight_enumerator_exact(code).min_nonzero_weight()
     heavy, light = _light_codewords(code)
     low, high = _sign_tables(code)
-    scores = np.empty((512, len(low)))
     nu = (code.n + 4) * 2.0 ** -53
     rng = np.random.default_rng(k)
     shares = []
@@ -404,8 +422,10 @@ def test_certified_rows_decode_to_their_sent_message(k):
         # the minimum-distance test alone: the d_min smallest y_i against the slack
         by_distance = (np.partition(y, d_min - 1, axis=1)[:, :d_min].sum(axis=1)
                        > 4 * nu / (1 - nu) * np.abs(y).sum(axis=1))
-        certified = _certified(y, heavy, light, scores)
-        assert np.array_equal(_decide(rx, low, high)[certified], sent[certified]), ebno_db
+        certified = _certified(y, heavy, light)
+        assert np.array_equal(ref_decide(code, rx)[certified], sent[certified]), ebno_db
+        for i in np.flatnonzero(certified)[:3]:
+            assert ml_decode(code, rx[i]) == sent[i], (ebno_db, i)
         assert not (by_distance & ~certified).any(), ebno_db
         shares.append(np.count_nonzero(certified) / len(sent))
     assert shares[0] < 0.5 < shares[-1], shares
@@ -463,35 +483,13 @@ def test_certification_bound(k, case):
         # only the list sees it; at W, every listed codeword sums to > 0
         y[D] = y[D[0]]
     rx = y * s
-    certified = _certified((rx * s)[None], heavy, light, np.empty((1, len(light))))[0]
+    certified = _certified((rx * s)[None], heavy, light)[0]
     assert certified == (case == "outside-slack")
-    decided = int(_decide(rx[None], low, high)[0])
     # on a tie, and in the near-tie that float64 cannot see, the lower c wins
+    # in float64; exactly, m wins by any positive margin
+    decided = int(ref_decide(code, rx[None])[0])
     assert decided == (m if case in ("inside-slack", "outside-slack") else c)
-
-
-@pytest.mark.parametrize("k", [11, 12, 13, 14, 15])
-def test_compacted_scores_match_the_full_tile(k):
-    # simulate_wer scores the uncertified rows of a tile, uncertified first,
-    # as one product of 2..TILE rows: each piece of a shuffled tile, of
-    # 2..1500 rows, must score as its rows do in the whole tile
-    rng = np.random.default_rng(70 + k)
-    for n in (20, 32, 48, 64, 100):
-        code = build_code(first_primitive(k), n)
-        low, high = _sign_tables(code)
-        rx = rng.standard_normal((TILE, n))
-        cuts = np.cumsum([0, 2, 3, 63, 64, 65, 351, 1500])
-        order = rng.permutation(TILE)
-        subsets = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-        blocks = zip(_score_blocks(rx, low, high), *(_score_blocks(rx[r], low, high) for r in subsets))
-        for (offset, scores), *parts in blocks:
-            for rows, (_, part) in zip(subsets, parts):
-                assert np.array_equal(part, scores[rows]), (n, len(rows), offset)
-
-
-def tables32(code):
-    low, high = _sign_tables(code)
-    return low.astype(np.float32), high.astype(np.float32)
+    assert ml_decode(code, rx) == (c if case == "tie" or case.startswith("beaten") else m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 20, 33, 64, 100, 2100, 1 << 16, (1 << 20) - 1])
@@ -500,7 +498,8 @@ def test_float32_slack_covers_every_rounding(n):
     # scores exceeds fl(B A'), A' the float64 sum of |x_i|.  g' <= g (1 + v),
     # A' >= A (1 - gamma_(n-1)(v)) and fl(B A') >= B A' (1 - v), so g exceeds
     # B (1 - gamma_(n-1)(v)) (1 - v) / (1 + v) A, which must cover twice each
-    # score's float32 error e A plus twice _decide's gamma_n(v) (1 + e) A
+    # score's float32 error e A (for the exact winner) plus twice a float64
+    # score's gamma_n(v) (1 + e) A (so that float64 would pick it too)
     u, v = Fraction(1, 1 << 24), Fraction(1, 1 << 53)
 
     def gamma(m, w):
@@ -516,23 +515,22 @@ def test_float32_slack_covers_every_rounding(n):
                                   (11, 2100)])
 def test_float32_settled_rows_match_decide_and_ml_decode(k, n):
     # rows that _decide_float32 settles, from a shuffled subset of a tile as
-    # _certified leaves it, are the whole tile's _decide messages and the
+    # _certified leaves it, are the float64 reference's messages and the
     # exact ML messages; n = 2100 > 2^k - 1 repeats coordinates
     code = build_code(first_primitive(k), n)
     low, high = _sign_tables(code)
-    out = (np.empty((512, len(low))), np.empty((512, n)))
     rng = np.random.default_rng(k * 1000 + n)
     for ebno_db in (0.0, 3.0, 6.0):
         sigma = math.sqrt(n / (2 * k) * 10 ** (-ebno_db / 10))
         sent = rng.integers(0, 1 << k, size=512)
         rx = _symbols(low, high, sent) + sigma * rng.standard_normal((512, n))
-        full = _decide(rx, low, high)
+        full = ref_decide(code, rx)
         rows = np.sort(rng.choice(512, 384, replace=False))
-        settled, decided = _decide_float32(rx, rows, *tables32(code), out)
+        settled, decided = _decide_float32(rx, rows, *tables32(code))
         assert np.array_equal(decided[settled], full[rows[settled]]), ebno_db
         for i in rng.choice(np.flatnonzero(settled), 6, replace=False):
             assert ml_decode(code, rx[rows[i]]) == decided[i], (ebno_db, i)
-        # nearly every row settles, so the float64 fallback is rare
+        # nearly every row settles, so the exact fallback is rare
         assert np.count_nonzero(settled) >= 0.95 * len(rows), ebno_db
 
 
@@ -548,7 +546,7 @@ def toward(ref, lo, hi, rx, move):
 @pytest.mark.parametrize("k", [11, 12])
 def test_float32_settles_only_rows_it_can_prove(k):
     # ties and near-ties float32 cannot resolve, and rows outside float32's
-    # normal range, must fall back to float64 and come out as _decide's
+    # normal range, must fall back to the exact decision
     code = build_code(first_primitive(k), 2 * k + 1)
     ref = ref_codebook_signs(code)
     low, high = _sign_tables(code)
@@ -581,20 +579,36 @@ def test_float32_settles_only_rows_it_can_prove(k):
     tile = np.concatenate([np.stack(list(cases.values())),
                            _symbols(low, high, rng.integers(0, 1 << k, size=120))
                            + rng.standard_normal((120, code.n))])
-    full = _decide(tile, low, high)
+    full = np.argmax(tile @ ref.T, axis=1)
     # float64 sees every move toward hi
     assert [full[names.index(c)] for c in ("near-tie", "inside-window", "outside-window")] == [hi] * 3
-    out = (np.empty((len(tile), len(low))), np.empty((len(tile), code.n)))
-    settled, decided = _decide_float32(tile, np.arange(len(tile)), *tables32(code), out)
+    settled, decided = _decide_float32(tile, np.arange(len(tile)), *tables32(code))
     assert dict(zip(names, settled.tolist())) == {c: c == "outside-window" for c in names}
     assert np.array_equal(decided[settled], full[settled])
     # through the tile path: certify against the sent messages, settle in
-    # float32, fall back to float64 for the rest, padded to _MIN_ROWS
-    sent = rng.integers(0, 1 << k, size=len(tile))
-    np.multiply(tile, _symbols(low, high, sent), out=out[1])
-    decided = _decide_uncertified(tile.copy(), sent, _light_codewords(code), low, high,
-                                  tables32(code), out)
+    # float32, decide the rest exactly
+    decided = decide_high_k(code, tile, rng.integers(0, 1 << k, size=len(tile)))
     assert np.array_equal(decided, full)
+    assert decided[:len(names)].tolist() == [ml_decode(code, rx) for rx in cases.values()]
+
+
+@pytest.mark.parametrize("k", [11, 13])
+@pytest.mark.parametrize("ebno_db", [0.0, 3.0])
+def test_uncertified_tiles_decide_every_row_exactly(monkeypatch, k, ebno_db):
+    # every row of a 512-row tile, whichever tier settles it, is ml_decode's
+    code = build_code(first_primitive(k), 2 * k + 9)
+    low, high = _sign_tables(code)
+    rng = np.random.default_rng(k * 10 + int(ebno_db))
+    sigma = math.sqrt(code.n / (2 * k) * 10 ** (-ebno_db / 10))
+    sent = rng.integers(0, 1 << k, size=512)
+    rx = _symbols(low, high, sent) + sigma * rng.standard_normal((512, code.n))
+    certified, stage = spy(monkeypatch, "_certified"), spy(monkeypatch, "_decide_float32")
+    decided = decide_high_k(code, rx, sent)
+    assert decided.tolist() == [ml_decode(code, r) for r in rx]
+    # both proven tiers take part
+    (_, mask), = certified
+    (_, (settled, _)), = stage
+    assert mask.any() and settled.any()
 
 
 def spy(monkeypatch, name):
@@ -629,36 +643,38 @@ def test_simulate_certified_tiles_match_reference_loop(monkeypatch, case):
         ties = np.stack([across, inside])
         real = awgn._decide_uncertified
 
-        def injected(rx, sent, listing, low, high, tables, out):
+        def injected(rx, y, sent, listing, low, high, tables):
             kept = rx[:2].copy()
             rx[:2] = ties
-            np.multiply(ties, _symbols(low, high, sent[:2]), out=out[1][:2])
-            decided = real(rx, sent, listing, low, high, tables, out)
+            np.multiply(ties, _symbols(low, high, sent[:2]), out=y[:2])
+            decided = real(rx, y, sent, listing, low, high, tables)
             assert decided[:2].tolist() == [lo, lo_in]
-            decided[:2] = [ml_decode(code, r) for r in kept]
+            decided[:2] = np.argmax(kept @ ref.T, axis=1)
             return decided
 
         monkeypatch.setattr(awgn, "_decide_uncertified", injected)
     certified, stage = spy(monkeypatch, "_certified"), spy(monkeypatch, "_decide_float32")
-    decided = spy(monkeypatch, "_decide")
+    exact = spy(monkeypatch, "_exact_ml")
     got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
     assert got == ref_wer_counts(code, (ebno_db,), max_trials, 10**6, cfg.seed)
     # each tile is certified against W and every codeword lighter than W
-    for (_, heavy, light, _), _ in certified:
+    for (_, heavy, light), _ in certified:
         assert_listing(code, heavy, light)
     # the float32 stage scores exactly the rows the certificate leaves
     assert [rows.tolist() for (_, rows, *_), _ in stage] == \
         [np.flatnonzero(~mask).tolist() for _, mask in certified if not mask.all()]
     if case == "all-certified":
-        assert len(certified) == 3 and stage == [] and decided == []
+        assert len(certified) == 3 and stage == [] and exact == []
     elif case == "padded":
         # every row the certificate leaves settles in float32
-        assert len(stage) == 1 and stage[0][1][0].all() and decided == [] and got[0][1]
+        assert len(stage) == 1 and stage[0][1][0].all() and exact == [] and got[0][1]
     else:
-        # the tie rows fall back to float64, padded with settled rows to 64
+        # exactly the two tie rows reach the exact decision, one at a time
         (_, rows, *_), (settled, _) = stage[0]
         assert rows[:2].tolist() == [0, 1] and not settled[:2].any() and settled[2:].all()
-        assert [len(rx) for (rx, *_), _ in decided] == [64] and got[0][1]
+        assert [(r.tolist(), m) for (r, *_), m in exact] == [
+            (across.tolist(), lo), (inside.tolist(), lo_in)]
+        assert got[0][1]
 
 
 def test_tiles_cover_a_batch_in_near_equal_slices():
@@ -674,28 +690,24 @@ def test_tiles_cover_a_batch_in_near_equal_slices():
         assert len(tiles) == 1 or min(sizes) >= TILE // 2, b
 
 
-@pytest.mark.parametrize("k", [2, 5, 9, 10, 11, 12])
+@pytest.mark.parametrize("k", [2, 5, 9, 10])
 def test_scores_do_not_depend_on_tile_rows(k):
     # simulate_wer decodes tile by tile what the contract defines per batch
     rng = np.random.default_rng(50 + k)
     for n in sorted({k, 20, 64}):
         code = build_code(first_primitive(k), n)
-        low, high = _sign_tables(code)
+        low, _ = _sign_tables(code)
         for b in (2047, 2048, 2049, 4097, 5000):
             rx = rng.standard_normal((b, n))
             tiles = list(_tiles(b))
-            pieces = zip(_score_blocks(rx, low, high),
-                         *(_score_blocks(rx[s], low, high) for s in tiles))
-            for (offset, scores), *parts in pieces:
-                assert all(o == offset for o, _ in parts)
-                assert np.array_equal(scores, np.concatenate([p for _, p in parts])), (n, b, offset)
-            assert np.array_equal(_decide(rx, low, high),
-                                  np.concatenate([_decide(rx[s], low, high) for s in tiles])), (n, b)
+            assert np.array_equal(rx @ low.T, np.concatenate([rx[s] @ low.T for s in tiles])), (n, b)
+            assert np.array_equal(_decide(rx, low),
+                                  np.concatenate([_decide(rx[s], low) for s in tiles])), (n, b)
         # simulate_wer decodes consecutive batches of up to TILE / 2 rows stacked
         rx = rng.standard_normal((TILE, n))
-        stacked = _decide(rx, low, high)
+        stacked = _decide(rx, low)
         for b in (4, 128, 512, 1024):
-            alone = [_decide(rx[i:i + b], low, high) for i in range(0, TILE, b)]
+            alone = [_decide(rx[i:i + b], low) for i in range(0, TILE, b)]
             assert np.array_equal(stacked, np.concatenate(alone)), (n, b)
 
 
@@ -715,14 +727,18 @@ def test_simulate_memory_is_tile_sized(k, n):
     assert peak < 8 * 2**20
 
 
-def test_simulate_memory_is_buffer_sized_at_high_k():
-    # the (TILE, 2^t) scores and two (TILE, n) blocks are allocated once per
-    # call; a fresh score array per high block would add 16 MiB.  The list of
-    # light codewords adds 855 * 64 * 8 bytes (437 KB) to the slack's share,
-    # and the float32 sign tables (1024 + 32) * 64 * 4 bytes (264 KB)
+@pytest.mark.parametrize("ebno_db", [0.0, 4.0])
+def test_simulate_memory_is_buffer_sized_at_high_k(ebno_db):
+    # two (TILE, n) float64 buffers, rx and y = rx * s_m, live for the call
+    # (2 MiB).  Per tile, the certificate's (TILE, 855) scores against the
+    # list of light codewords (13.4 MiB) are freed before the float32 stage,
+    # whose (rows, 2^t) scores, cast rows and flips take at most 8.5 MiB; at
+    # 0 dB most rows reach that stage.  The list adds 855 * 64 * 8 bytes
+    # (437 KB) and the float32 sign tables (1024 + 32) * 64 * 4 (264 KB).  A
+    # score array per high block, kept alive, would add 16 MiB
     code = build_code(first_primitive(15), 64)
     low, _ = _sign_tables(code)
-    cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=4096,
+    cfg = SimConfig(code=code, ebno_db_points=(ebno_db,), max_trials=4096,
                     target_word_errors=10**6, seed=3)
     # numpy imports numpy.random on first use, as an earlier test in the suite
     # does; its module objects (0.55 MB) are not decoder memory

@@ -256,6 +256,15 @@ def test_gamma_conversion():
     assert ebno_db_to_gamma(db, 4, 20) == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3100.0, -3240.0, 3090.0])
+def test_gamma_rejects_unrepresentable_snr(bad):
+    # -3100 dB leaves gamma subnormal, so its noise variance 1/gamma is inf;
+    # -3240 dB gives gamma = 0 and 3090 dB overflows
+    with pytest.raises(ValueError, match=f"Eb/N0 = {bad} dB"):
+        ebno_db_to_gamma(bad, 4, 20)
+    assert 0 < ebno_db_to_gamma(-3000.0, 4, 20) and ebno_db_to_gamma(3000.0, 4, 20) < math.inf
+
+
 # ---------------------------------------------------------------------------
 # external fixture profiles through the same evaluators
 

@@ -216,6 +216,20 @@ def test_non_finite_snr_is_domain_error(tmp_path, capsys, command, snrs):
     ["simulate", "--poly", "0x13", "--n", "20", "--max-trials", "100"],
     ["union-bound", "--poly", "0x13", "--n", "20"],
 ])
+@pytest.mark.parametrize("snrs, bad", [("-3100", "-3100.0"), ("2,-3240", "-3240.0"),
+                                       ("3090,3", "3090.0")])
+def test_unrepresentable_snr_is_domain_error(tmp_path, capsys, command, snrs, bad):
+    # finite points whose noise sigma or gamma is 0, inf or an overflow
+    out = tmp_path / "out"
+    assert run(command + [f"--ebno-list={snrs}", "--outdir", str(out)]) == 1
+    assert f"error: Eb/N0 = {bad} dB gives" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--poly", "0x13", "--n", "20", "--max-trials", "100"],
+    ["union-bound", "--poly", "0x13", "--n", "20"],
+])
 @pytest.mark.parametrize("snrs", ["-inf", "-nan", "-inf,2", "-Infinity", "-NaN,3"])
 def test_non_finite_snr_as_separate_argument(tmp_path, capsys, command, snrs):
     out = tmp_path / "out"
