@@ -9,7 +9,13 @@ decoded in tiles of at most TILE rows: a batch larger than TILE is cut
 into near-equal tiles, and consecutive batches of at most TILE / 2
 trials (k >= 12) are decoded stacked, as many whole batches as fit in
 one tile.  At k <= LOW_BITS a tile is decided by one product against
-low, the whole codebook.  With more than one high block (k > LOW_BITS),
+low, the whole codebook.  For a code with n * 2^k <= 2048 whose product
+can be cut as _piece_rows says (every k <= 6 code at n <= 32), the SNR
+points of a run go to a pool of one thread per CPU, up to one per
+point, and that product is cut into row pieces of under 2^19
+multiply-adds, which OpenBLAS computes on the calling thread; so the
+points' normal draws, which release the GIL, run on every core.
+With more than one high block (k > LOW_BITS),
 the simulator knows each row's sent message m and first tries to
 certify it against a list, made once per call, of every codeword
 lighter than a weight W (at most min(2^t, 2^(k-4)) of them).  If y = rx
@@ -25,9 +31,10 @@ float32 copies of the tables, and a row whose float32 best beats its
 runner-up by more than every rounding could close settles there as the
 exact ML message.  At 0-6 dB on k = 11-15 codes 0-2 rows in 4096 did
 not; each of those is decided by ml_decode's exact core, one row at a
-time.  Decoder memory is two (min(TILE, max_trials), n) float64 buffers
-allocated once per call, the received tile and, at k > LOW_BITS, y; per
-tile, the list's (rows, L) scores (L <= 2^t) and the float32 stage's
+time.  Decoder memory is, for each point running, two (min(TILE,
+max_trials), n) float64 buffers allocated once per point, the received
+tile and, at k > LOW_BITS, y, and a batch's messages; per tile, the
+list's (rows, L) scores (L <= 2^t) and the float32 stage's
 (rows, 2^t) scores, cast rows and flips; and, per call, the list's L * n
 * 8 bytes and the float32 tables' (2^t + 2^(k-t)) * n * 4.  No
 2^k * n * 8 codebook is built.
@@ -40,11 +47,14 @@ noise of a batch is drawn tile by tile, which gives the same stream.  A
 stacked tile draws all its batches before decoding them; the stopping
 rule is still applied batch by batch in order, and batches drawn past
 the stop are discarded uncounted, which moves no counted trial since
-each point owns its generator.  At k <= LOW_BITS decisions rely on one
-GEMM fact: the float64 sum of one score does not depend on how many
-rows the same call computes (a tile has at least the rows of its batch,
-and tiles of a split batch keep at least TILE / 2 rows, away from BLAS's
-separate thin-matrix kernels); with that, a config reproduces its
+each point owns its generator.  Points may run concurrently: each owns
+its generator and buffers, and results are collected in point order, so
+no point's stream or result depends on the others.  At k <= LOW_BITS
+decisions rely on one GEMM fact: the float64 sum of one score does not
+depend on how many rows the same call computes (a tile has at least the
+rows of its batch, tiles of a split batch keep at least TILE / 2 rows,
+and the pieces of a pooled product more than 1200 / 2^k, away from
+BLAS's separate thin-matrix kernels); with that, a config reproduces its
 results bit-for-bit on any machine, and ties go to the lowest message.
 At k > LOW_BITS every decision is the exact-arithmetic ML message, ties
 to the lowest, and relies on no BLAS property: a certified row's test
@@ -54,6 +64,7 @@ the bounds in _decide_float32, and the rest are decided exactly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, inf
@@ -144,10 +155,34 @@ def _symbols(low: np.ndarray, high: np.ndarray, m, out: np.ndarray | None = None
     return np.multiply(low[m & (len(low) - 1)], high[m >> (len(low).bit_length() - 1)], out=out)
 
 
-def _decide(rx: np.ndarray, low: np.ndarray) -> np.ndarray:
+def _decide(rx: np.ndarray, low: np.ndarray, most: int = TILE) -> np.ndarray:
     """ML message for each row of rx at k <= LOW_BITS, where low spans the
-    whole codebook; ties break toward the lowest message."""
-    return np.argmax(rx @ low.T, axis=1)
+    whole codebook; ties break toward the lowest message.  The product is
+    computed in the _tiles(len(rx), most) row pieces: one, for a tile and
+    the default `most`."""
+    decided = np.empty(len(rx), dtype=np.intp)
+    for rows in _tiles(len(rx), most):
+        np.argmax(rx[rows] @ low.T, axis=1, out=decided[rows])
+    return decided
+
+
+def _piece_rows(k: int, n: int) -> int | None:
+    """Most rows of one piece of _decide's product when simulate_wer runs
+    the points of a (k, n) code concurrently, or None where they run one
+    after another.
+
+    Points run concurrently only for n * 2^k <= 2048, and only if every
+    piece can stay below 2^19 multiply-adds, which OpenBLAS 0.3 computes on
+    the calling thread (above that it wakes a worker thread, which spins on
+    the core another point needs), while keeping more than 1200 / 2^k rows,
+    clear of the thin kernels _tiles avoids.  The smallest piece of a cut
+    product, ceil(R / most) near-equal pieces of R > most rows, has at least
+    ceil(most / 2) rows (R = most + 1).
+    """
+    if n << k > 2048:
+        return None
+    most = ((1 << 19) - 1) // (n << k)
+    return most if (most + 1) // 2 > 1200 >> k else None
 
 
 def _light_codewords(code: PrCode) -> tuple[int, np.ndarray]:
@@ -280,13 +315,13 @@ def _decide_uncertified(rx: np.ndarray, y: np.ndarray, sent: np.ndarray,
     return sent
 
 
-def _tiles(b: int) -> Iterator[slice]:
-    """Row slices of a batch of b trials: the whole batch if b <= TILE,
-    else ceil(b / TILE) slices whose sizes differ by at most one, so each
-    has at least TILE / 2 rows.  Thin products take other BLAS kernels whose
+def _tiles(b: int, most: int = TILE) -> Iterator[slice]:
+    """Row slices of a batch of b trials: the whole batch if b <= most,
+    else ceil(b / most) slices whose sizes differ by at most one, so each
+    has at least most / 2 rows.  Thin products take other BLAS kernels whose
     sums can differ in the last bit (OpenBLAS 0.3.31 on an AVX-512 Xeon: one
     row, and rows * 2^t <= 1200 at n >= 32), so a batch is never cut into one."""
-    m = -(-b // TILE)
+    m = -(-b // most)
     return (slice(b * i // m, b * (i + 1) // m) for i in range(m))
 
 
@@ -335,6 +370,8 @@ def ml_decode(code: PrCode, received) -> int:
     differ, which is exact.  So the result does not depend on the BLAS
     kernel or its summation order.  A vector with many equal top scores (the
     zero vector ties all 2^k) costs one O(n) comparison per tied message.
+    A vector is refused unless fsum(|r|) <= 2^1022: then no score, and no
+    difference of two scores, can overflow.
     """
     check_k("exhaustive decoding", code.k, DECODER_CAP)
     r = np.asarray(received, dtype=np.float64)
@@ -342,6 +379,12 @@ def ml_decode(code: PrCode, received) -> int:
         raise ValueError(f"received vector must have length {code.n}")
     if not np.isfinite(r).all():
         raise ValueError("received vector must be finite")
+    try:
+        magnitude = fsum(np.abs(r))
+    except OverflowError:
+        magnitude = inf
+    if magnitude > 2.0 ** 1022:
+        raise ValueError("received vector's sum of magnitudes must be at most 2^1022")
     return _exact_ml(r, *_sign_tables(code))
 
 
@@ -365,6 +408,8 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     Each point draws uniform messages (or the zero message, for the
     linearity diagnostic), transmits over AWGN, ML-decodes, and counts
     message mismatches until target_word_errors or max_trials is hit.
+    Where _piece_rows allows, the points run on one thread per CPU (at most
+    one per point); each owns its generator and buffers.
     """
     code = cfg.code
     check_k("exhaustive decoding", code.k, DECODER_CAP)
@@ -372,16 +417,22 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     size = 1 << code.k
     batch = max(1, _BATCH_BUDGET // size)
     rows = min(TILE, cfg.max_trials)
-    ys = None
     if len(high) > 1:
-        # the scan's temporaries are freed before the buffers exist
         listing = _light_codewords(code)
-        ys = np.empty((rows, code.n))
         tables32 = (low.astype(np.float32), high.astype(np.float32))
-    buf = np.empty((rows, code.n))
+    points = list(enumerate(cfg.ebno_db_points))
+    pieces = _piece_rows(code.k, code.n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(points), cpus or 1) if pieces else 1
+    most = pieces if workers > 1 else TILE
 
-    def count(rng: np.random.Generator, sigma: float) -> tuple[int, int]:
+    def count(point: tuple[int, float]) -> tuple[int, int]:
         """(trials, word errors) of one point."""
+        idx, ebno_db = point
+        rng = np.random.default_rng(cfg.seed ^ idx)
+        sigma = _noise_sigma(ebno_db, code.k, code.n)
+        buf = np.empty((rows, code.n))
+        ys = None if len(high) == 1 else np.empty((rows, code.n))
         trials = errors = wrong = 0
         for tile in _stacked_tiles(batch, cfg.max_trials):
             drawn, filled = [], 0
@@ -405,7 +456,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 drawn.append((b, part, m))
                 filled += len(m)
             if ys is None:
-                decided = _decide(buf[:filled], low)
+                decided = _decide(buf[:filled], low, most)
             else:
                 sent = np.concatenate([m for _, _, m in drawn])
                 decided = _decide_uncertified(buf[:filled], ys[:filled], sent, listing, low, high,
@@ -422,17 +473,14 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                         return trials, errors
         return trials, errors
 
-    results = []
-    for idx, ebno_db in enumerate(cfg.ebno_db_points):
-        trials, errors = count(np.random.default_rng(cfg.seed ^ idx),
-                               _noise_sigma(ebno_db, code.k, code.n))
-        results.append(
-            SimResult(
-                ebno_db=ebno_db,
-                trials=trials,
-                word_errors=errors,
-                wer=errors / trials,
-                seed=cfg.seed,
-            )
-        )
-    return results
+    if workers > 1:
+        # imported here: concurrent.futures takes about 9 ms to import
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            counts = list(pool.map(count, points))
+    else:
+        counts = [count(point) for point in points]
+    return [SimResult(ebno_db=ebno_db, trials=trials, word_errors=errors,
+                      wer=errors / trials, seed=cfg.seed)
+            for (_, ebno_db), (trials, errors) in zip(points, counts)]

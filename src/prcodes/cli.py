@@ -127,13 +127,14 @@ def _exact_and_approx(k: int, n: int, which: str):
 
 def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
     k = poly.degree
+    gammas = [ebno_db_to_gamma(db, k, n) for db in points]  # refuse a bad point first
     if source == "exact":
         dist = weight_enumerator_exact(build_code(poly, n)).as_distribution()
     else:
         dist = avg_primal_approx(k, n, mode="primary")
     d = dmin_bound(dist)
-    return [(db, union_bound(dist, d, n, ebno_db_to_gamma(db, k, n), weighted=weighted))
-            for db in points]
+    return [(db, union_bound(dist, d, n, gamma, weighted=weighted))
+            for db, gamma in zip(points, gammas)]
 
 
 def _simulate_csv(args, name: str, code, points, max_trials: int,

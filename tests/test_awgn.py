@@ -2,7 +2,11 @@
 
 import copy
 import math
+import os
 import random
+import sys
+import threading
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +29,7 @@ from prcodes.awgn import (
     _decide_uncertified,
     _float32_slack,
     _light_codewords,
+    _piece_rows,
     _sign_tables,
     _symbols,
     _tiles,
@@ -189,6 +194,20 @@ def test_decode_rejects_non_finite(code20):
         rx[3] = bad
         with pytest.raises(ValueError):
             ml_decode(code20, rx)
+
+
+def test_decode_refuses_overflowing_magnitude(code20):
+    # sum|r| above 2^1022 could overflow a score or a difference of two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sum of magnitudes"):
+            ml_decode(code20, np.full(20, 1e308))
+        edge = np.zeros(20)
+        edge[:2] = 2.0 ** 1021
+        assert ml_decode(code20, edge) == ml_decode(code20, np.sign(edge))
+        edge[2] = -2.0 ** 970  # one unit in the last place of 2^1022
+        with pytest.raises(ValueError, match="sum of magnitudes"):
+            ml_decode(code20, edge)
 
 
 def test_decode_at_cap_needs_no_codebook():
@@ -690,7 +709,7 @@ def test_tiles_cover_a_batch_in_near_equal_slices():
         assert len(tiles) == 1 or min(sizes) >= TILE // 2, b
 
 
-@pytest.mark.parametrize("k", [2, 5, 9, 10])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_scores_do_not_depend_on_tile_rows(k):
     # simulate_wer decodes tile by tile what the contract defines per batch
     rng = np.random.default_rng(50 + k)
@@ -709,22 +728,142 @@ def test_scores_do_not_depend_on_tile_rows(k):
         for b in (4, 128, 512, 1024):
             alone = [_decide(rx[i:i + b], low) for i in range(0, TILE, b)]
             assert np.array_equal(stacked, np.concatenate(alone)), (n, b)
+    # with its points on a pool, simulate_wer cuts every product of a code with
+    # n * 2^k <= 2048 into pieces below 2^19 multiply-adds, each with more than
+    # 1200 / 2^k rows, unless no cut keeps both; none is pooled above k = 8
+    pooled = [n for n in range(k, (2048 >> k) + 1) if _piece_rows(k, n)]
+    assert all(_piece_rows(k, n) is None for n in range(max(k, (2048 >> k) + 1), 2100))
+    assert bool(pooled) == (k <= 8)
+    noise = rng.standard_normal((TILE, 2048 >> k))
+    for n in range(k, (2048 >> k) + 1):
+        most = _piece_rows(k, n)
+        fewest = ((1 << 19) - 1) // (n << k)  # the most rows a piece may have
+        if most is None:
+            assert (fewest + 1) // 2 << k <= 1200, n  # R = fewest + 1 needs a thin piece
+            continue
+        assert most == fewest, n
+        # every tile size R: sizes R // m and ceil(R / m) of m = ceil(R / most) pieces
+        r = np.arange(1, TILE + 1)
+        m = -(-r // most)
+        assert (-(-r // m) * (n << k) < 1 << 19).all(), n
+        assert ((m == 1) | (r // m << k > 1200)).all(), n
+        code = build_code(first_primitive(k), n)
+        low, _ = _sign_tables(code)
+        for b in sorted({TILE, min(TILE, most + 1)}):
+            rx = np.ascontiguousarray(noise[:b, :n])
+            pieces = list(_tiles(b, most))
+            assert np.array_equal(rx @ low.T, np.concatenate([rx[s] @ low.T for s in pieces])), \
+                (n, b)
+            assert np.array_equal(_decide(rx, low, most), _decide(rx, low)), (n, b)
 
 
-@pytest.mark.parametrize("k, n", [(3, 20), (4, 32)])
-def test_simulate_memory_is_tile_sized(k, n):
-    # whole-batch noise, symbol and score arrays would take 63 and 99 MiB
+@pytest.mark.parametrize("k, n, points", [(3, 20, (4.0,)), (4, 32, (4.0,)), (4, 32, (4.0, 5.0))],
+                         ids=["3-20", "4-32", "4-32-two-points"])
+def test_simulate_memory_is_tile_sized(monkeypatch, k, n, points):
+    # whole-batch noise, symbol and score arrays would take 63 and 99 MiB.
+    # Two points on two CPUs run at once, each with its own buffers and a
+    # batch of 2^18 messages (2 MiB)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code = build_code(first_primitive(k), n)
-    cfg = SimConfig(code=code, ebno_db_points=(4.0,), max_trials=200_000,
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=200_000,
                     target_word_errors=10**6, seed=3)
     tracemalloc.start()
     try:
-        (res,) = simulate_wer(cfg)
+        results = simulate_wer(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.trials == 200_000
+    assert [res.trials for res in results] == [200_000] * len(points)
     assert peak < 8 * 2**20
+
+
+POOLED = [(k, n) for k in range(2, 7) for n in sorted({k, 20, 32})] + [(2, 218), (3, 217)]
+
+
+def decide_threads(monkeypatch, cpus):
+    """Claim `cpus` CPUs, and record (rows, most, thread) of each _decide call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    calls = []
+    real = awgn._decide
+
+    def wrapper(rx, low, most):
+        calls.append((len(rx), most, threading.get_ident()))
+        return real(rx, low, most)
+
+    monkeypatch.setattr(awgn, "_decide", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("k, n", POOLED)
+@pytest.mark.parametrize("max_trials, zero_only", [
+    (3 * TILE + 300, False),  # a short batch, cut into tiles and each tile into pieces
+    (TILE - 300, False),  # one tile below TILE
+    (700, False),
+    (3 * TILE + 300, True),
+])
+def test_pooled_simulate_matches_reference_loop(monkeypatch, k, n, max_trials, zero_only):
+    assert n == k or n << k <= 2048
+    most = _piece_rows(k, n)
+    assert most
+    calls = decide_threads(monkeypatch, 2)
+    code = build_code(first_primitive(k), n)
+    points = (0.0, 2.0, 4.0)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=max_trials,
+                    target_word_errors=10**6, seed=k * 1000 + n)
+    got = [(r.trials, r.word_errors)
+           for r in simulate_wer(cfg, zero_codeword_only=zero_only)]
+    assert got == ref_wer_counts(code, points, max_trials, 10**6, cfg.seed, zero_only)
+    assert got[0][1]
+    assert {m for _, m, _ in calls} == {most}
+    assert threading.get_ident() not in {thread for *_, thread in calls}  # decided on the pool
+
+
+@pytest.mark.parametrize("k, n", [(5, 20), (6, 32)])
+def test_pooled_simulate_stops_early(monkeypatch, k, n):
+    # three points stop at the end of their first batch, and one runs to
+    # max_trials, two batches and a short one
+    calls = decide_threads(monkeypatch, 2)
+    code = build_code(first_primitive(k), n)
+    batch = (1 << 22) >> k
+    points = (0.0, 5.0, 6.0, 12.0)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=2 * batch + 777,
+                    target_word_errors=3, seed=k * 1000 + n + 1)
+    got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    assert got == ref_wer_counts(code, points, cfg.max_trials, 3, cfg.seed)
+    assert [trials for trials, _ in got] == [batch] * 3 + [cfg.max_trials]
+    assert threading.get_ident() not in {thread for *_, thread in calls}
+
+
+def test_pooled_simulate_with_more_workers_than_cores(monkeypatch):
+    # six workers on the machine's cores, switching threads often: each point
+    # still gets its own generator and buffers
+    calls = decide_threads(monkeypatch, 6)
+    code = build_code(first_primitive(4), 32)
+    points = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=3 * TILE + 300,
+                    target_word_errors=10**6, seed=41)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == ref_wer_counts(code, points, cfg.max_trials, 10**6, cfg.seed)
+    assert threading.get_ident() not in {thread for *_, thread in calls}
+
+
+@pytest.mark.parametrize("k, n, points", [(4, 32, (1.0,)), (7, 20, (1.0, 2.0)),
+                                          (9, 9, (1.0, 2.0)), (4, 32, (1.0, 2.0))])
+def test_simulate_pools_only_several_points_of_small_codes(monkeypatch, k, n, points):
+    # one point, or a code that _piece_rows leaves serial, keeps one product a tile
+    calls = decide_threads(monkeypatch, 2)
+    code = build_code(first_primitive(k), n)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=TILE + 1,
+                    target_word_errors=10**6, seed=5)
+    simulate_wer(cfg)
+    pooled = len(points) > 1 and _piece_rows(k, n) is not None
+    assert {m for _, m, _ in calls} == {_piece_rows(k, n) if pooled else TILE}
+    assert (threading.get_ident() in {thread for *_, thread in calls}) != pooled
 
 
 @pytest.mark.parametrize("ebno_db", [0.0, 4.0])

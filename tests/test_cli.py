@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from prcodes import cli
 from prcodes.cli import run
 from prcodes.construct import build_code
 from prcodes.gf2 import BitPoly, enumerate_primitives
@@ -223,6 +224,21 @@ def test_unrepresentable_snr_is_domain_error(tmp_path, capsys, command, snrs, ba
     out = tmp_path / "out"
     assert run(command + [f"--ebno-list={snrs}", "--outdir", str(out)]) == 1
     assert f"error: Eb/N0 = {bad} dB gives" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("source", ["exact", "approx9"])
+def test_union_bound_refuses_snr_before_enumerator(monkeypatch, tmp_path, capsys, source):
+    # an unrepresentable point is refused before any weight profile is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("weight profile computed before the SNR check")
+
+    monkeypatch.setattr(cli, "weight_enumerator_exact", refuse)
+    monkeypatch.setattr(cli, "avg_primal_approx", refuse)
+    out = tmp_path / "out"
+    assert run(["union-bound", "--poly", "0x400003", "--n", "110", "--source", source,
+                "--ebno-list=3,3090", "--outdir", str(out)]) == 1
+    assert "error: Eb/N0 = 3090.0 dB gives" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
