@@ -9,12 +9,13 @@ decoded in tiles of at most TILE rows: a batch larger than TILE is cut
 into near-equal tiles, and consecutive batches of at most TILE / 2
 trials (k >= 12) are decoded stacked, as many whole batches as fit in
 one tile.  At k <= LOW_BITS a tile is decided by one product against
-low, the whole codebook.  For a code with n * 2^k <= 2048 whose product
-can be cut as _piece_rows says (every k <= 6 code at n <= 32), the SNR
+low, the whole codebook.  For a code with n * 2^k <= 2048 whose tiles
+can be sized as _piece_rows says (every k <= 6 code at n <= 32), the SNR
 points of a run go to a pool of one thread per CPU, up to one per
-point, and that product is cut into row pieces of under 2^19
-multiply-adds, which OpenBLAS computes on the calling thread; so the
-points' normal draws, which release the GIL, run on every core.
+point, and each point's tiles hold at most _piece_rows rows in place of
+TILE, so that every product is under 2^19 multiply-adds, which OpenBLAS
+computes on the calling thread; so the points' normal draws, which
+release the GIL, run on every core.
 With more than one high block (k > LOW_BITS),
 the simulator knows each row's sent message m and first tries to
 certify it against a list, made once per call, of every codeword
@@ -31,8 +32,9 @@ float32 copies of the tables, and a row whose float32 best beats its
 runner-up by more than every rounding could close settles there as the
 exact ML message.  At 0-6 dB on k = 11-15 codes 0-2 rows in 4096 did
 not; each of those is decided by ml_decode's exact core, one row at a
-time.  Decoder memory is, for each point running, two (min(TILE,
-max_trials), n) float64 buffers allocated once per point, the received
+time.  Decoder memory is, for each point running, two (min(T,
+max_trials), n) float64 buffers allocated once per point, T the most rows
+of a tile (TILE, or _piece_rows on a pool), the received
 tile and, at k > LOW_BITS, y, and a batch's messages; per tile, the
 list's (rows, L) scores (L <= 2^t) and the float32 stage's
 (rows, 2^t) scores, cast rows and flips; and, per call, the list's L * n
@@ -52,9 +54,9 @@ its generator and buffers, and results are collected in point order, so
 no point's stream or result depends on the others.  At k <= LOW_BITS
 decisions rely on one GEMM fact: the float64 sum of one score does not
 depend on how many rows the same call computes (a tile has at least the
-rows of its batch, tiles of a split batch keep at least TILE / 2 rows,
-and the pieces of a pooled product more than 1200 / 2^k, away from
-BLAS's separate thin-matrix kernels); with that, a config reproduces its
+rows of its batch, and tiles of a split batch keep at least half of T:
+TILE / 2 rows, or on a pool more than 1200 / 2^k, away from BLAS's
+separate thin-matrix kernels); with that, a config reproduces its
 results bit-for-bit on any machine, and ties go to the lowest message.
 At k > LOW_BITS every decision is the exact-arithmetic ML message, ties
 to the lowest, and relies on no BLAS property: a certified row's test
@@ -155,29 +157,26 @@ def _symbols(low: np.ndarray, high: np.ndarray, m, out: np.ndarray | None = None
     return np.multiply(low[m & (len(low) - 1)], high[m >> (len(low).bit_length() - 1)], out=out)
 
 
-def _decide(rx: np.ndarray, low: np.ndarray, most: int = TILE) -> np.ndarray:
+def _decide(rx: np.ndarray, low: np.ndarray) -> np.ndarray:
     """ML message for each row of rx at k <= LOW_BITS, where low spans the
-    whole codebook; ties break toward the lowest message.  The product is
-    computed in the _tiles(len(rx), most) row pieces: one, for a tile and
-    the default `most`."""
-    decided = np.empty(len(rx), dtype=np.intp)
-    for rows in _tiles(len(rx), most):
-        np.argmax(rx[rows] @ low.T, axis=1, out=decided[rows])
-    return decided
+    whole codebook, by one product; ties break toward the lowest message."""
+    return np.argmax(rx @ low.T, axis=1)
 
 
 def _piece_rows(k: int, n: int) -> int | None:
-    """Most rows of one piece of _decide's product when simulate_wer runs
-    the points of a (k, n) code concurrently, or None where they run one
-    after another.
+    """Most rows of a tile, in place of TILE, when simulate_wer runs the
+    points of a (k, n) code concurrently, or None where they run one after
+    another.
 
     Points run concurrently only for n * 2^k <= 2048, and only if every
-    piece can stay below 2^19 multiply-adds, which OpenBLAS 0.3 computes on
-    the calling thread (above that it wakes a worker thread, which spins on
-    the core another point needs), while keeping more than 1200 / 2^k rows,
-    clear of the thin kernels _tiles avoids.  The smallest piece of a cut
-    product, ceil(R / most) near-equal pieces of R > most rows, has at least
-    ceil(most / 2) rows (R = most + 1).
+    tile's product can stay below 2^19 multiply-adds, which OpenBLAS 0.3
+    computes on the calling thread (above that it wakes a worker thread,
+    which spins on the core another point needs), while a tile of a split
+    batch keeps more than 1200 / 2^k rows, clear of the thin kernels _tiles
+    avoids.  The smallest tile of a split batch, ceil(R / most) near-equal
+    tiles of R > most rows, has at least ceil(most / 2) rows (R = most + 1).
+    A batch, 2^22 / 2^k trials, has more than `most` rows, so no tile
+    stacks batches.
     """
     if n << k > 2048:
         return None
@@ -325,16 +324,17 @@ def _tiles(b: int, most: int = TILE) -> Iterator[slice]:
     return (slice(b * i // m, b * (i + 1) // m) for i in range(m))
 
 
-def _stacked_tiles(batch: int, max_trials: int) -> Iterator[list[tuple[int, slice]]]:
-    """The tiles of one point's batches in draw order, each a list of
-    (batch size, rows of that batch): as many whole consecutive batches as
-    fit in TILE rows, or one _tiles slice of a batch larger than TILE."""
-    stack = max(1, TILE // batch)
+def _stacked_tiles(batch: int, max_trials: int, most: int) -> Iterator[list[tuple[int, slice]]]:
+    """The tiles of at most `most` rows of one point's batches in draw
+    order, each a list of (batch size, rows of that batch): as many whole
+    consecutive batches as fit in `most` rows, or one _tiles(b, most) slice
+    of a batch of b > most rows."""
+    stack = max(1, most // batch)
     for first in range(0, max_trials, stack * batch):
         sizes = [min(batch, max_trials - s)
                  for s in range(first, min(max_trials, first + stack * batch), batch)]
         if stack == 1:
-            yield from ([(sizes[0], rows)] for rows in _tiles(sizes[0]))
+            yield from ([(sizes[0], rows)] for rows in _tiles(sizes[0], most))
         else:
             yield [(b, slice(0, b)) for b in sizes]
 
@@ -416,15 +416,15 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     low, high = _sign_tables(code)
     size = 1 << code.k
     batch = max(1, _BATCH_BUDGET // size)
-    rows = min(TILE, cfg.max_trials)
     if len(high) > 1:
         listing = _light_codewords(code)
         tables32 = (low.astype(np.float32), high.astype(np.float32))
     points = list(enumerate(cfg.ebno_db_points))
-    pieces = _piece_rows(code.k, code.n)
+    cap = _piece_rows(code.k, code.n)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(points), cpus or 1) if pieces else 1
-    most = pieces if workers > 1 else TILE
+    workers = min(len(points), cpus or 1) if cap else 1
+    most = cap if workers > 1 else TILE
+    rows = min(most, cfg.max_trials)
 
     def count(point: tuple[int, float]) -> tuple[int, int]:
         """(trials, word errors) of one point."""
@@ -434,7 +434,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
         buf = np.empty((rows, code.n))
         ys = None if len(high) == 1 else np.empty((rows, code.n))
         trials = errors = wrong = 0
-        for tile in _stacked_tiles(batch, cfg.max_trials):
+        for tile in _stacked_tiles(batch, cfg.max_trials, most):
             drawn, filled = [], 0
             for b, part in tile:
                 if part.start == 0:
@@ -456,7 +456,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                 drawn.append((b, part, m))
                 filled += len(m)
             if ys is None:
-                decided = _decide(buf[:filled], low, most)
+                decided = _decide(buf[:filled], low)
             else:
                 sent = np.concatenate([m for _, _, m in drawn])
                 decided = _decide_uncertified(buf[:filled], ys[:filled], sent, listing, low, high,

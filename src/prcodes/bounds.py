@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .errors import TheoremViolationError
 from .gf2 import BitPoly
-from .weights import RealDistribution, ensemble_enumerators, summed_counts
+from .weights import RealDistribution, ensemble_enumerators
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,14 @@ def dmin_bound(abar: RealDistribution) -> int:
     least 2; a profile with total mass <= 1 above weight 2 yields n.
     Accumulation is plain left-to-right with no epsilon slack.
     """
-    best = 2
-    acc = 0.0
-    for d in range(3, abar.n + 1):
-        acc += abar.values[d]
-        if acc <= 1.0:
-            best = d
-    return best
+    return dmin_bound_exact(1.0, abar.values)
 
 
 def dmin_bound_exact(count: int, sums: Sequence[int]) -> int:
     """dmin_bound of the average profile sums / count, decided in integers:
-    the largest d with sum_{j=3..d} sums[j] <= count, at least 2."""
+    the largest d with sum_{j=3..d} sums[j] <= count, at least 2.  Given
+    float masses and a limit, the sum runs left to right from an exact
+    0 + sums[3]."""
     best = 2
     acc = 0
     for d in range(3, len(sums)):
@@ -119,8 +115,8 @@ def verify_existence(k: int, n: int) -> DminReport:
     if n < 2 * k:
         raise ValueError(f"existence argument requires n >= 2k = {2 * k}, got {n}")
     members = ensemble_enumerators(k, n)
-    _, count, sums = summed_counts(enum for _, enum in members)
-    d = dmin_bound_exact(count, sums)
+    sums = [sum(column) for column in zip(*(enum.counts for _, enum in members))]
+    d = dmin_bound_exact(len(members), sums)
     gv = gv_distance(n, k)
     for poly, enum in members:
         wd = enum.min_nonzero_weight()

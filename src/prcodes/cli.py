@@ -202,8 +202,8 @@ def _cmd_dmin(args):
               f"witness={rep.witness_poly.to_hex()} witness_d={witness}")
         row = (n, d, witness)
     else:
-        _, count, sums = ensemble_summed_counts(k, n)
-        d = dmin_bound_exact(count, sums)
+        pairs, sums = ensemble_summed_counts(k, n)
+        d = dmin_bound_exact(pairs, sums)
         print(f"dmin_bound={d} gv={gv_distance(n, k)}")
         row = (n, d, "")
     _write_csv(args, f"dmin_k{k}_n{n}.csv",

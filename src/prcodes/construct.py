@@ -153,9 +153,10 @@ def verify_disjoint(p1: BitPoly, p2: BitPoly, n: int) -> bool:
     """Whether two codes share no nonzero codeword.
 
     Both polynomials must be distinct maximal-period generators of the
-    same degree k, and n must be at least 2k: below that, windows are
-    short enough for two different recurrences to produce the same
-    nonzero word, and the disjointness guarantee does not apply.
+    same degree k (build_code rejects one that is not), and n must be at
+    least 2k: below that, windows are short enough for two different
+    recurrences to produce the same nonzero word, and the disjointness
+    guarantee does not apply.
     """
     if p1 == p2:
         raise ValueError("connection polynomials must differ")
@@ -164,7 +165,4 @@ def verify_disjoint(p1: BitPoly, p2: BitPoly, n: int) -> bool:
         raise ValueError("connection polynomials must have the same degree")
     if n < 2 * k:
         raise ValueError(f"disjointness requires n >= 2k = {2 * k}, got {n}")
-    for p in (p1, p2):
-        if not is_primitive(p):
-            raise ValueError(f"{p!r} does not generate a maximum-length sequence")
     return not _share_nonzero_codeword(build_code(p1, n), build_code(p2, n))

@@ -120,25 +120,24 @@ def _window_weights(k: int, n: int, first: int,
 
 
 def _window_counts(k: int, n: int, first: int,
-                   chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> list[int]:
-    """A_0..A_n of the n-windows of one period-(2^k - 1) sequence, from
-    _window_weights' chunks and first: every phase once, plus the zero word.
-    A window weighs lightest + 0..r, so each chunk is binned over r + 1 places."""
+                   chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """A_0..A_n, as int64, of the n-windows of one period-(2^k - 1) sequence,
+    from _window_weights' chunks and first: every phase once, plus the zero
+    word.  A window weighs lightest + 0..r, so each chunk is binned over
+    r + 1 places."""
     laps, r = divmod(n, (1 << k) - 1)
     lightest = laps << (k - 1)
-    shifted = np.zeros(r + 1, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[0] = 1
     for weights in _window_weights(k, n, first, chunks):
         weights -= lightest
-        shifted += np.bincount(weights, minlength=r + 1)
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for i in np.flatnonzero(shifted):
-        counts[lightest + i] += int(shifted[i])
+        counts[lightest:lightest + r + 1] += np.bincount(weights, minlength=r + 1)
     return counts
 
 
-def _span_counts(rows: Sequence[int], n: int) -> list[int]:
-    """A_0..A_n of the GF(2) span of k linearly independent n-bit rows.
+def _span_counts(rows: Sequence[int], n: int) -> np.ndarray:
+    """A_0..A_n, as int64, of the GF(2) span of k linearly independent
+    n-bit rows.
 
     The codewords of the low min(k, SPAN_LOW_BITS) rows are built once by
     XOR doubling, as ceil(n/64) planes of uint64 words, one column per
@@ -166,7 +165,7 @@ def _span_counts(rows: Sequence[int], n: int) -> list[int]:
         np.bitwise_xor(block, flip[:, None], out=coset)
         np.bitwise_count(coset, out=ones)
         counts += np.bincount(ones.sum(axis=0, dtype=weight), minlength=n + 1)
-    return counts.tolist()
+    return counts
 
 
 def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
@@ -183,7 +182,7 @@ def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
         r = code.n % ((1 << code.k) - 1)
         first = (code.rows[0] & ((1 << r) - 1)).bit_count()  # row 0 is s_0..s_(n-1)
         counts = _window_counts(code.k, code.n, first, sequence_chunks(code.poly, (0, r)))
-    return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts))
+    return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +247,10 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 #
 # One decimation per class of gf2.pair_leaders covers a reciprocal pair.
 
-def _pair_members(k: int, n: int) -> Iterator[WeightEnumerator]:
-    """Length-n enumerators of one code per reciprocal pair of degree k, in
-    gf2.pair_leaders order (k = 2 has a single, self-reciprocal code)."""
+def _pair_members(k: int, n: int) -> Iterator[np.ndarray]:
+    """Length-n counts A_0..A_n, as int64, of one code per reciprocal pair
+    of degree k, in gf2.pair_leaders order (k = 2 has a single,
+    self-reciprocal code)."""
     check_k("ensemble enumeration", k, ENSEMBLE_CAP, low=2)
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
@@ -262,16 +262,14 @@ def _pair_members(k: int, n: int) -> Iterator[WeightEnumerator]:
         for d in pair_leaders(k):
             u = np.packbits(base[steps * d % period], bitorder="little")
             bits = int.from_bytes(u.tobytes(), "little")
-            counts = _span_counts([(bits >> j) & mask for j in range(k)], n)
-            yield WeightEnumerator(n=n, dim=k, counts=tuple(counts))
+            yield _span_counts([(bits >> j) & mask for j in range(k)], n)
         return
     r = n % period
     # d t mod P in 32 bits while (P - 1)^2 fits
     phases = np.arange(period, dtype=np.uint32 if period <= 0xFFFF else np.uint64)
     for d in pair_leaders(k):
         u = base[phases * d % period]
-        counts = _window_counts(k, n, int(np.count_nonzero(u[:r])), [(u, np.roll(u, -r))])
-        yield WeightEnumerator(n=n, dim=k, counts=tuple(counts))
+        yield _window_counts(k, n, int(np.count_nonzero(u[:r])), [(u, np.roll(u, -r))])
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
@@ -280,59 +278,51 @@ def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator
     1/x) and gf2's (powers of x), so both name one reciprocal pair."""
     members = list(_pair_members(k, n))  # its range checks run before any polynomial work
     out = []
-    for p, enum in zip(pair_polynomials(k), members):
+    for p, counts in zip(pair_polynomials(k), members):
+        enum = WeightEnumerator(n=n, dim=k, counts=tuple(counts.tolist()))
         out.extend((q, enum) for q in {p, p.reciprocal()})
     return sorted(out, key=lambda member: member[0].mask)
 
 
-def summed_counts(enums: Iterable[WeightEnumerator]) -> tuple[int, int, list[int]]:
-    """(dim, number of enumerators, their counts summed per weight) for
-    enumerators that share one (n, dim), summed as integers."""
-    count, sums = 0, None
-    for e in enums:
-        if sums is None:
-            n, dim, sums = e.n, e.dim, list(e.counts)
-        elif (e.n, e.dim) != (n, dim):
-            raise ValueError("enumerators must share length and dimension")
-        else:
-            sums = [a + b for a, b in zip(sums, e.counts)]
-        count += 1
-    if sums is None:
-        raise ValueError("need at least one enumerator")
-    return dim, count, sums
+def ensemble_summed_counts(k: int, n: int) -> tuple[int, list[int]]:
+    """(pairs, sums): the number of reciprocal pairs of degree k, and the
+    counts of one code per pair summed per weight.  Both codes of a pair
+    share one enumerator, so sums[j] / pairs is, as an exact fraction, the
+    average A_j over all the codes.
 
-
-def average_of(enums: Iterable[WeightEnumerator]) -> tuple[RealDistribution, RealDistribution]:
-    """Exact average primal and dual distributions of codes of one (n, dim).
-
-    The summed_counts totals are divided by the code count and rounded to
-    float once.  The dual average is the transform of the summed primal
-    counts, which by linearity equals the average of the per-code duals.
+    The pairs' counts are added as they stream, so memory stays O(n).  The
+    sums must hold one zero word per pair and 2^k codewords per pair, or
+    InconsistentEnumeratorError is raised.
     """
-    dim, count, primal_sum = summed_counts(enums)
-    n = len(primal_sum) - 1
-    dual_sum = _transform_counts(primal_sum, n, dim)
-    primal = tuple(float(Fraction(s, count)) for s in primal_sum)
-    dual = tuple(float(Fraction(s, count)) for s in dual_sum)
-    return (
-        RealDistribution(n=n, values=primal, label="exact-avg-primal"),
-        RealDistribution(n=n, values=dual, label="exact-avg-dual"),
-    )
+    pairs, total = 0, 0  # total becomes a new array at the first pair
+    for counts in _pair_members(k, n):
+        total += counts
+        pairs += 1
+    sums = total.tolist()
+    if sums[0] != pairs or sum(sums) != pairs << k:
+        raise InconsistentEnumeratorError(
+            f"counts summed over {pairs} pairs hold {sums[0]} zero words and "
+            f"{sum(sums)} codewords, not {pairs} and {pairs << k}"
+        )
+    return pairs, sums
 
 
 def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistribution]:
     """Exact average primal and dual weight distributions for degree k.
 
-    Both codes of a reciprocal pair share one enumerator, so the average
-    over one code per pair is, as an exact fraction, the average over all.
+    The ensemble_summed_counts totals are divided by the pair count and
+    rounded to float once.  The dual average is the transform of the
+    summed primal counts, which by linearity equals the average of the
+    per-code duals.
     """
-    return average_of(_pair_members(k, n))
-
-
-def ensemble_summed_counts(k: int, n: int) -> tuple[int, int, list[int]]:
-    """summed_counts over one code per reciprocal pair of degree k; their
-    ratios to the code count are the exact averages over all the codes."""
-    return summed_counts(_pair_members(k, n))
+    pairs, primal_sum = ensemble_summed_counts(k, n)
+    dual_sum = _transform_counts(primal_sum, n, k)
+    primal = tuple(float(Fraction(s, pairs)) for s in primal_sum)
+    dual = tuple(float(Fraction(s, pairs)) for s in dual_sum)
+    return (
+        RealDistribution(n=n, values=primal, label="exact-avg-primal"),
+        RealDistribution(n=n, values=dual, label="exact-avg-dual"),
+    )
 
 
 # ---------------------------------------------------------------------------

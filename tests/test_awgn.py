@@ -728,33 +728,34 @@ def test_scores_do_not_depend_on_tile_rows(k):
         for b in (4, 128, 512, 1024):
             alone = [_decide(rx[i:i + b], low) for i in range(0, TILE, b)]
             assert np.array_equal(stacked, np.concatenate(alone)), (n, b)
-    # with its points on a pool, simulate_wer cuts every product of a code with
-    # n * 2^k <= 2048 into pieces below 2^19 multiply-adds, each with more than
-    # 1200 / 2^k rows, unless no cut keeps both; none is pooled above k = 8
+    # with its points on a pool, simulate_wer caps the tiles of a code with
+    # n * 2^k <= 2048 at _piece_rows rows: each product stays below 2^19
+    # multiply-adds, and each tile of a split batch keeps more than 1200 / 2^k
+    # rows, unless no cap keeps both; none is pooled above k = 8
     pooled = [n for n in range(k, (2048 >> k) + 1) if _piece_rows(k, n)]
     assert all(_piece_rows(k, n) is None for n in range(max(k, (2048 >> k) + 1), 2100))
     assert bool(pooled) == (k <= 8)
-    noise = rng.standard_normal((TILE, 2048 >> k))
     for n in range(k, (2048 >> k) + 1):
         most = _piece_rows(k, n)
-        fewest = ((1 << 19) - 1) // (n << k)  # the most rows a piece may have
+        fewest = ((1 << 19) - 1) // (n << k)  # the most rows a tile may have
         if most is None:
-            assert (fewest + 1) // 2 << k <= 1200, n  # R = fewest + 1 needs a thin piece
+            assert (fewest + 1) // 2 << k <= 1200, n  # R = fewest + 1 needs a thin tile
             continue
-        assert most == fewest, n
-        # every tile size R: sizes R // m and ceil(R / m) of m = ceil(R / most) pieces
-        r = np.arange(1, TILE + 1)
+        assert most == fewest < (1 << 22) >> k, n  # a batch never stacks
+        # every batch size R: sizes R // m and ceil(R / m) of m = ceil(R / most) tiles
+        r = np.arange(1, 4 * most + 1)
         m = -(-r // most)
         assert (-(-r // m) * (n << k) < 1 << 19).all(), n
         assert ((m == 1) | (r // m << k > 1200)).all(), n
         code = build_code(first_primitive(k), n)
         low, _ = _sign_tables(code)
-        for b in sorted({TILE, min(TILE, most + 1)}):
-            rx = np.ascontiguousarray(noise[:b, :n])
-            pieces = list(_tiles(b, most))
-            assert np.array_equal(rx @ low.T, np.concatenate([rx[s] @ low.T for s in pieces])), \
+        for b in sorted({TILE, most + 1}):
+            rx = rng.standard_normal((b, n))
+            tiles = list(_tiles(b, most))
+            assert np.array_equal(rx @ low.T, np.concatenate([rx[s] @ low.T for s in tiles])), \
                 (n, b)
-            assert np.array_equal(_decide(rx, low, most), _decide(rx, low)), (n, b)
+            assert np.array_equal(_decide(rx, low),
+                                  np.concatenate([_decide(rx[s], low) for s in tiles])), (n, b)
 
 
 @pytest.mark.parametrize("k, n, points", [(3, 20, (4.0,)), (4, 32, (4.0,)), (4, 32, (4.0, 5.0))],
@@ -781,14 +782,14 @@ POOLED = [(k, n) for k in range(2, 7) for n in sorted({k, 20, 32})] + [(2, 218),
 
 
 def decide_threads(monkeypatch, cpus):
-    """Claim `cpus` CPUs, and record (rows, most, thread) of each _decide call."""
+    """Claim `cpus` CPUs, and record (rows, thread) of each _decide product."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     calls = []
     real = awgn._decide
 
-    def wrapper(rx, low, most):
-        calls.append((len(rx), most, threading.get_ident()))
-        return real(rx, low, most)
+    def wrapper(rx, low):
+        calls.append((len(rx), threading.get_ident()))
+        return real(rx, low)
 
     monkeypatch.setattr(awgn, "_decide", wrapper)
     return calls
@@ -796,7 +797,7 @@ def decide_threads(monkeypatch, cpus):
 
 @pytest.mark.parametrize("k, n", POOLED)
 @pytest.mark.parametrize("max_trials, zero_only", [
-    (3 * TILE + 300, False),  # a short batch, cut into tiles and each tile into pieces
+    (3 * TILE + 300, False),  # a short batch, cut into tiles of at most _piece_rows rows
     (TILE - 300, False),  # one tile below TILE
     (700, False),
     (3 * TILE + 300, True),
@@ -814,8 +815,11 @@ def test_pooled_simulate_matches_reference_loop(monkeypatch, k, n, max_trials, z
            for r in simulate_wer(cfg, zero_codeword_only=zero_only)]
     assert got == ref_wer_counts(code, points, max_trials, 10**6, cfg.seed, zero_only)
     assert got[0][1]
-    assert {m for _, m, _ in calls} == {most}
-    assert threading.get_ident() not in {thread for *_, thread in calls}  # decided on the pool
+    # every product is one tile: below 2^19 multiply-adds, and clear of the thin kernels
+    rows = sorted(r for r, _ in calls)
+    assert rows == sorted([s.stop - s.start for s in _tiles(max_trials, most)] * len(points))
+    assert rows[-1] <= most and rows[0] << k > 1200
+    assert threading.get_ident() not in {thread for _, thread in calls}  # decided on the pool
 
 
 @pytest.mark.parametrize("k, n", [(5, 20), (6, 32)])
@@ -831,7 +835,7 @@ def test_pooled_simulate_stops_early(monkeypatch, k, n):
     got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
     assert got == ref_wer_counts(code, points, cfg.max_trials, 3, cfg.seed)
     assert [trials for trials, _ in got] == [batch] * 3 + [cfg.max_trials]
-    assert threading.get_ident() not in {thread for *_, thread in calls}
+    assert threading.get_ident() not in {thread for _, thread in calls}
 
 
 def test_pooled_simulate_with_more_workers_than_cores(monkeypatch):
@@ -849,21 +853,23 @@ def test_pooled_simulate_with_more_workers_than_cores(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == ref_wer_counts(code, points, cfg.max_trials, 10**6, cfg.seed)
-    assert threading.get_ident() not in {thread for *_, thread in calls}
+    assert threading.get_ident() not in {thread for _, thread in calls}
 
 
 @pytest.mark.parametrize("k, n, points", [(4, 32, (1.0,)), (7, 20, (1.0, 2.0)),
                                           (9, 9, (1.0, 2.0)), (4, 32, (1.0, 2.0))])
 def test_simulate_pools_only_several_points_of_small_codes(monkeypatch, k, n, points):
-    # one point, or a code that _piece_rows leaves serial, keeps one product a tile
+    # one point, or a code that _piece_rows leaves serial, keeps tiles of up to TILE rows
     calls = decide_threads(monkeypatch, 2)
     code = build_code(first_primitive(k), n)
     cfg = SimConfig(code=code, ebno_db_points=points, max_trials=TILE + 1,
                     target_word_errors=10**6, seed=5)
     simulate_wer(cfg)
     pooled = len(points) > 1 and _piece_rows(k, n) is not None
-    assert {m for _, m, _ in calls} == {_piece_rows(k, n) if pooled else TILE}
-    assert (threading.get_ident() in {thread for *_, thread in calls}) != pooled
+    most = _piece_rows(k, n) if pooled else TILE
+    assert sorted(r for r, _ in calls) == sorted(
+        [s.stop - s.start for s in _tiles(TILE + 1, most)] * len(points))
+    assert (threading.get_ident() in {thread for _, thread in calls}) != pooled
 
 
 @pytest.mark.parametrize("ebno_db", [0.0, 4.0])

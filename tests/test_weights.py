@@ -4,6 +4,7 @@ closed-form approximations, and KL divergence."""
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,11 @@ from prcodes.weights import (
     _krawtchouk_table,
     _span_counts,
     _window_counts,
-    average_of,
     avg_dual_approx,
     avg_primal_approx,
     ensemble_average_exact,
     ensemble_enumerators,
+    ensemble_summed_counts,
     kld,
     krawtchouk,
     macwilliams,
@@ -131,7 +132,7 @@ def test_enumerator_across_chunk_boundaries(monkeypatch, chunk):
             expected = ref_weight_counts(p.mask, n)
             assert list(enum.counts) == expected, f"{p} n={n}"
             # the window kernel directly, since short codes take the span kernel
-            assert _window_counts(p.degree, n, *windows(p, n)) == expected, f"{p} n={n}"
+            assert _window_counts(p.degree, n, *windows(p, n)).tolist() == expected, f"{p} n={n}"
 
 
 # window lengths around one, two and three 64-bit planes, the largest span
@@ -151,8 +152,8 @@ def _kernel_cases(k):
 @pytest.mark.parametrize("k", range(2, 11))
 def test_span_and_window_kernels_match_brute_force(k):
     for p, n, expected in _kernel_cases(k):
-        assert _span_counts(build_code(p, n).rows, n) == expected, f"{p} n={n}"
-        assert _window_counts(k, n, *windows(p, n)) == expected, f"{p} n={n}"
+        assert _span_counts(build_code(p, n).rows, n).tolist() == expected, f"{p} n={n}"
+        assert _window_counts(k, n, *windows(p, n)).tolist() == expected, f"{p} n={n}"
 
 
 @pytest.mark.parametrize("low_bits", [2, 3])
@@ -161,7 +162,7 @@ def test_span_kernel_gray_walk_matches_brute_force(monkeypatch, k, low_bits):
     # few low rows, so that the Gray walk over the high rows runs at small k
     monkeypatch.setattr(prcodes.weights, "SPAN_LOW_BITS", low_bits)
     for p, n, expected in _kernel_cases(k):
-        assert _span_counts(build_code(p, n).rows, n) == expected, f"{p} n={n}"
+        assert _span_counts(build_code(p, n).rows, n).tolist() == expected, f"{p} n={n}"
 
 
 def _sliding_counts(p, n):
@@ -319,8 +320,13 @@ def test_ensemble_enumerators_match_per_code(k):
     for n in sorted({k, 2 * k, period, period + 3} | spans):
         members = ensemble_enumerators(k, n)
         assert [p for p, _ in members] == polys
+        pairs, sums = 0, [0] * (n + 1)
         for p, enum in members:
             assert enum == weight_enumerator_exact(build_code(p, n)), f"{p} n={n}"
+            if p.mask <= p.reciprocal().mask:  # one code per reciprocal pair
+                pairs += 1
+                sums = [a + b for a, b in zip(sums, enum.counts)]
+        assert ensemble_summed_counts(k, n) == (pairs, sums), f"n={n}"
 
 
 def test_ensemble_validation():
@@ -330,13 +336,49 @@ def test_ensemble_validation():
         ensemble_average_exact(5, 4)  # n < k
 
 
-def test_average_of_matches_ensemble_average():
+def test_ensemble_average_matches_members_average():
     members = ensemble_enumerators(6, 15)
-    assert average_of([e for _, e in members]) == ensemble_average_exact(6, 15)
-    with pytest.raises(ValueError):
-        average_of([])
-    with pytest.raises(ValueError):
-        average_of([members[0][1], weight_enumerator_exact(build_code(P4, 15))])
+    sums = [sum(column) for column in zip(*(enum.counts for _, enum in members))]
+    dual_sums = [sum(column) for column in zip(*(macwilliams(enum).counts for _, enum in members))]
+    primal, dual = ensemble_average_exact(6, 15)
+    assert primal.values == tuple(float(Fraction(s, len(members))) for s in sums)
+    assert dual.values == tuple(float(Fraction(s, len(members))) for s in dual_sums)
+    assert (primal.label, dual.label) == ("exact-avg-primal", "exact-avg-dual")
+
+
+@pytest.mark.parametrize("summed", [ensemble_summed_counts, ensemble_average_exact],
+                         ids=["summed", "average"])
+@pytest.mark.parametrize("n", [20, 300])
+def test_ensemble_rejects_inconsistent_counts(monkeypatch, n, summed):
+    # the first pair's counts gain a codeword: the summed totals no longer
+    # hold 2^k codewords per pair (n = 300 takes the window kernel)
+    kernel = "_span_counts" if n <= prcodes.weights.SPAN_MAX_N else "_window_counts"
+    real = getattr(prcodes.weights, kernel)
+    first = iter([True])
+
+    def corrupt(*args):
+        counts = real(*args)
+        if next(first, False):
+            counts[n // 2] += 1
+        return counts
+
+    monkeypatch.setattr(prcodes.weights, kernel, corrupt)
+    with pytest.raises(InconsistentEnumeratorError):
+        summed(8, n)
+    assert next(first, None) is None  # the corruption ran
+
+
+def test_ensemble_average_memory_is_flat_in_pairs():
+    # the 1,024 pairs' counts are summed as they stream, not held: the peak
+    # is one pair's working set, about 3.3 MiB, while 1,024 rows of 257
+    # counts would add 2 MiB
+    tracemalloc.start()
+    try:
+        ensemble_average_exact(16, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_transform_commutes_with_averaging():
