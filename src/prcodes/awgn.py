@@ -4,59 +4,55 @@ Codewords are BPSK-mapped (bit 0 -> +1, bit 1 -> -1) at unit symbol
 energy; the decoder finds the message whose codeword correlates best
 with the received vector.  No codebook is stored: the symbols of message
 m are ``low[m & (2^t - 1)] * high[m >> t]``, two +-1 tables spanning the
-low t = min(k, LOW_BITS) message bits and the other k - t.  Trials are
-decoded in tiles of at most TILE rows: a batch larger than TILE is cut
-into near-equal tiles, and consecutive batches of at most TILE / 2
-trials (k >= 12) are decoded stacked, as many whole batches as fit in
-one tile.  At k <= LOW_BITS a tile is decided by one product against
-low, the whole codebook.  For a code with n * 2^k <= 2048 whose tiles
-can be sized as _piece_rows says (every k <= 6 code at n <= 32), the SNR
-points of a run go to a pool of one thread per CPU, up to one per
-point, and each point's tiles hold at most _piece_rows rows in place of
-TILE, so that every product is under 2^19 multiply-adds, which OpenBLAS
-computes on the calling thread; so the points' normal draws, which
+low t = min(k, LOW_BITS) message bits and the other k - t.
+
+simulate_wer chains three stages for each SNR point.  _draw yields
+tiles of at most TILE rows: a batch larger than TILE is cut into
+near-equal tiles, and consecutive batches of at most TILE / 2 trials
+(k >= 12) are stacked, as many whole batches as fit in one tile.  The
+decide stage, chosen once per call, is _decide at k <= LOW_BITS, one
+product against low, the whole codebook, and _decide_uncertified above.
+_tally applies the stopping rule to the tiles' error flags.  Where
+_piece_rows allows (every k <= 6 code at n <= 32), the points run on a
+pool of one thread per CPU, up to one per point, with tiles of at most
+_piece_rows rows, each product under the 2^19 multiply-adds OpenBLAS
+computes on the calling thread, so the points' normal draws, which
 release the GIL, run on every core.
-With more than one high block (k > LOW_BITS),
-the simulator knows each row's sent message m and first tries to
-certify it against a list, made once per call, of every codeword
-lighter than a weight W (at most min(2^t, 2^(k-4)) of them).  If y = rx
-* s_m sums to more than a rounding slack over the support of each
-listed codeword, and the W smallest y_i do too, m is the exact ML
-message (the listed codewords checked exactly, as in ordered-statistics
-decoding, Fossorier & Lin, IEEE T-IT 41(5), 1995; the rest bounded by
-the least y_i, Taipale & Pursley, IEEE T-IT 37(1), 1991).  The share
-certified grows with SNR and W: 75-89% of a tile at 3 dB and 94-99% at
-4.5 dB for k = 11-15, n = 2k + 9, and 35%, 78% and 99% at 3, 4.5 and 6
-dB for k = 15, n = 64.  The other rows are scored in float32 against
-float32 copies of the tables, and a row whose float32 best beats its
-runner-up by more than every rounding could close settles there as the
-exact ML message.  At 0-6 dB on k = 11-15 codes 0-2 rows in 4096 did
-not; each of those is decided by ml_decode's exact core, one row at a
-time.  Decoder memory is, for each point running, two (min(T,
-max_trials), n) float64 buffers allocated once per point, T the most rows
-of a tile (TILE, or _piece_rows on a pool), the received
-tile and, at k > LOW_BITS, y, and a batch's messages; per tile, the
-list's (rows, L) scores (L <= 2^t) and the float32 stage's
-(rows, 2^t) scores, cast rows and flips; and, per call, the list's L * n
-* 8 bytes and the float32 tables' (2^t + 2^(k-t)) * n * 4.  No
-2^k * n * 8 codebook is built.
+
+With more than one high block (k > LOW_BITS), the decide stage first
+tries to certify each row's sent message m as the exact ML message
+against a list, made once per call, of every codeword lighter than a
+weight W (_certified, after Fossorier & Lin, IEEE T-IT 41(5), 1995, and
+Taipale & Pursley, IEEE T-IT 37(1), 1991): 75-89% of a tile certify at
+3 dB and 94-99% at 4.5 dB for k = 11-15, n = 2k + 9, and 35%, 78% and
+99% at 3, 4.5 and 6 dB for k = 15, n = 64.  The other rows are scored in
+float32 against float32 copies of the tables, and a row whose float32
+best beats its runner-up by more than every rounding could close settles
+there as the exact ML message.  At 0-6 dB on k = 11-15 codes 0-2 rows in
+4096 did not; each is decided by ml_decode's exact core, one row at a
+time.  Decoder memory is, for each point running, the two (min(T,
+max_trials), n) float64 buffers _draw allocates, T the most rows of a
+tile (TILE, or _piece_rows on a pool), for the received tile and, at
+k > LOW_BITS, y, and a batch's messages; per tile, the list's (rows, L)
+scores (L <= 2^t) and the float32 stage's (rows, 2^t) scores, cast rows
+and flips; and, per call, the list's L * n * 8 bytes and the float32
+tables' (2^t + 2^(k-t)) * n * 4.  No 2^k * n * 8 codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
 ``max(1, 2^22 // 2^k)`` (messages first, then the noise block), and
 stops at the first batch boundary where the error target is met.  The
 noise of a batch is drawn tile by tile, which gives the same stream.  A
-stacked tile draws all its batches before decoding them; the stopping
-rule is still applied batch by batch in order, and batches drawn past
-the stop are discarded uncounted, which moves no counted trial since
-each point owns its generator.  Points may run concurrently: each owns
-its generator and buffers, and results are collected in point order, so
-no point's stream or result depends on the others.  At k <= LOW_BITS
-decisions rely on one GEMM fact: the float64 sum of one score does not
-depend on how many rows the same call computes (a tile has at least the
-rows of its batch, and tiles of a split batch keep at least half of T:
-TILE / 2 rows, or on a pool more than 1200 / 2^k, away from BLAS's
-separate thin-matrix kernels); with that, a config reproduces its
+stacked tile is drawn whole before it is decided, and _tally discards
+uncounted the batches drawn past the stop, which moves no counted trial
+since each point owns its generator.  Points may run concurrently: each
+owns its generator and buffers, and results are collected in point
+order, so no point's stream or result depends on the others.  At k <=
+LOW_BITS decisions rely on one GEMM fact: the float64 sum of one score
+does not depend on how many rows the same call computes (a tile has at
+least the rows of its batch, and tiles of a split batch keep at least
+half of T: TILE / 2 rows, or on a pool more than 1200 / 2^k, away from
+BLAS's separate thin-matrix kernels); with that, a config reproduces its
 results bit-for-bit on any machine, and ties go to the lowest message.
 At k > LOW_BITS every decision is the exact-arithmetic ML message, ties
 to the lowest, and relies on no BLAS property: a certified row's test
@@ -70,7 +66,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, inf
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -303,15 +299,16 @@ def _decide_uncertified(rx: np.ndarray, y: np.ndarray, sent: np.ndarray,
     codewords lighter than W) and tables32, float32 copies of (low, high):
     a row that _certified settles keeps its sent message, the others are
     scored in float32 by _decide_float32, and the rows that neither
-    settles are decided one at a time by _exact_ml.  Overwrites y and
-    sent, and returns sent.
+    settles are decided one at a time by _exact_ml.  Overwrites y, and
+    returns a new array, leaving sent as it was.
     """
+    decided = sent.copy()
     rows = np.flatnonzero(~_certified(y, *listing))
     if len(rows):
-        settled, sent[rows] = _decide_float32(rx, rows, *tables32)
+        settled, decided[rows] = _decide_float32(rx, rows, *tables32)
         for i in rows[~settled].tolist():
-            sent[i] = _exact_ml(rx[i], low, high)
-    return sent
+            decided[i] = _exact_ml(rx[i], low, high)
+    return decided
 
 
 def _tiles(b: int, most: int = TILE) -> Iterator[slice]:
@@ -324,19 +321,60 @@ def _tiles(b: int, most: int = TILE) -> Iterator[slice]:
     return (slice(b * i // m, b * (i + 1) // m) for i in range(m))
 
 
-def _stacked_tiles(batch: int, max_trials: int, most: int) -> Iterator[list[tuple[int, slice]]]:
-    """The tiles of at most `most` rows of one point's batches in draw
-    order, each a list of (batch size, rows of that batch): as many whole
-    consecutive batches as fit in `most` rows, or one _tiles(b, most) slice
-    of a batch of b > most rows."""
-    stack = max(1, most // batch)
-    for first in range(0, max_trials, stack * batch):
-        sizes = [min(batch, max_trials - s)
-                 for s in range(first, min(max_trials, first + stack * batch), batch)]
-        if stack == 1:
-            yield from ([(sizes[0], rows)] for rows in _tiles(sizes[0], most))
-        else:
-            yield [(b, slice(0, b)) for b in sizes]
+def _draw(rng: np.random.Generator, sigma: float, low: np.ndarray, high: np.ndarray,
+          batch: int, max_trials: int, most: int, zero_codeword_only: bool) -> Iterator[tuple]:
+    """The draw stage of a point: (start, rx, y, sent) per tile in draw
+    order, start the tile's first trial, rx its received rows, y = rx *
+    s_sent (None at k <= LOW_BITS) and sent its messages.  A tile is as
+    many whole consecutive batches as fit in `most` rows, or a _tiles(b,
+    most) slice of a batch of b > most; a batch's messages (uniform, or all
+    zero) are drawn at its first row, then its noise part by part: the
+    contract's stream.  rx and y are views of two (min(most, max_trials),
+    n) buffers that the next tile overwrites."""
+    size = len(low) * len(high)
+    buf = np.empty((min(most, max_trials), low.shape[1]))
+    ys = None if len(high) == 1 else np.empty_like(buf)
+    span = max(1, most // batch) * batch
+    for first in range(0, max_trials, span):
+        for piece in _tiles(min(max_trials, first + span) - first, most):
+            start, stop = first + piece.start, first + piece.stop
+            sent = []
+            for i in range(start, stop, batch):
+                if i % batch == 0:
+                    b = min(batch, max_trials - i)
+                    msgs = np.zeros(b, np.int64) if zero_codeword_only else rng.integers(0, size, b)
+                rows = slice(i - start, min(stop, i + batch) - start)
+                sent.append(msgs[i % batch:i % batch + rows.stop - rows.start])
+                rx = buf[rows]
+                rng.standard_normal(out=rx)
+                rx *= sigma
+                # at k > LOW_BITS, y = rx * s_m, with s_m written straight into its place
+                symbols = low[sent[-1]] if ys is None else _symbols(low, high, sent[-1], ys[rows])
+                rx += symbols
+                if ys is not None:
+                    symbols *= rx
+            yield (start, buf[:stop - start], None if ys is None else ys[:stop - start],
+                   sent[0] if len(sent) == 1 else np.concatenate(sent))
+
+
+def _tally(tiles: Iterable[tuple[int, np.ndarray]], batch: int, max_trials: int,
+           target: int) -> tuple[int, int]:
+    """The tally stage of a point: (trials, word errors) from (start, wrong)
+    per tile in draw order, wrong[i] true if trial start + i was decided
+    wrong, stopping at the first batch boundary, a multiple of batch or
+    max_trials, where the errors reach target; no later tile is read."""
+    errors, end = 0, max_trials
+    for start, wrong in tiles:
+        count = int(np.count_nonzero(wrong))
+        if errors < target <= errors + count:
+            # the run ends with the batch of the row where the count reaches target
+            row = start + int(np.searchsorted(np.cumsum(wrong), target - errors))
+            end = min(max_trials, row - row % batch + batch)
+            count = int(np.count_nonzero(wrong[:end - start]))
+        errors += count
+        if start + len(wrong) >= end:
+            break
+    return end, errors
 
 
 def _exact_ml(r: np.ndarray, low: np.ndarray, high: np.ndarray) -> int:
@@ -414,73 +452,35 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     code = cfg.code
     check_k("exhaustive decoding", code.k, DECODER_CAP)
     low, high = _sign_tables(code)
-    size = 1 << code.k
-    batch = max(1, _BATCH_BUDGET // size)
-    if len(high) > 1:
+    batch = max(1, _BATCH_BUDGET >> code.k)
+    if len(high) == 1:
+        decide = lambda rx, y, sent: _decide(rx, low)
+    else:
         listing = _light_codewords(code)
         tables32 = (low.astype(np.float32), high.astype(np.float32))
-    points = list(enumerate(cfg.ebno_db_points))
+        decide = lambda rx, y, sent: _decide_uncertified(
+            rx, y, sent, listing, low, high, tables32)
     cap = _piece_rows(code.k, code.n)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(points), cpus or 1) if cap else 1
+    workers = min(len(cfg.ebno_db_points), cpus or 1) if cap else 1
     most = cap if workers > 1 else TILE
-    rows = min(most, cfg.max_trials)
 
-    def count(point: tuple[int, float]) -> tuple[int, int]:
-        """(trials, word errors) of one point."""
-        idx, ebno_db = point
-        rng = np.random.default_rng(cfg.seed ^ idx)
-        sigma = _noise_sigma(ebno_db, code.k, code.n)
-        buf = np.empty((rows, code.n))
-        ys = None if len(high) == 1 else np.empty((rows, code.n))
-        trials = errors = wrong = 0
-        for tile in _stacked_tiles(batch, cfg.max_trials, most):
-            drawn, filled = [], 0
-            for b, part in tile:
-                if part.start == 0:
-                    if zero_codeword_only:
-                        msgs = np.zeros(b, dtype=np.int64)
-                    else:
-                        msgs = rng.integers(0, size, size=b)
-                m = msgs[part]
-                rx = buf[filled:filled + len(m)]
-                rng.standard_normal(out=rx)
-                rx *= sigma
-                if ys is None:
-                    rx += low[m]
-                else:
-                    # y = rx * s_m, with s_m written straight into its place
-                    y = _symbols(low, high, m, ys[filled:filled + len(m)])
-                    rx += y
-                    y *= rx
-                drawn.append((b, part, m))
-                filled += len(m)
-            if ys is None:
-                decided = _decide(buf[:filled], low)
-            else:
-                sent = np.concatenate([m for _, _, m in drawn])
-                decided = _decide_uncertified(buf[:filled], ys[:filled], sent, listing, low, high,
-                                              tables32)
-            filled = 0
-            for b, part, m in drawn:
-                wrong += int(np.count_nonzero(decided[filled:filled + len(m)] != m))
-                filled += len(m)
-                if part.stop == b:  # a batch boundary: apply the stopping rule
-                    trials += b
-                    errors += wrong
-                    wrong = 0
-                    if errors >= cfg.target_word_errors:
-                        return trials, errors
-        return trials, errors
+    def chain(idx: int, ebno_db: float) -> tuple[int, int]:
+        """(trials, word errors) of point idx: its tiles drawn, decided and tallied."""
+        tiles = _draw(np.random.default_rng(cfg.seed ^ idx), _noise_sigma(ebno_db, code.k, code.n),
+                      low, high, batch, cfg.max_trials, most, zero_codeword_only)
+        return _tally(((start, decide(rx, y, sent) != sent) for start, rx, y, sent in tiles),
+                      batch, cfg.max_trials, cfg.target_word_errors)
 
+    points = range(len(cfg.ebno_db_points)), cfg.ebno_db_points
     if workers > 1:
         # imported here: concurrent.futures takes about 9 ms to import
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            counts = list(pool.map(count, points))
+            counts = list(pool.map(chain, *points))
     else:
-        counts = [count(point) for point in points]
+        counts = list(map(chain, *points))
     return [SimResult(ebno_db=ebno_db, trials=trials, word_errors=errors,
                       wer=errors / trials, seed=cfg.seed)
-            for (_, ebno_db), (trials, errors) in zip(points, counts)]
+            for ebno_db, (trials, errors) in zip(cfg.ebno_db_points, counts)]

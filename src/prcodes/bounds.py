@@ -140,8 +140,10 @@ def union_bound(
     """Union-bound word error estimate sum_i (i/n) A_i Q(sqrt(i gamma)).
 
     weighted=False drops the i/n prefactor, giving the plain sum of
-    pairwise error probabilities (a guaranteed upper bound for a single
-    code's ML word error rate when A is its exact distribution).
+    pairwise error probabilities: a guaranteed upper bound for a single
+    code's ML word error rate when A is its exact distribution and d_min
+    is at most the code's minimum nonzero weight, so that no codeword's
+    term is skipped.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")

@@ -129,10 +129,12 @@ def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
     k = poly.degree
     gammas = [ebno_db_to_gamma(db, k, n) for db in points]  # refuse a bad point first
     if source == "exact":
-        dist = weight_enumerator_exact(build_code(poly, n)).as_distribution()
+        enum = weight_enumerator_exact(build_code(poly, n))
+        dist = enum.as_distribution()
+        d = enum.min_nonzero_weight()  # so that the unweighted sum bounds the code's WER
     else:
         dist = avg_primal_approx(k, n, mode="primary")
-    d = dmin_bound(dist)
+        d = dmin_bound(dist)
     return [(db, union_bound(dist, d, n, gamma, weighted=weighted))
             for db, gamma in zip(points, gammas)]
 

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from util import ref_codebook_signs, ref_int_to_bits, ref_wer_counts
+from util import ref_batches, ref_codebook_signs, ref_int_to_bits, ref_wer_counts
 
 from prcodes import awgn
 from prcodes.awgn import (
@@ -27,15 +27,20 @@ from prcodes.awgn import (
     _decide,
     _decide_float32,
     _decide_uncertified,
+    _draw,
+    _exact_ml,
     _float32_slack,
     _light_codewords,
+    _noise_sigma,
     _piece_rows,
     _sign_tables,
     _symbols,
+    _tally,
     _tiles,
     ml_decode,
     simulate_wer,
 )
+from prcodes.cli import run
 from prcodes.construct import PrCode, build_code
 from prcodes.errors import UnsupportedRangeError
 from prcodes.gf2 import BitPoly, first_primitive
@@ -110,7 +115,7 @@ def tables32(code):
 def decide_high_k(code, rx, sent):
     """_decide_uncertified's messages for the rows of rx, sent as `sent`."""
     low, high = _sign_tables(code)
-    return _decide_uncertified(rx, rx * _symbols(low, high, sent), sent.copy(),
+    return _decide_uncertified(rx, rx * _symbols(low, high, sent), sent,
                                _light_codewords(code), low, high, tables32(code))
 
 
@@ -376,6 +381,161 @@ def test_stacked_simulate_matches_reference_loop(k, case):
     assert all(errors for _, errors in got)
     if stop:
         assert got[0][0] == (stop + 1) * batch
+
+
+def draw_tiles(code, ebno_db, max_trials, most, seed, zero_only):
+    """Copies of (start, rx, y, sent) of each tile the draw stage yields
+    for one point."""
+    low, high = _sign_tables(code)
+    batch = max(1, (1 << 22) >> code.k)
+    tiles = _draw(np.random.default_rng(seed), _noise_sigma(ebno_db, code.k, code.n), low, high,
+                  batch, max_trials, most, zero_only)
+    return [(start, rx.copy(), None if y is None else y.copy(), sent.copy())
+            for start, rx, y, sent in tiles]
+
+
+@pytest.mark.parametrize("k, n, most", [(4, 20, TILE), (4, 20, _piece_rows(4, 20)),
+                                        (11, 31, TILE), (13, 35, TILE)],
+                         ids=["4-split", "4-split-pooled", "11-one-tile", "13-stacked"])
+@pytest.mark.parametrize("zero_only", [False, True])
+def test_draw_stage_yields_the_contract_stream(k, n, most, zero_only):
+    # the tiles' rows, in order, are each whole batch drawn as messages then
+    # one (b, n) noise block; the last batch is ragged
+    code = build_code(first_primitive(k), n)
+    batch = (1 << 22) >> k
+    max_trials = {4: batch + TILE + 300, 11: 2 * batch + 300, 13: 3 * TILE + batch + 77}[k]
+    tiles = draw_tiles(code, 1.0, max_trials, most, k * 100 + n, zero_only)
+    sizes = [len(rx) for _, rx, *_ in tiles]
+    assert [start for start, *_ in tiles] == np.cumsum([0] + sizes[:-1]).tolist()
+    assert sum(sizes) == max_trials and max(sizes) <= most
+    if k == 4:
+        # a batch is cut into near-equal tiles of at most `most` rows
+        assert sizes == [s.stop - s.start for b in (batch, TILE + 300) for s in _tiles(b, most)]
+    else:
+        # a tile is one batch at k = 11, or TILE / batch whole batches at k = 13
+        assert sizes[:-1] == [max(batch, TILE)] * (len(tiles) - 1)
+    rx = np.concatenate([rx for _, rx, *_ in tiles])
+    sent = np.concatenate([sent for *_, sent in tiles])
+    ref = list(ref_batches(code, 1.0, max_trials, k * 100 + n, zero_only))
+    assert len(ref[-1][0]) < batch
+    assert np.array_equal(sent, np.concatenate([msgs for msgs, _ in ref]))
+    assert np.array_equal(rx, np.concatenate([r for _, r in ref]))
+    assert zero_only == (not sent.any())
+    low, high = _sign_tables(code)
+    for _, rx, y, sent in tiles:
+        # y = rx * s_sent where the decide stage certifies rows, and None below
+        assert (y is None) == (k <= LOW_BITS)
+        assert y is None or np.array_equal(y, rx * _symbols(low, high, sent))
+
+
+def contract_tally(wrong, batch, target):
+    """(trials, errors) by the stopping rule over the error flags of a
+    point's trials, one batch at a time."""
+    errors = 0
+    for first in range(0, len(wrong), batch):
+        errors += int(np.count_nonzero(wrong[first:first + batch]))
+        if errors >= target:
+            return min(first + batch, len(wrong)), errors
+    return len(wrong), errors
+
+
+@pytest.mark.parametrize("batch, rows", [(1000, 300), (1000, 1000), (100, 400), (100, 250)],
+                         ids=["split", "one-batch", "stacked", "stacked-uneven"])
+def test_tally_stage_stops_at_the_first_batch_boundary(batch, rows):
+    # synthetic flags; tiles cut each batch into pieces of at most `rows`, or
+    # hold rows // batch whole batches, and the last batch is ragged
+    max_trials = 7 * batch + 37
+    wrong = np.random.default_rng(batch + rows).random(max_trials) < 0.01
+    span = max(1, rows // batch) * batch
+    bounds = [first + s.start for first in range(0, max_trials, span)
+              for s in _tiles(min(span, max_trials - first), rows)] + [max_trials]
+    tiles = [(lo, wrong[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    total = int(np.count_nonzero(wrong))
+    mid_tile = 0
+    for target in range(1, total + 2):
+        read = []
+        got = _tally((read.append(lo) or (lo, w) for lo, w in tiles), batch, max_trials, target)
+        assert got == contract_tally(wrong, batch, target), target
+        # no tile past the one holding the stop is read
+        assert read == [lo for lo, _ in tiles if lo < got[0]], target
+        mid_tile += got[0] not in bounds
+    # every target past the last error runs to max_trials, a ragged batch's end
+    assert _tally(iter(tiles), batch, max_trials, total + 1) == (max_trials, total)
+    # stacked tiles stop inside a tile, split batches only at a tile's end
+    assert (mid_tile > 0) == (rows > batch)
+
+
+@pytest.mark.parametrize("k", [11, 13])
+def test_decide_uncertified_leaves_sent_intact(k):
+    code = build_code(first_primitive(k), 2 * k + 9)
+    low, high = _sign_tables(code)
+    rng = np.random.default_rng(k)
+    sent = rng.integers(0, 1 << k, size=256)
+    rx = _symbols(low, high, sent) + 1.5 * rng.standard_normal((256, code.n))
+    kept = sent.copy()
+    decided = _decide_uncertified(rx, rx * _symbols(low, high, sent), sent, _light_codewords(code),
+                                  low, high, tables32(code))
+    assert np.array_equal(sent, kept)
+    assert (decided != sent).any()
+    assert np.array_equal(decided, ref_decide(code, rx))
+
+
+def window_rows(rx, low):
+    """Rows of rx whose float64 top-two gap against low is within 4 nu /
+    (1 - nu) sum|r|, nu = (n + 4) 2^-53, twice ml_decode's window; outside
+    it every score is within half the gap of its exact value, so the
+    float64 winner is the exact one."""
+    nu = (rx.shape[1] + 4) * 2.0 ** -53
+    top = np.sort(rx @ low.T, axis=1)[:, -2:]
+    return np.flatnonzero(top[:, 1] - top[:, 0] <= 4 * nu / (1 - nu) * np.abs(rx).sum(axis=1))
+
+
+def replay_exactly(code, points, max_trials, target, seed, most):
+    """(counts, flagged): simulate_wer's (trials, word errors) per point,
+    replayed through the draw, decide and tally stages with tiles of at
+    most `most` rows, asserting that each _decide result is the exact ML
+    message: _exact_ml's for the `flagged` rows in window_rows, and proven
+    by the gap for the rest."""
+    low, high = _sign_tables(code)
+    assert len(high) == 1
+    batch = (1 << 22) >> code.k
+    flagged = 0
+
+    def decide(rx):
+        nonlocal flagged
+        decided = _decide(rx, low)
+        near = window_rows(rx, low)
+        flagged += len(near)
+        assert [_exact_ml(rx[i], low, high) for i in near] == decided[near].tolist()
+        return decided
+
+    counts = []
+    for idx, ebno_db in enumerate(points):
+        tiles = _draw(np.random.default_rng(seed ^ idx), _noise_sigma(ebno_db, code.k, code.n),
+                      low, high, batch, max_trials, most, False)
+        counts.append(_tally(((start, decide(rx) != sent) for start, rx, _, sent in tiles),
+                             batch, max_trials, target))
+    return counts, flagged
+
+
+@pytest.mark.parametrize("most", [TILE, _piece_rows(4, 20)], ids=["tile", "pooled"])
+def test_replay_simulate_artifact_decides_exactly(tmp_path, most):
+    # the `simulate` artifact case: its CSV's counts are exact ML decisions
+    assert run(["simulate", "--poly", "0x13", "--n", "20", "--ebno-list", "2,3", "--seed", "11",
+                "--max-trials", "20000", "--target-errors", "50", "--outdir", str(tmp_path)]) == 0
+    with open(tmp_path / "wer_0x13_n20_seed11.csv") as f:
+        artifact = [(int(row[1]), int(row[2])) for row in
+                    (line.split(",") for line in f.read().splitlines()[2:])]
+    code = build_code(BitPoly.parse("0x13"), 20)
+    counts, flagged = replay_exactly(code, (2.0, 3.0), 20000, 50, 11, most)
+    assert counts == artifact
+    print(f"replay: {flagged} of {sum(t for t, _ in counts)} rows in the rounding window")
+    # the window holds a tie and a near-tie that float64 sees (a 2^-45 gap, exact
+    # on these sums), and not a clear winner
+    ref = ref_codebook_signs(code)
+    lo, hi, tie = lone_tie(ref, 0)
+    rows = np.stack([tie, toward(ref, lo, hi, tie, 2.0 ** -46), toward(ref, lo, hi, tie, 0.5)])
+    assert window_rows(rows, _sign_tables(code)[0]).tolist() == [0, 1]
 
 
 def codebook_words(code):

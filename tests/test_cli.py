@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -184,6 +185,24 @@ def test_union_bound_variants(tmp_path):
         eps[tag] = float(rows[0][1])
     assert eps["nopref"] > eps["pref"] > 0
     assert eps["exact"] > 0 and eps["exact"] != eps["pref"]
+
+
+@pytest.mark.parametrize("poly, n", [("0xb", 4), ("0x7", 3)])
+def test_exact_union_bound_sums_every_codeword(tmp_path, poly, n):
+    # at n < 2k the profile threshold dmin_bound skips weights 1-2 and can
+    # pass the code's minimum distance; the exact bound starts at that distance
+    assert run(["union-bound", "--poly", poly, "--n", str(n), "--ebno-list", "4",
+                "--source", "exact", "--no-prefactor", "--outdir", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / f"union_bound_{poly}_n{n}.csv")
+    code = build_code(BitPoly.parse(poly), n)
+    counts = [0] * (n + 1)
+    for m in range(1 << code.k):
+        counts[code.encode(m).bit_count()] += 1
+    gamma = 2 * code.k / n * 10 ** 0.4
+    pairwise = sum(a * 0.5 * math.erfc(math.sqrt(w * gamma / 2))
+                   for w, a in enumerate(counts) if w)
+    assert pairwise > 0.01
+    assert float(rows[0][1]) == pytest.approx(pairwise, rel=1e-11)
 
 
 def test_simulate_deterministic_artifacts(tmp_path):

@@ -171,30 +171,40 @@ def ref_codebook_signs(code) -> np.ndarray:
     return signs
 
 
+def ref_batches(code, ebno_db, max_trials, seed, zero_codeword_only=False):
+    """(msgs, rx) of each batch of one point by the simulation contract:
+    generator `default_rng(seed)`, batches of max(1, 2^22 // 2^k) trials
+    up to max_trials, each drawn whole as its messages (none drawn when
+    all are zero), then a (b, n) normal block, scaled and added to the
+    `ref_codebook_signs` symbols."""
+    signs = ref_codebook_signs(code)
+    batch = max(1, (1 << 22) >> code.k)
+    rng = np.random.default_rng(seed)
+    sigma = float(np.sqrt(1.0 / (2.0 * (code.k / code.n) * 10.0 ** (ebno_db / 10.0))))
+    for first in range(0, max_trials, batch):
+        b = min(batch, max_trials - first)
+        if zero_codeword_only:
+            msgs = np.zeros(b, dtype=np.int64)
+        else:
+            msgs = rng.integers(0, 1 << code.k, size=b)
+        yield msgs, signs[msgs] + sigma * rng.standard_normal((b, code.n))
+
+
 def ref_wer_counts(code, ebno_db_points, max_trials, target_word_errors, seed,
                    zero_codeword_only=False) -> list[tuple[int, int]]:
     """(trials, word_errors) per SNR point by the simulation contract,
-    decoding with one product against the whole `ref_codebook_signs`:
-    generator seed ^ i for point i, batches of max(1, 2^22 // 2^k) drawn
-    messages first, then noise, stopping at the first batch boundary
-    that meets the error target."""
+    decoding each `ref_batches` batch of generator seed ^ i, point i, with
+    one product against the whole `ref_codebook_signs`, and stopping at
+    the first batch boundary that meets the error target."""
     signs = ref_codebook_signs(code)
-    size = 1 << code.k
-    batch = max(1, (1 << 22) // size)
     out = []
     for idx, ebno_db in enumerate(ebno_db_points):
-        rng = np.random.default_rng(seed ^ idx)
-        sigma = float(np.sqrt(1.0 / (2.0 * (code.k / code.n) * 10.0 ** (ebno_db / 10.0))))
         trials = errors = 0
-        while trials < max_trials and errors < target_word_errors:
-            b = min(batch, max_trials - trials)
-            if zero_codeword_only:
-                msgs = np.zeros(b, dtype=np.int64)
-            else:
-                msgs = rng.integers(0, size, size=b)
-            rx = signs[msgs] + sigma * rng.standard_normal((b, code.n))
+        for msgs, rx in ref_batches(code, ebno_db, max_trials, seed ^ idx, zero_codeword_only):
             errors += int(np.count_nonzero(np.argmax(rx @ signs.T, axis=1) != msgs))
-            trials += b
+            trials += len(msgs)
+            if errors >= target_word_errors:
+                break
         out.append((trials, errors))
     return out
 
