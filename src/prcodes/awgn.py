@@ -21,22 +21,26 @@ release the GIL, run on every core.
 
 With more than one high block (k > LOW_BITS), the decide stage first
 tries to certify each row's sent message m as the exact ML message
-against a list, made once per call, of every codeword lighter than a
-weight W (_certified, after Fossorier & Lin, IEEE T-IT 41(5), 1995, and
-Taipale & Pursley, IEEE T-IT 37(1), 1991): 75-89% of a tile certify at
-3 dB and 94-99% at 4.5 dB for k = 11-15, n = 2k + 9, and 35%, 78% and
-99% at 3, 4.5 and 6 dB for k = 15, n = 64.  The other rows are scored in
-float32 against float32 copies of the tables, and a row whose float32
-best beats its runner-up by more than every rounding could close settles
-there as the exact ML message.  At 0-6 dB on k = 11-15 codes 0-2 rows in
-4096 did not; each is decided by ml_decode's exact core, one row at a
-time.  Decoder memory is, for each point running, the two (min(T,
+against a list, made once per call, of every codeword lighter than a cap
+(_certified, after Fossorier & Lin, IEEE T-IT 41(5), 1995, and Taipale
+& Pursley, IEEE T-IT 37(1), 1991), each row against only the codewords
+lighter than the weight its own sorted y proves: 88-96% of a tile
+certify at 3 dB and 97-100% at 4.5 dB for k = 11-15, n = 2k + 9, and
+80%, 98% and 100% at 3, 4.5 and 6 dB for k = 15, n = 64 (75-88%, 94-99%
+and 35%, 78%, 98% with one weight for every row).  The other rows are
+scored in float32 against float32 copies of the tables, and a row whose
+float32 best beats its runner-up by more than every rounding could close
+settles there as the exact ML message.  At 0-6 dB on k = 11-15 codes 0-2
+rows in 4096 did not; each is decided by ml_decode's exact core, one row
+at a time.  Decoder memory is, for each point running, the two (min(T,
 max_trials), n) float64 buffers _draw allocates, T the most rows of a
 tile (TILE, or _piece_rows on a pool), for the received tile and, at
-k > LOW_BITS, y, and a batch's messages; per tile, the list's (rows, L)
-scores (L <= 2^t) and the float32 stage's (rows, 2^t) scores, cast rows
-and flips; and, per call, the list's L * n * 8 bytes and the float32
-tables' (2^t + 2^(k-t)) * n * 4.  No 2^k * n * 8 codebook is built.
+k > LOW_BITS, y, and a batch's messages; per tile, the certificate's
+sorted copy of y and its scores of at most _CHUNK listed codewords, and
+the float32 stage's (rows, 2^t) scores, cast rows and flips; and, per
+call, the list's L * n bytes and L weights (L <= min(2^(k-2), 2^14))
+and the float32 tables' (2^t + 2^(k-t)) * n * 4.  No 2^k * n * 8
+codebook is built.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
@@ -53,7 +57,10 @@ does not depend on how many rows the same call computes (a tile has at
 least the rows of its batch, and tiles of a split batch keep at least
 half of T: TILE / 2 rows, or on a pool more than 1200 / 2^k, away from
 BLAS's separate thin-matrix kernels); with that, a config reproduces its
-results bit-for-bit on any machine, and ties go to the lowest message.
+results bit-for-bit on any machine, and ties go to the lowest message
+(the tests replay the k <= LOW_BITS curves of the default fig4-pr and
+fig5-pr targets and the simulate example, and every decision in them is
+the exact ML message).
 At k > LOW_BITS every decision is the exact-arithmetic ML message, ties
 to the lowest, and relies on no BLAS property: a certified row's test
 holds however the list's sums are computed, a float32-settled row's by
@@ -87,6 +94,8 @@ LOW_BITS = 10
 TILE = 2048
 
 _BATCH_BUDGET = 1 << 22
+# most listed codewords in one of _certified's products
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -180,56 +189,103 @@ def _piece_rows(k: int, n: int) -> int | None:
     return most if (most + 1) // 2 > 1200 >> k else None
 
 
-def _light_codewords(code: PrCode) -> tuple[int, np.ndarray]:
-    """(W, light): the largest weight W with at most min(2^t, 2^(k-4))
-    nonzero codewords lighter than it, t = min(k, LOW_BITS), and those
-    codewords, one 0/1 row each.  Their scores take no more room than one
-    (rows, 2^t) block of message scores, and at most 2^(k-4) keeps their
-    product small beside the decoding it saves (at k = 11, 1024 codewords
-    made simulate_wer 5-25% slower than 128 at n = 31-100, 3-6 dB).
+def _light_codewords(code: PrCode) -> tuple[int, np.ndarray, np.ndarray]:
+    """(cap, light, weights): cap the largest weight with at most
+    min(2^(k-2), 2^14) nonzero codewords lighter than it, light those
+    codewords in ascending weight, one uint8 0/1 row each, and weights
+    theirs.
+
+    A row needs the list only below its own weight (_certified), so a
+    long list costs only the rows that reach far into it.  Measured on the
+    decide stage at k = 11-15, n = 32-64 and 3, 4.5 and 6 dB: 2^(k-1) and
+    2^(k-2) codewords took the same time, within 5% summed over each
+    degree's cases, but at k = 11, n = 64, 6 dB only 2^(k-2) kept level
+    with a certificate of one weight for every row (2^(k-1) was 6%
+    slower); 2^(k-4) was 10-50% slower at k = 11, 3 dB.  2^14 keeps the
+    list under 1 MB at n = 64: at k = 20, 2^18 codewords took 16.8 MiB
+    and raised the listing's traced peak from 19 to 29 MiB.
 
     The nonzero codewords are the n-windows of code.poly's sequence at its
     P = 2^k - 1 phases, so one pass of weights._window_weights over the
     period weighs them all, and the light ones are read off the sequence
-    extended to P + n bits.  A row of light takes n * 8 bytes.
+    extended to P + n bits.
     """
-    budget = min(1 << min(code.k, LOW_BITS), 1 << (code.k - 4))
+    budget = min(1 << (code.k - 2), 1 << 14)
     period = (1 << code.k) - 1
     r = code.n % period
     seq = np.resize(m_sequence(code.poly), period + code.n)
     weights, = _window_weights(code.k, code.n, int(np.count_nonzero(seq[:r])),
                                [(seq[:period], seq[r:r + period])])
-    heavy = int(np.searchsorted(np.cumsum(np.bincount(weights)), budget, side="right"))
-    phases = (np.flatnonzero(weights < heavy) + 1) % period  # weights[t] is phase t + 1
-    return heavy, sliding_window_view(seq, code.n)[phases].astype(np.float64)
+    cap = int(np.searchsorted(np.cumsum(np.bincount(weights)), budget, side="right"))
+    light = np.flatnonzero(weights < cap)
+    light = light[np.argsort(weights[light], kind="stable")]
+    # weights[t] is the window at phase t + 1
+    return cap, sliding_window_view(seq, code.n)[(light + 1) % period], weights[light]
 
 
-def _certified(y: np.ndarray, heavy: int, light: np.ndarray) -> np.ndarray:
+def _certified(y: np.ndarray, cap: int, light: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Mask of the rows of y = rx * s, s the symbols of the message m sent
     in that row, where m is the exact ML message and has the strictly
     largest computed score of every message, however the scores are
-    summed; overwrites y.
+    summed.
 
-    light holds every nonzero codeword lighter than heavy, one 0/1 row
-    each.  A codeword c != m differs from m's on the support D of a nonzero
-    codeword, and S_m - S_c = 2 * sum_{i in D} y_i (y_i is rx_i with an
-    exact sign flip).  If D is listed, that sum is a column of y @ light.T.
-    Otherwise |D| >= heavy, and the sum is at least that of the max(heavy,
-    N) smallest y_i, N of them negative: with N <= heavy that is the sum
-    of the heavy smallest, and with N > heavy both are negative.  So S_m -
-    S_c >= 2L for every c, L the smaller of the list's minimum and the sum
-    of the heavy smallest y_i.  Every computed score, and every computed
-    sum of at most n of the y_i, is within gamma_n * sum|rx| of its exact
-    value, so the exact S_m beats every S_c, and the computed S_m every
-    computed S_c, once L > gamma_n * sum|rx|, and a computed L above twice
-    ml_decode's window, 4 nu / (1 - nu) times the computed sum|rx| with nu
-    = (n + 4) u, proves that.
+    (cap, light, weights) is _light_codewords' list.  A codeword c != m
+    differs from m's on the support D of a nonzero codeword, and S_m - S_c
+    = 2 * sum_{i in D} y_i (y_i is rx_i with an exact sign flip).  Let p_j
+    be the computed sum, left to right, of a row's j smallest y_i, and let
+    the slack be 4 nu / (1 - nu) times the computed sum|rx|, nu = (n + 4)
+    u, twice ml_decode's window: it exceeds 2 gamma_n * sum|rx| with its
+    own rounding.  Rounding is monotone, so p_j falls while the terms are
+    negative and rises afterwards, and the p_j above the slack (> 0) are
+    those with j >= W_r, the row's own weight, 1 + the number of p_j at
+    most the slack.  If |D| >= W_r, the sum over D is at least that of the
+    |D| smallest y_i, whose computed value p_|D| is above the slack.  A
+    lighter D is listed when W_r <= cap, and its sum is a column of light
+    @ y.T.  So a row with W_r <= cap whose listed sums lighter than W_r
+    are all above the slack has, for every c, a computed sum of at most n
+    of the y_i above the slack, within gamma_n * sum|rx| of a lower bound
+    on (S_m - S_c) / 2, which therefore exceeds gamma_n * sum|rx|.  Every
+    computed score is within gamma_n * sum|rx| of its exact value, so the
+    exact S_m beats every S_c, and the computed S_m every computed S_c.
+
+    The listed codewords lighter than W_r are a prefix of the list, scored
+    in the chunks of _chunks, each only on the rows that still need it and
+    have not failed, so a row with W_r <= d_min, the lightest weight, needs
+    no product.  A chunk's columns past a row's prefix are codewords too:
+    they can only lower its minimum, so they never certify a row wrongly.
     """
     nu = (y.shape[1] + 4) * 2.0 ** -53
-    least = (y @ light.T).min(axis=1, initial=np.inf)
-    y.partition(heavy - 1, axis=1)
-    np.minimum(least, y[:, :heavy].sum(axis=1), out=least)
-    return least > 4 * nu / (1 - nu) * np.abs(y, out=y).sum(axis=1)
+    slack = 4 * nu / (1 - nu) * np.abs(y).sum(axis=1)
+    ordered = np.sort(y, axis=1)
+    # W_r - 1 counts the p_j at most the slack; once every row's p_j is above
+    # it, every row is past its least p_j, and no later p_j is at most it
+    total, proven = np.zeros(len(y)), np.ones(len(y), dtype=np.int64)
+    for column in ordered.T[:cap]:
+        total += column
+        under = total <= slack
+        if not under.any():
+            break
+        proven += under
+    certified = proven <= cap
+    need = np.searchsorted(weights, proven)
+    rows = np.flatnonzero(certified & (need > 0))
+    for part in _chunks(len(light)):
+        if not len(rows):
+            break
+        scores = light[part].astype(np.float64) @ y[rows].T
+        certified[rows] = scores.min(axis=0) > slack[rows]
+        rows = rows[certified[rows] & (need[rows] > part.stop)]
+    return certified
+
+
+def _chunks(size: int) -> Iterator[slice]:
+    """Slices of _certified's list, in order: 64, 64, 128, 256, ...
+    codewords, doubling up to _CHUNK, then _CHUNK each."""
+    start = 0
+    while start < size:
+        stop = min(size, start + min(_CHUNK, max(start, 64)))
+        yield slice(start, stop)
+        start = stop
 
 
 def _float32_slack(n: int) -> float:
@@ -292,15 +348,15 @@ def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray,
 
 
 def _decide_uncertified(rx: np.ndarray, y: np.ndarray, sent: np.ndarray,
-                        listing: tuple[int, np.ndarray], low: np.ndarray, high: np.ndarray,
+                        listing: tuple[int, np.ndarray, np.ndarray], low: np.ndarray, high: np.ndarray,
                         tables32: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """The exact ML message of each row of a tile rx whose rows carry the
-    messages `sent`, given y = rx * symbols(sent), listing = (W, the
-    codewords lighter than W) and tables32, float32 copies of (low, high):
+    messages `sent`, given y = rx * symbols(sent), listing, the
+    _light_codewords list, and tables32, float32 copies of (low, high):
     a row that _certified settles keeps its sent message, the others are
     scored in float32 by _decide_float32, and the rows that neither
-    settles are decided one at a time by _exact_ml.  Overwrites y, and
-    returns a new array, leaving sent as it was.
+    settles are decided one at a time by _exact_ml.  Returns a new array,
+    leaving sent as it was.
     """
     decided = sent.copy()
     rows = np.flatnonzero(~_certified(y, *listing))

@@ -171,6 +171,23 @@ def ref_codebook_signs(code) -> np.ndarray:
     return signs
 
 
+def ref_fixed_w_certified(code, y) -> np.ndarray:
+    """The certificate with one weight W for every row, by brute force over
+    `ref_codebook_signs`: W is the largest weight with at most
+    min(2^min(k, 10), 2^(k-4)) lighter nonzero codewords, and a row of y
+    certifies when its W smallest entries, and its entries on each
+    codeword lighter than W, sum to more than 4 nu / (1 - nu) sum|y|, nu =
+    (n + 4) 2^-53."""
+    words = ref_codebook_signs(code)[1:] < 0
+    weights = np.count_nonzero(words, axis=1)
+    budget = min(1 << min(code.k, 10), 1 << (code.k - 4))
+    heavy = int(np.searchsorted(np.cumsum(np.bincount(weights)), budget, side="right"))
+    least = np.partition(y, heavy - 1, axis=1)[:, :heavy].sum(axis=1)
+    listed = (y @ words[weights < heavy].T).min(axis=1, initial=np.inf)
+    nu = (y.shape[1] + 4) * 2.0 ** -53
+    return np.minimum(least, listed) > 4 * nu / (1 - nu) * np.abs(y).sum(axis=1)
+
+
 def ref_batches(code, ebno_db, max_trials, seed, zero_codeword_only=False):
     """(msgs, rx) of each batch of one point by the simulation contract:
     generator `default_rng(seed)`, batches of max(1, 2^22 // 2^k) trials
