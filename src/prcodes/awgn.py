@@ -78,8 +78,10 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .construct import PrCode, m_sequence
+from .bounds import es_n0
+from .construct import PrCode, packed_rows, span_words
 from .errors import DECODER_CAP, check_k
+from .gf2 import m_sequence
 from .weights import _window_weights
 
 # message bits spanned by the low table: scores are computed 2^LOW_BITS columns
@@ -135,25 +137,21 @@ def _sign_tables(code: PrCode) -> tuple[np.ndarray, np.ndarray]:
     """(low, high): BPSK symbols of every combination of the first t
     generator rows and of the remaining k - t, t = min(k, LOW_BITS).
 
-    Row m of a table holds the symbols of the XOR of the rows picked by
-    the bits of m, so message m is sent as low[m & (2^t - 1)] * high[m >> t].
+    Row m of a table is 1 - 2 times the bits of column m of the rows'
+    span_words block, the symbols of the XOR of the rows picked by the bits
+    of m, so message m is sent as low[m & (2^t - 1)] * high[m >> t].
     Cached for per-vector ml_decode calls; a pair holds (2^t + 2^(k-t))
     rows, at most 2^11 at DECODER_CAP, and is read-only.
     """
-    t = min(code.k, LOW_BITS)
-    nbytes = (code.n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in code.rows),
-                           dtype=np.uint8).reshape(code.k, nbytes)
-    rows = 1.0 - 2.0 * np.unpackbits(packed, axis=1, count=code.n, bitorder="little")
+    packed = packed_rows(code.rows, code.n)
 
-    def span(rows: np.ndarray) -> np.ndarray:
-        table = np.ones((1 << len(rows), code.n))
-        for j, row in enumerate(rows):
-            table[1 << j:2 << j] = table[:1 << j] * row
+    def span(words: np.ndarray) -> np.ndarray:
+        columns = np.ascontiguousarray(span_words(words).T).view(np.uint8)
+        table = 1.0 - 2.0 * np.unpackbits(columns, axis=1, count=code.n, bitorder="little")
         table.flags.writeable = False
         return table
 
-    return span(rows[:t]), span(rows[t:])
+    return span(packed[:LOW_BITS]), span(packed[LOW_BITS:])
 
 
 def _symbols(low: np.ndarray, high: np.ndarray, m, out: np.ndarray | None = None):
@@ -254,8 +252,7 @@ def _certified(y: np.ndarray, cap: int, light: np.ndarray, weights: np.ndarray) 
     no product.  A chunk's columns past a row's prefix are codewords too:
     they can only lower its minimum, so they never certify a row wrongly.
     """
-    nu = (y.shape[1] + 4) * 2.0 ** -53
-    slack = 4 * nu / (1 - nu) * np.abs(y).sum(axis=1)
+    slack = 2 * _rounding_window(y.shape[1]) * np.abs(y).sum(axis=1)
     ordered = np.sort(y, axis=1)
     # W_r - 1 counts the p_j at most the slack; once every row's p_j is above
     # it, every row is past its least p_j, and no later p_j is at most it
@@ -278,6 +275,14 @@ def _certified(y: np.ndarray, cap: int, light: np.ndarray, weights: np.ndarray) 
     return certified
 
 
+def _rounding_window(n: int) -> float:
+    """2 nu / (1 - nu), nu = (n + 4) 2^-53: ml_decode's window on its scores
+    per unit of sum|r| over n coordinates.  gamma_(n+4) covers gamma_n and
+    four roundings on top, and every factor of 2 applied to it is exact."""
+    nu = (n + 4) * 2.0 ** -53
+    return 2 * nu / (1 - nu)
+
+
 def _chunks(size: int) -> Iterator[slice]:
     """Slices of _certified's list, in order: 64, 64, 128, 256, ...
     codewords, doubling up to _CHUNK, then _CHUNK each."""
@@ -296,8 +301,8 @@ def _float32_slack(n: int) -> float:
     float64 table alone would take 8 GiB."""
     if n >= 1 << 20:
         return inf
-    u, nu = 2.0 ** -24, (n + 4) * 2.0 ** -53
-    return 2 * (n * u / (1 - n * u) + u) + 4 * nu / (1 - nu)
+    u = 2.0 ** -24
+    return 2 * (n * u / (1 - n * u) + u) + 2 * _rounding_window(n)
 
 
 def _decide_float32(rx: np.ndarray, rows: np.ndarray, low32: np.ndarray,
@@ -437,9 +442,7 @@ def _exact_ml(r: np.ndarray, low: np.ndarray, high: np.ndarray) -> int:
     """ml_decode's message for a finite received row r, given the code's
     sign tables."""
     scores = ((high * r) @ low.T).ravel()
-    # gamma_(n+4) also covers the four roundings of the window and the gaps
-    nu = (len(r) + 4) * 2.0 ** -53
-    window = 2 * nu / (1 - nu) * fsum(np.abs(r))
+    window = _rounding_window(len(r)) * fsum(np.abs(r))
     near = np.flatnonzero(scores[np.argmax(scores)] - scores <= window)
     best = int(near[0])
     best_symbols = _symbols(low, high, best)
@@ -483,17 +486,9 @@ def ml_decode(code: PrCode, received) -> int:
 
 
 def _noise_sigma(ebno_db: float, k: int, n: int) -> float:
-    """Per-dimension noise std dev at unit symbol energy; a ValueError
-    names the SNR point if it is not a positive finite float."""
-    try:
-        es_n0 = (k / n) * 10.0 ** (ebno_db / 10.0)
-    except OverflowError:
-        es_n0 = inf
-    sigma = float(np.sqrt(1.0 / (2.0 * es_n0))) if es_n0 else inf
-    if not 0 < sigma < inf:
-        raise ValueError(f"Eb/N0 = {ebno_db} dB gives noise sigma {sigma} at k = {k}, n = {n}; "
-                         "it must be a positive finite float")
-    return sigma
+    """Per-dimension noise std dev at unit symbol energy; bounds.es_n0
+    refuses an SNR point that gives no positive finite one."""
+    return float(np.sqrt(1.0 / (2.0 * es_n0(ebno_db, k, n))))
 
 
 def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[SimResult]:

@@ -34,13 +34,12 @@ class DminReport:
     n: int
     dmin_bound: int
     gv_d: int
-    witness_poly: BitPoly | None = None
-    witness_d: int | None = None
+    witness_poly: BitPoly
+    witness_d: int
 
     def __post_init__(self):
-        if self.witness_poly is not None and self.witness_d is not None:
-            if self.witness_d < self.dmin_bound:
-                raise ValueError("witness distance below the bound it certifies")
+        if self.witness_d < self.dmin_bound:
+            raise ValueError("witness distance below the bound it certifies")
 
 
 def qfunc(x: float) -> float:
@@ -48,19 +47,24 @@ def qfunc(x: float) -> float:
     return 0.5 * erfc(x / sqrt(2.0))
 
 
-def ebno_db_to_gamma(ebno_db: float, k: int, n: int) -> float:
-    """Pairwise-error SNR scale: gamma = 2 Es/N0 with Es/N0 = (k/n) Eb/N0.
+def es_n0(ebno_db: float, k: int, n: int) -> float:
+    """Symbol SNR Es/N0 = (k/n) Eb/N0 of an Eb/N0 point in dB.
 
-    A ValueError names the SNR point unless gamma and the noise variance
-    1/gamma are both positive finite floats."""
+    A ValueError names the SNR point unless gamma = 2 Es/N0 and the noise
+    variance 1/gamma are both positive finite floats."""
     try:
-        gamma = 2.0 * (k / n) * 10.0 ** (ebno_db / 10.0)
+        es = (k / n) * 10.0 ** (ebno_db / 10.0)
     except OverflowError:
-        gamma = inf
-    if not (0 < gamma < inf and 1 / gamma < inf):
-        raise ValueError(f"Eb/N0 = {ebno_db} dB gives gamma {gamma} at k = {k}, n = {n}; "
-                         "it and 1/gamma must be positive finite floats")
-    return gamma
+        es = inf
+    if not (0 < 2 * es < inf and 1 / (2 * es) < inf):
+        raise ValueError(f"Eb/N0 = {ebno_db} dB gives Es/N0 {es} at k = {k}, n = {n}; "
+                         "2 Es/N0 and its inverse must be positive finite floats")
+    return es
+
+
+def ebno_db_to_gamma(ebno_db: float, k: int, n: int) -> float:
+    """Pairwise-error SNR scale gamma = 2 Es/N0; es_n0 refuses a bad point."""
+    return 2 * es_n0(ebno_db, k, n)
 
 
 def dmin_bound(abar: RealDistribution) -> int:

@@ -197,6 +197,8 @@ def _cmd_kld(args):
 
 def _cmd_dmin(args):
     k, n = args.k, args.n
+    if n < 2 * k:  # shorter codes may share words, and the bound may pass their distance
+        raise ValueError(f"the distance bound requires n >= 2k = {2 * k}, got {n}")
     if args.scan:
         rep = verify_existence(k, n)
         d, witness = rep.dmin_bound, rep.witness_d

@@ -12,6 +12,11 @@ coordinate i.  Every bit comes from gf2.packed_sequence, which packs
 the sequence seeded with 1, 0, ..., 0 64 phases to a word: build_code
 reads all k rows off its first n + k bits, and sequence_chunks unpacks
 whole periods one chunk of phases at a time.
+
+span_words is the one place a span of rows is built: from packed_rows'
+64-bit words it doubles a block whose column m is the codeword of
+message m.  codeword_set reads its ints off that block, weights counts
+the popcounts of its columns, and awgn maps its bits to BPSK symbols.
 """
 
 from __future__ import annotations
@@ -55,11 +60,6 @@ def sequence_chunks(p: BitPoly, offsets: Sequence[int] = (0,)) -> Iterator[tuple
     for t0 in range(0, period, size):
         count = min(size, period - t0)
         yield tuple(_unpack(packed, s + t0, count) for s in starts)
-
-
-def m_sequence(p: BitPoly) -> np.ndarray:
-    """One period s_0..s_{P-1} of p's sequence seeded with 1, 0, ..., 0."""
-    return np.concatenate([bits for bits, in sequence_chunks(p)])
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,30 @@ def build_code(p: BitPoly, n: int) -> PrCode:
     return PrCode(poly=p, k=k, n=n, rows=tuple(rows))
 
 
+def packed_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """n-bit int rows as a (rows, ceil(n/64)) array of little-endian uint64
+    words: word j of a row holds its bits 64 j .. 64 j + 63."""
+    planes = -(-n // 64)
+    return np.frombuffer(b"".join(r.to_bytes(8 * planes, "little") for r in rows),
+                         dtype="<u8").reshape(len(rows), planes)
+
+
+def span_words(words: np.ndarray) -> np.ndarray:
+    """The GF(2) span of packed_rows' rows as a (planes, 2^rows) uint64
+    block whose column m is the XOR of the rows picked by the bits of m,
+    built by doubling: columns 2^i..2^(i+1)-1 are the first 2^i with row i
+    added."""
+    block = np.zeros((words.shape[1], 1 << len(words)), dtype="<u8")
+    for i in range(len(words)):
+        np.bitwise_xor(block[:, :1 << i], words[i, :, None], out=block[:, 1 << i:2 << i])
+    return block
+
+
 def codeword_set(code: PrCode) -> set[int]:
-    """All 2^k codeword masks, built by doubling over the generator rows."""
+    """All 2^k codeword masks, read off span_words' block of the generator rows."""
     check_k("codeword_set", code.k, CODEWORD_SET_CAP)
-    words = [0]
-    for row in code.rows:
-        words += [w ^ row for w in words]
-    return set(words)
+    block = span_words(packed_rows(code.rows, code.n))
+    return {int.from_bytes(column.tobytes(), "little") for column in block.T}
 
 
 def _share_nonzero_codeword(c1: PrCode, c2: PrCode) -> bool:

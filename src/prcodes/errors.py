@@ -12,7 +12,7 @@ ENUMERATION_CAP = 24
 # only below 2^64; k = 64 takes 6-9 ms, while Pollard rho on 2^256 - 1 was
 # still running after 25 s
 PRIMITIVITY_CAP = 64
-# construct.codeword_set holds 2^k Python ints: a 96 MB tracemalloc peak at
+# construct.codeword_set holds 2^k Python ints: an 81 MB tracemalloc peak at
 # k = 20, n = 64, doubling with each k beyond
 CODEWORD_SET_CAP = 20
 # weights.weight_enumerator_exact counts 2^k codewords up to n = 192, else

@@ -9,8 +9,10 @@ Beyond the basic ring operations the module tests whether a polynomial
 generates a maximum-length recurrence (the multiplicative order of x
 modulo p equals 2^deg(p) - 1), generates such a recurrence's bits
 packed into 64-bit words, recovers the connection polynomial of a
-recurrence from its bits (Berlekamp-Massey), and lists every such
-polynomial of degree k by decimating one m-sequence, once per pair.
+recurrence from its bits (Berlekamp-Massey), and walks the degree-k
+family: decimations yields one decimation of f's own m-sequence, f =
+first_primitive(k), per reciprocal pair, and pair_polynomials reads each
+one's polynomial off its first 2k bits.
 
 The generator rests on the Frobenius identity p(x)^(2^m) = p(x^(2^m))
 over GF(2): a sequence that p's recurrence annihilates also satisfies
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -329,6 +331,14 @@ def packed_sequence(p: BitPoly, length: int) -> np.ndarray:
     return words
 
 
+def m_sequence(p: BitPoly) -> np.ndarray:
+    """One period s_0..s_{P-1} of p's sequence seeded with 1, 0, ..., 0, as
+    uint8 bits; p must have maximal period P = 2^k - 1."""
+    period = (1 << p.degree) - 1
+    return np.unpackbits(packed_sequence(p, period).view(np.uint8), count=period,
+                         bitorder="little")
+
+
 # ---------------------------------------------------------------------------
 # the degree-k family, by decimation
 #
@@ -354,19 +364,24 @@ def pair_leaders(k: int) -> list[int]:
     return leaders
 
 
-def pair_polynomials(k: int) -> list[BitPoly]:
-    """One polynomial per reciprocal pair of degree k, in pair_leaders order.
-    s_i is the constant term of x^i mod f = first_primitive(k), so s_{d t}
-    follows the powers of x^d; Berlekamp-Massey reads its polynomial off
-    t < 2k.  s is the sequence of f's reciprocal from the seed 1, 0, ..., 0."""
-    period = (1 << k) - 1
-    s = packed_sequence(first_primitive(k).reciprocal(), period).view(np.uint8)
-    steps = np.arange(2 * k)
-    out = []
+def decimations(k: int, length: int) -> Iterator[np.ndarray]:
+    """The degree-k family, one sequence per reciprocal pair: for each
+    pair_leaders d in order, the uint8 bits s_{d t mod P}, t < length, of
+    s = m_sequence(first_primitive(k)).  Each is a shift of the sequence of
+    the polynomial that Berlekamp-Massey reads off its first 2k bits."""
+    s = m_sequence(first_primitive(k))
+    period = len(s)
+    # d t mod P in 32 bits over a whole period while (P - 1)^2 fits; the short
+    # walks of the span kernel ran about 5% slower in uint32 than in int64
+    steps = np.arange(length, dtype=np.uint32 if length == period <= 0xFFFF else np.int64)
     for d in pair_leaders(k):
-        i = d * steps % period
-        out.append(berlekamp_massey((s[i >> 3] >> (i & 7) & 1).tolist()))
-    return out
+        yield s[steps * d % period]
+
+
+def pair_polynomials(k: int) -> list[BitPoly]:
+    """One polynomial per reciprocal pair of degree k, in pair_leaders
+    order: the one whose sequence decimations(k, .) yields."""
+    return [berlekamp_massey(u.tolist()) for u in decimations(k, 2 * k)]
 
 
 def enumerate_primitives(k: int) -> list[BitPoly]:

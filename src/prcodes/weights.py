@@ -3,22 +3,24 @@
 Exact enumerators are integer vectors A_0..A_n, counted by one of two
 kernels chosen by the length n.  Up to SPAN_MAX_N coordinates, A is the
 histogram of popcounts over the GF(2) span of k generator rows packed
-in 64-bit words, 2^k codewords of ceil(n/64) words each.  Longer codes
-use that their nonzero codewords are the n-bit windows of the sequence
-at the P = 2^k - 1 phases: A is a count of window weights plus the zero
-word, read from two copies of the sequence n mod P phases apart, at a
-cost in P that does not grow with n.  The binary MacWilliams
-transform maps an enumerator to its dual's through the Krawtchouk
-kernel; everything on that path is arbitrary-precision integer
-arithmetic, so a non-integer or negative output is reported as an error
-instead of being rounded away.
+in 64-bit words, 2^k codewords of ceil(n/64) words each, which
+construct.span_words builds for the low rows and again for the high
+ones.  Longer codes use that their nonzero codewords are the n-bit
+windows of the sequence at the P = 2^k - 1 phases: A is a count of
+window weights plus the zero word, read from two copies of the sequence
+n mod P phases apart, at a cost in P that does not grow with n.  The
+binary MacWilliams transform maps an enumerator to its dual's through
+the Krawtchouk kernel; everything on that path is arbitrary-precision
+integer arithmetic, so a non-integer or negative output is reported as
+an error instead of being rounded away.
 
 On top of the exact machinery sit the ensemble averages over all
-maximal-period polynomials of a degree, taken over decimations of one
-m-sequence, closed-form approximations of those averages built from
-sparse-multiple counts (both primal ones through the same integer
-kernel, rounded to float once from an exact rational), and a KL
-divergence for comparing the two.
+maximal-period polynomials of a degree, one code per sequence of
+gf2.decimations, the one walk of first_primitive(k)'s own m-sequence;
+closed-form approximations of those averages built from sparse-multiple
+counts (both primal ones through the same integer kernel, rounded to
+float once from an exact rational); and a KL divergence for comparing
+the two.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, lcm, log
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .construct import PrCode, m_sequence, sequence_chunks
+from .construct import PrCode, packed_rows, sequence_chunks, span_words
 from .errors import (
     ENSEMBLE_CAP,
     ENUMERATOR_CAP,
@@ -38,15 +40,15 @@ from .errors import (
     RecursionInconsistencyError,
     check_k,
 )
-from .gf2 import BitPoly, first_primitive, pair_leaders, pair_polynomials
+from .gf2 import BitPoly, decimations, pair_polynomials
 
 # longest code counted over the span of its rows, at O(2^k n/64) word
 # operations; longer ones count windows at O(P) whatever n is.  At n = 192
 # the span took 2, 8, 29 and 94 ms at k = 18, 20, 22, 24 against 5, 14, 49
 # and 117 ms for the windows; at n = 256 they break even at k = 24 (2-vCPU VM)
 SPAN_MAX_N = 192
-# rows whose codewords _span_counts builds once; the others are walked in
-# Gray order, one XOR of a 2^SPAN_LOW_BITS-column block per step.  Of 11-16,
+# rows whose codewords _span_counts builds into its low block; each codeword
+# of the others is one XOR of that 2^SPAN_LOW_BITS-column block.  Of 11-16,
 # 14 was fastest or within 10% of it at k = 22-24, n = 84-192 (2-vCPU VM)
 SPAN_LOW_BITS = 14
 
@@ -135,34 +137,25 @@ def _window_counts(k: int, n: int, first: int,
     return counts
 
 
-def _span_counts(rows: Sequence[int], n: int) -> np.ndarray:
+def _span_counts(words: np.ndarray, n: int) -> np.ndarray:
     """A_0..A_n, as int64, of the GF(2) span of k linearly independent
-    n-bit rows.
+    n-bit rows, given as (k, ceil(n/64)) words in packed_rows' layout.
 
-    The codewords of the low min(k, SPAN_LOW_BITS) rows are built once by
-    XOR doubling, as ceil(n/64) planes of uint64 words, one column per
-    codeword.  Each combination of the high rows, taken in Gray order so
-    that one row changes per step, is XORed onto that block; the popcounts
+    span_words builds the codewords of the low min(k, SPAN_LOW_BITS) rows
+    as one block and, once more, those of the high rows, whose columns are
+    the coset flips.  Each flip is XORed onto the low block; the popcounts
     of the coset are summed over the planes, in the narrowest unsigned
     type that holds n, and binned.  The bits of a row past bit n are
     zero, so the sums are the codeword weights.
     """
-    k, planes = len(rows), -(-n // 64)
-    low = min(k, SPAN_LOW_BITS)
     weight = np.min_scalar_type(n)
-    words = np.frombuffer(b"".join(r.to_bytes(8 * planes, "little") for r in rows),
-                          dtype="<u8").reshape(k, planes)
-    block = np.zeros((planes, 1 << low), dtype=np.uint64)
-    for i in range(low):
-        np.bitwise_xor(block[:, :1 << i], words[i, :, None], out=block[:, 1 << i:2 << i])
+    block = span_words(words[:SPAN_LOW_BITS])
     counts = np.zeros(n + 1, dtype=np.int64)
-    flip = np.zeros(planes, dtype=np.uint64)
     coset = np.empty_like(block)
     ones = np.empty(block.shape, dtype=np.uint8)
-    for g in range(1 << (k - low)):
-        if g:
-            flip ^= words[low + (g & -g).bit_length() - 1]
-        np.bitwise_xor(block, flip[:, None], out=coset)
+    flips = span_words(words[SPAN_LOW_BITS:])
+    for g in range(flips.shape[1]):
+        np.bitwise_xor(block, flips[:, g:g + 1], out=coset)
         np.bitwise_count(coset, out=ones)
         counts += np.bincount(ones.sum(axis=0, dtype=weight), minlength=n + 1)
     return counts
@@ -177,7 +170,7 @@ def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
     """
     check_k("exhaustive enumeration", code.k, ENUMERATOR_CAP)
     if code.n <= SPAN_MAX_N:
-        counts = _span_counts(code.rows, code.n)
+        counts = _span_counts(packed_rows(code.rows, code.n), code.n)
     else:
         r = code.n % ((1 << code.k) - 1)
         first = (code.rows[0] & ((1 << r) - 1)).bit_count()  # row 0 is s_0..s_(n-1)
@@ -245,37 +238,32 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 # ---------------------------------------------------------------------------
 # ensemble averages over all maximal-period polynomials of one degree
 #
-# One decimation per class of gf2.pair_leaders covers a reciprocal pair.
+# One sequence of gf2.decimations per reciprocal pair stands for both codes.
 
 def _pair_members(k: int, n: int) -> Iterator[np.ndarray]:
-    """Length-n counts A_0..A_n, as int64, of one code per reciprocal pair
-    of degree k, in gf2.pair_leaders order (k = 2 has a single,
-    self-reciprocal code)."""
+    """Length-n counts A_0..A_n, as int64, of the code of each sequence of
+    gf2.decimations(k, .), one per reciprocal pair of degree k in
+    pair_leaders order (k = 2 has a single, self-reciprocal code)."""
     check_k("ensemble enumeration", k, ENSEMBLE_CAP, low=2)
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
-    base = m_sequence(first_primitive(k))
-    period = len(base)
     if n <= SPAN_MAX_N:
-        # the windows of u at phases 0..k-1 are independent, so they span its code
-        steps, mask = np.arange(n + k - 1), (1 << n) - 1
-        for d in pair_leaders(k):
-            u = np.packbits(base[steps * d % period], bitorder="little")
-            bits = int.from_bytes(u.tobytes(), "little")
-            yield _span_counts([(bits >> j) & mask for j in range(k)], n)
+        # row j is u's window at phase j; those k are independent, so they span its code
+        phases = np.arange(k)[:, None] + np.arange(n)
+        packed = np.zeros((k, 8 * -(-n // 64)), dtype=np.uint8)
+        for u in decimations(k, n + k - 1):
+            packed[:, :-(-n // 8)] = np.packbits(u[phases], axis=1, bitorder="little")
+            yield _span_counts(packed.view("<u8"), n)
         return
-    r = n % period
-    # d t mod P in 32 bits while (P - 1)^2 fits
-    phases = np.arange(period, dtype=np.uint32 if period <= 0xFFFF else np.uint64)
-    for d in pair_leaders(k):
-        u = base[phases * d % period]
+    r = n % ((1 << k) - 1)
+    for u in decimations(k, (1 << k) - 1):
         yield _window_counts(k, n, int(np.count_nonzero(u[:r])), [(u, np.roll(u, -r))])
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
     """Exact enumerator for every degree-k maximal-period polynomial,
-    ascending by mask.  Leader d decimates construct's sequence (powers of
-    1/x) and gf2's (powers of x), so both name one reciprocal pair."""
+    ascending by mask.  pair_polynomials names the polynomial of each
+    sequence _pair_members counts, and its reciprocal shares the counts."""
     members = list(_pair_members(k, n))  # its range checks run before any polynomial work
     out = []
     for p, counts in zip(pair_polynomials(k), members):

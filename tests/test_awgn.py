@@ -153,6 +153,19 @@ def test_decide_matches_reference_codebook(k):
             assert np.array_equal(decided, ref_decide(code, rx)), (n, b)
 
 
+@pytest.mark.parametrize("k", [3, 10, 11, 15])
+def test_sign_tables_are_codebook_rows(k):
+    # low holds messages 0..2^t - 1 and high the messages h 2^t, across
+    # one, two and three 64-bit planes of the packed rows
+    for n in (63, 64, 65, 129):
+        code = build_code(first_primitive(k), n)
+        low, high = _sign_tables(code)
+        ref = ref_codebook_signs(code)
+        assert np.array_equal(low, ref[:len(low)]), n
+        assert np.array_equal(high, ref[::len(low)]), n
+        assert not low.flags.writeable and not high.flags.writeable
+
+
 def lone_tie(ref, lo_block, same_block=False):
     """(lo, hi, rx): two messages whose codewords' midpoint rx ties them
     alone at the top score; hi is in a later block of 2^LOW_BITS than lo

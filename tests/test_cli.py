@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import prcodes.weights
 from prcodes import cli
 from prcodes.cli import run
 from prcodes.construct import build_code
@@ -159,6 +160,21 @@ def test_dmin_without_scan_leaves_witness_blank(tmp_path):
                 "--outdir", str(tmp_path)]) == 0
     _, _, rows = read_csv(tmp_path / "dmin_k8_n20.csv")
     assert rows[0][2] == ""
+
+
+def test_dmin_refuses_short_codes(tmp_path, capsys):
+    # at k = 4, n = 5 every code of the family has d = 1, yet the bound read 2
+    assert run(["dmin", "--k", "4", "--n", "5", "--outdir", str(tmp_path)]) == 1
+    assert "2k = 8" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_dmin_refuses_n_equal_k_before_ensemble_work(tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("ensemble work ran")
+
+    monkeypatch.setattr(prcodes.weights, "_pair_members", unreachable)
+    assert run(["dmin", "--k", "5", "--n", "5", "--outdir", str(tmp_path)]) == 1
 
 
 def test_union_bound_curve(tmp_path):

@@ -13,12 +13,13 @@ from prcodes.construct import (
     _share_nonzero_codeword,
     build_code,
     codeword_set,
-    m_sequence,
+    packed_rows,
     sequence_chunks,
+    span_words,
     verify_disjoint,
 )
 from prcodes.errors import UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive, is_primitive
+from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive, is_primitive, m_sequence
 from prcodes.weights import weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
@@ -146,8 +147,19 @@ def test_codeword_set_matches_encode():
     assert codeword_set(code) == {code.encode(m) for m in range(1 << code.k)}
 
 
+@pytest.mark.parametrize("k", range(2, 11))
+def test_span_words_columns_are_encodings(k):
+    # column m, read back as an int across its planes, is the codeword of m
+    for n in sorted({k, 63, 64, 65, 128, 129}):
+        code = build_code(first_primitive(k), n)
+        block = span_words(packed_rows(code.rows, n))
+        assert block.shape == (-(-n // 64), 1 << k)
+        got = [int.from_bytes(column.tobytes(), "little") for column in block.T]
+        assert got == [code.encode(m) for m in range(1 << k)], f"n={n}"
+
+
 def test_codeword_set_cap():
-    # 2^k Python ints take a 96 MB peak at k = 20, n = 64, so from k = 21
+    # 2^k Python ints take an 81 MB peak at k = 20, n = 64, so from k = 21
     # check_k refuses the code before any word is built
     for k in (21, 25):
         fake = PrCode(poly=P4, k=k, n=64, rows=tuple(1 << i for i in range(k)))

@@ -22,6 +22,7 @@ from prcodes.gf2 import (
     _mul,
     _sqr,
     berlekamp_massey,
+    decimations,
     enumerate_primitives,
     factorize,
     first_primitive,
@@ -303,8 +304,8 @@ def test_packed_sequence_short_periods():
 
 
 def test_packed_sequence_reciprocal_taps_give_constant_terms():
-    # pair_polynomials' s_i, the constant term of x^i mod f, is the
-    # sequence of f's reciprocal from the seed 1, 0, ..., 0
+    # the sequence of f's reciprocal from the seed 1, 0, ..., 0 is s_i, the
+    # constant term of x^i mod f: the two conventions name one sequence
     for k in range(2, 11):
         for f in enumerate_primitives(k)[:4]:
             period = 2**k - 1
@@ -316,16 +317,24 @@ def test_packed_sequence_reciprocal_taps_give_constant_terms():
             assert got == expected, f"f={f}"
 
 
+def test_decimations_walk_first_primitive_sequence():
+    # short walks and whole periods (the 32-bit index path) of s_(d t)
+    for k in range(2, 11):
+        period = 2**k - 1
+        s = ref_lfsr_bits(first_primitive(k).mask, 1, period)
+        for length in sorted({1, 2 * k, period - 1, period}):
+            expected = [[s[d * t % period] for t in range(length)] for d in pair_leaders(k)]
+            assert [u.tolist() for u in decimations(k, length)] == expected, (k, length)
+
+
 def test_pair_polynomials_match_constant_term_decimation():
     # the list, element for element and in leader order, read off the
-    # constant terms of x^i mod first_primitive(k) one step at a time
+    # decimations of first_primitive(k)'s own sequence from the seed
+    # 1, 0, ..., 0, stepped one bit at a time
     for k in range(2, 13):
         f = first_primitive(k)
         period = 2**k - 1
-        s, x = [], 1
-        for _ in range(period):
-            s.append(x & 1)
-            x = ref_mod(x << 1, f.mask)
+        s = ref_lfsr_bits(f.mask, 1, period)
         expected = [berlekamp_massey([s[d * t % period] for t in range(2 * k)])
                     for d in pair_leaders(k)]
         assert pair_polynomials(k) == expected, f"k={k}"

@@ -18,13 +18,14 @@ from util import (
 
 import prcodes.construct
 import prcodes.weights
-from prcodes.construct import PrCode, build_code, sequence_chunks
+from prcodes.construct import PrCode, build_code, packed_rows, sequence_chunks
 from prcodes.errors import InconsistentEnumeratorError, UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive
+from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive, pair_polynomials
 from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
     _krawtchouk_table,
+    _pair_members,
     _span_counts,
     _window_counts,
     avg_dual_approx,
@@ -152,17 +153,18 @@ def _kernel_cases(k):
 @pytest.mark.parametrize("k", range(2, 11))
 def test_span_and_window_kernels_match_brute_force(k):
     for p, n, expected in _kernel_cases(k):
-        assert _span_counts(build_code(p, n).rows, n).tolist() == expected, f"{p} n={n}"
+        assert _span_counts(packed_rows(build_code(p, n).rows, n), n).tolist() == expected, f"{p} n={n}"
         assert _window_counts(k, n, *windows(p, n)).tolist() == expected, f"{p} n={n}"
 
 
 @pytest.mark.parametrize("low_bits", [2, 3])
 @pytest.mark.parametrize("k", range(2, 11))
 def test_span_kernel_gray_walk_matches_brute_force(monkeypatch, k, low_bits):
-    # few low rows, so that the Gray walk over the high rows runs at small k
+    # few low rows, so that the block of the high rows' flips has several
+    # columns at small k
     monkeypatch.setattr(prcodes.weights, "SPAN_LOW_BITS", low_bits)
     for p, n, expected in _kernel_cases(k):
-        assert _span_counts(build_code(p, n).rows, n).tolist() == expected, f"{p} n={n}"
+        assert _span_counts(packed_rows(build_code(p, n).rows, n), n).tolist() == expected, f"{p} n={n}"
 
 
 def _sliding_counts(p, n):
@@ -318,6 +320,9 @@ def test_ensemble_enumerators_match_per_code(k):
     # 191-193 straddle the largest length counted over the span of the rows
     spans = {191, 192, 193} if k >= 8 else set()
     for n in sorted({k, 2 * k, period, period + 3} | spans):
+        # _pair_members counts the code of each pair_polynomials member, in order
+        members = [weight_enumerator_exact(build_code(p, n)).counts for p in pair_polynomials(k)]
+        assert [tuple(c.tolist()) for c in _pair_members(k, n)] == members, f"n={n}"
         members = ensemble_enumerators(k, n)
         assert [p for p, _ in members] == polys
         pairs, sums = 0, [0] * (n + 1)
