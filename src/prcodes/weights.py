@@ -80,9 +80,9 @@ class WeightEnumerator:
                 return j
         raise ValueError("code has no nonzero codeword")
 
-    def as_distribution(self, label: str = "exact") -> "RealDistribution":
+    def as_distribution(self) -> "RealDistribution":
         return RealDistribution(
-            n=self.n, values=tuple(float(c) for c in self.counts), label=label
+            n=self.n, values=tuple(float(c) for c in self.counts), label="exact"
         )
 
 

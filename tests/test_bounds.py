@@ -273,7 +273,7 @@ def test_external_reference_profiles(n, k, counts):
         n=n, dim=k,
         counts=tuple(counts.get(j, 0) for j in range(n + 1)),
     )
-    dist = enum.as_distribution("reference")
+    dist = enum.as_distribution()
     d = dmin_bound(dist)
     assert 2 <= d < enum.min_nonzero_weight()
     gamma = ebno_db_to_gamma(4.0, k, n)

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, CSV artifacts, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
+import re
 import time
 
 import pytest
@@ -12,7 +14,13 @@ from prcodes import cli
 from prcodes.cli import run
 from prcodes.construct import build_code
 from prcodes.gf2 import BitPoly, enumerate_primitives
-from prcodes.weights import macwilliams, weight_enumerator_exact
+from prcodes.weights import (
+    avg_dual_approx,
+    avg_primal_approx,
+    ensemble_average_exact,
+    macwilliams,
+    weight_enumerator_exact,
+)
 
 
 def read_csv(path):
@@ -23,6 +31,61 @@ def read_csv(path):
     header = lines[1]
     rows = [ln.split(",") for ln in lines[2:]]
     return manifest, header, rows
+
+
+# a minimal valid argv per subcommand, and every dest it parses to with its default
+SURFACE = {
+    "primitives": (["--k", "4"], {"k": 4}),
+    "weights": (["--poly", "0x13", "--n", "20"],
+                {"poly": "0x13", "n": 20, "dual": False, "outdir": None}),
+    "avg-weights": (["--k", "6", "--n", "14", "--mode", "exact"],
+                    {"k": 6, "n": 14, "mode": "exact", "allow_slow": False, "outdir": None}),
+    "kld": (["--k", "6", "--n", "14", "--which", "dual"],
+            {"k": 6, "n": 14, "which": "dual", "allow_slow": False, "outdir": None}),
+    "dmin": (["--k", "6", "--n", "14"],
+             {"k": 6, "n": 14, "scan": False, "allow_slow": False, "outdir": None}),
+    "union-bound": (["--poly", "0x13", "--n", "20", "--ebno-list", "3"],
+                    {"poly": "0x13", "n": 20, "ebno_list": "3", "source": "approx9",
+                     "no_prefactor": False, "outdir": None}),
+    "simulate": (["--poly", "0x13", "--n", "20", "--ebno-list", "3"],
+                 {"poly": "0x13", "n": 20, "ebno_list": "3", "seed": 0,
+                  "max_trials": 10_000_000, "target_errors": 100, "allow_slow": False,
+                  "outdir": None}),
+    "reproduce": (["table1"], {"target": "table1", "seed": 0, "allow_slow": False,
+                               "outdir": None}),
+}
+CHOICES = {
+    ("avg-weights", "mode"): ["exact", "approx8", "approx9", "literal9"],
+    ("kld", "which"): ["dual", "primal"],
+    ("union-bound", "source"): ["approx9", "exact"],
+    ("reproduce", "target"): ["table1", "table2", "table3", "fig1", "fig2", "fig3",
+                              "fig4-pr", "fig5-pr"],
+}
+
+
+def test_cli_surface():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subparsers) == list(SURFACE)
+    for name, (argv, expect) in SURFACE.items():
+        ns = vars(parser.parse_args([name] + argv))
+        assert callable(ns.pop("func"))
+        assert ns == {"subcommand": name, **expect}, name
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([name, "--help"])
+        assert exc.value.code == 0
+        for action in subparsers[name]._actions:
+            choices = CHOICES.get((name, action.dest))
+            assert choices is None or list(action.choices) == choices, (name, action.dest)
+            # _Parser reads these as values, so no option may be spelled this way
+            assert not any(re.match(r"-(\.?\d|inf|nan)", s, re.IGNORECASE)
+                           for s in action.option_strings)
+    assert set(CHOICES) <= {(name, a.dest) for name, p in subparsers.items()
+                            for a in p._actions if a.choices}
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--help"])
+    assert exc.value.code == 0
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -101,10 +164,17 @@ def test_avg_weights_exact(tmp_path):
 
 
 def test_avg_weights_modes_write_files(tmp_path):
-    for mode in ("approx8", "approx9", "literal9"):
+    expect = {
+        "exact": ensemble_average_exact(6, 14)[0],
+        "approx8": avg_dual_approx(6, 14),
+        "approx9": avg_primal_approx(6, 14, mode="primary"),
+        "literal9": avg_primal_approx(6, 14, mode="literal"),
+    }
+    for mode, dist in expect.items():
         assert run(["avg-weights", "--k", "6", "--n", "14", "--mode", mode,
                     "--outdir", str(tmp_path)]) == 0
-        assert (tmp_path / f"avg_weights_{mode}_k6_n14.csv").exists()
+        _, _, rows = read_csv(tmp_path / f"avg_weights_{mode}_k6_n14.csv")
+        assert [v for _, v in rows] == [f"{x:.12g}" for x in dist.values], mode
 
 
 def test_slow_gate_requires_flag(tmp_path, capsys):

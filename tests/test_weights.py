@@ -159,7 +159,7 @@ def test_span_and_window_kernels_match_brute_force(k):
 
 @pytest.mark.parametrize("low_bits", [2, 3])
 @pytest.mark.parametrize("k", range(2, 11))
-def test_span_kernel_gray_walk_matches_brute_force(monkeypatch, k, low_bits):
+def test_span_kernel_high_block_matches_brute_force(monkeypatch, k, low_bits):
     # few low rows, so that the block of the high rows' flips has several
     # columns at small k
     monkeypatch.setattr(prcodes.weights, "SPAN_LOW_BITS", low_bits)
