@@ -81,7 +81,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .bounds import es_n0
 from .construct import PrCode, packed_rows, span_words
 from .errors import DECODER_CAP, check_k
-from .gf2 import m_sequence
+from .gf2 import packed_sequence
 from .weights import _window_weights
 
 # message bits spanned by the low table: scores are computed 2^LOW_BITS columns
@@ -204,19 +204,18 @@ def _light_codewords(code: PrCode) -> tuple[int, np.ndarray, np.ndarray]:
     and raised the listing's traced peak from 19 to 29 MiB.
 
     The nonzero codewords are the n-windows of code.poly's sequence at its
-    P = 2^k - 1 phases, so one pass of weights._window_weights over the
-    period weighs them all, and the light ones are read off the sequence
-    extended to P + n bits.
+    P = 2^k - 1 phases.  Its first P + n bits are packed once: one pass of
+    weights._window_weights over them weighs every window, and the light
+    ones are read off the same bits unpacked.
     """
     budget = min(1 << (code.k - 2), 1 << 14)
     period = (1 << code.k) - 1
-    r = code.n % period
-    seq = np.resize(m_sequence(code.poly), period + code.n)
-    weights, = _window_weights(code.k, code.n, int(np.count_nonzero(seq[:r])),
-                               [(seq[:period], seq[r:r + period])])
+    packed = packed_sequence(code.poly, period + code.n)
+    weights = np.concatenate([*_window_weights(code.k, code.n, packed)])
     cap = int(np.searchsorted(np.cumsum(np.bincount(weights)), budget, side="right"))
     light = np.flatnonzero(weights < cap)
     light = light[np.argsort(weights[light], kind="stable")]
+    seq = np.unpackbits(packed.view(np.uint8), count=period + code.n, bitorder="little")
     # weights[t] is the window at phase t + 1
     return cap, sliding_window_view(seq, code.n)[(light + 1) % period], weights[light]
 

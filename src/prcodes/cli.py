@@ -142,6 +142,12 @@ def _exact_and_approx(k: int, n: int, which: str):
     return ensemble_average_exact(k, n)[dual], PROFILES["approx8" if dual else "approx9"](k, n)
 
 
+def _require_2k(k: int, n: int) -> None:
+    """Refuse n < 2k, where the ensemble distance bound does not hold."""
+    if n < 2 * k:  # shorter codes may share words, and the bound may pass their distance
+        raise ValueError(f"the distance bound requires n >= 2k = {2 * k}, got {n}")
+
+
 def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
     k = poly.degree
     gammas = [ebno_db_to_gamma(db, k, n) for db in points]  # refuse a bad point first
@@ -150,6 +156,7 @@ def _bound_curve(poly: BitPoly, n: int, points, source: str, weighted: bool):
         dist = enum.as_distribution()
         d = enum.min_nonzero_weight()  # so that the unweighted sum bounds the code's WER
     else:
+        _require_2k(k, n)
         dist = PROFILES["approx9"](k, n)
         d = dmin_bound(dist)
     return [(db, union_bound(dist, d, n, gamma, weighted=weighted))
@@ -206,8 +213,7 @@ def _cmd_kld(args):
 
 def _cmd_dmin(args):
     k, n = args.k, args.n
-    if n < 2 * k:  # shorter codes may share words, and the bound may pass their distance
-        raise ValueError(f"the distance bound requires n >= 2k = {2 * k}, got {n}")
+    _require_2k(k, n)
     if args.scan:
         rep = verify_existence(k, n)
         d, witness = rep.dmin_bound, rep.witness_d

@@ -10,8 +10,7 @@ sequence at all phases.
 Codewords and generator rows are packed into ints, bit i holding
 coordinate i.  Every bit comes from gf2.packed_sequence, which packs
 the sequence seeded with 1, 0, ..., 0 64 phases to a word: build_code
-reads all k rows off its first n + k bits, and sequence_chunks unpacks
-whole periods one chunk of phases at a time.
+reads all k rows off its first n + k bits.
 
 span_words is the one place a span of rows is built: from packed_rows'
 64-bit words it doubles a block whose column m is the codeword of
@@ -22,44 +21,12 @@ the popcounts of its columns, and awgn maps its bits to BPSK symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CODEWORD_SET_CAP, check_k
 from .gf2 import BitPoly, is_primitive, packed_sequence
-
-# phases per array yielded by sequence_chunks: a few MB of working memory at any k
-CHUNK = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# whole periods, a chunk of phases at a time
-
-def _unpack(packed: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Bits start..start+count-1 of a little-endian packed byte array."""
-    skip = start & 7
-    window = packed[start >> 3:(start + count + 7) >> 3]
-    return np.unpackbits(window, count=skip + count, bitorder="little")[skip:]
-
-
-def sequence_chunks(p: BitPoly, offsets: Sequence[int] = (0,)) -> Iterator[tuple[np.ndarray, ...]]:
-    """One period of p's sequence, read from several phases in step.
-
-    The sequence is the one seeded with 1, 0, ..., 0 (generator row 0).
-    For t running over 0..P-1, P = 2^k - 1, in consecutive chunks of at
-    most CHUNK phases, yields one uint8 array per offset o holding
-    s_{o + t}.  The P + max(o mod P) bits are generated packed (P/8
-    bytes) and only each chunk is unpacked, so the working memory beyond
-    them stays flat in k.  p must have maximal period.
-    """
-    period = (1 << p.degree) - 1
-    starts = [o % period for o in offsets]
-    packed = packed_sequence(p, period + max(starts)).view(np.uint8)
-    size = min(CHUNK, period)
-    for t0 in range(0, period, size):
-        count = min(size, period - t0)
-        yield tuple(_unpack(packed, s + t0, count) for s in starts)
 
 
 @dataclass(frozen=True)

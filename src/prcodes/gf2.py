@@ -371,9 +371,7 @@ def decimations(k: int, length: int) -> Iterator[np.ndarray]:
     the polynomial that Berlekamp-Massey reads off its first 2k bits."""
     s = m_sequence(first_primitive(k))
     period = len(s)
-    # d t mod P in 32 bits over a whole period while (P - 1)^2 fits; the short
-    # walks of the span kernel ran about 5% slower in uint32 than in int64
-    steps = np.arange(length, dtype=np.uint32 if length == period <= 0xFFFF else np.int64)
+    steps = np.arange(length, dtype=np.int64)
     for d in pair_leaders(k):
         yield s[steps * d % period]
 

@@ -7,8 +7,8 @@ in 64-bit words, 2^k codewords of ceil(n/64) words each, which
 construct.span_words builds for the low rows and again for the high
 ones.  Longer codes use that their nonzero codewords are the n-bit
 windows of the sequence at the P = 2^k - 1 phases: A is a count of
-window weights plus the zero word, read from two copies of the sequence
-n mod P phases apart, at a cost in P that does not grow with n.  The
+window weights plus the zero word, read from one packed sequence a chunk
+of phases at a time, at a cost in P that does not grow with n.  The
 binary MacWilliams transform maps an enumerator to its dual's through
 the Krawtchouk kernel; everything on that path is arbitrary-precision
 integer arithmetic, so a non-integer or negative output is reported as
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, lcm, log
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .construct import PrCode, packed_rows, sequence_chunks, span_words
+from .construct import PrCode, packed_rows, span_words
 from .errors import (
     ENSEMBLE_CAP,
     ENUMERATOR_CAP,
@@ -40,7 +40,7 @@ from .errors import (
     RecursionInconsistencyError,
     check_k,
 )
-from .gf2 import BitPoly, decimations, pair_polynomials
+from .gf2 import BitPoly, decimations, packed_sequence, pair_polynomials
 
 # longest code counted over the span of its rows, at O(2^k n/64) word
 # operations; longer ones count windows at O(P) whatever n is.  At n = 192
@@ -51,6 +51,8 @@ SPAN_MAX_N = 192
 # of the others is one XOR of that 2^SPAN_LOW_BITS-column block.  Of 11-16,
 # 14 was fastest or within 10% of it at k = 22-24, n = 84-192 (2-vCPU VM)
 SPAN_LOW_BITS = 14
+# phases _window_weights weighs at a time: a few MB of working memory at any k
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,7 @@ class WeightEnumerator:
         raise ValueError("code has no nonzero codeword")
 
     def as_distribution(self) -> "RealDistribution":
-        return RealDistribution(
-            n=self.n, values=tuple(float(c) for c in self.counts), label="exact"
-        )
+        return RealDistribution(n=self.n, values=tuple(float(c) for c in self.counts))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ class RealDistribution:
 
     n: int
     values: tuple[float, ...]
-    label: str
 
     def __post_init__(self):
         if len(self.values) != self.n + 1:
@@ -102,36 +101,47 @@ class RealDistribution:
 # ---------------------------------------------------------------------------
 # exact enumerators
 
-def _window_weights(k: int, n: int, first: int,
-                    chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> Iterator[np.ndarray]:
+def _unpack(packed: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Bits start..start+count-1 of a little-endian packed byte array."""
+    skip = start & 7
+    window = packed[start >> 3:(start + count + 7) >> 3]
+    return np.unpackbits(window, count=skip + count, bitorder="little")[skip:]
+
+
+def _window_weights(k: int, n: int, packed: np.ndarray) -> Iterator[np.ndarray]:
     """Weights of the n-windows of one period-(2^k - 1) sequence, per chunk.
 
-    chunks yields bit-array pairs (s[t..t+c), s[t+r..t+r+c)) that together
-    cover t = 0..P-1 in order, with r = n mod P; for each, this yields the
+    packed holds at least s_0..s_(P+r-1), little-endian, with P = 2^k - 1
+    and r = n mod P.  For t = 0..P-1 in consecutive chunks of at most
+    CHUNK phases, this unpacks s[t..t+c) and s[t+r..t+r+c) and yields the
     int64 weights of the windows at phases t+1..t+c (phase P is phase 0).
     The window at phase t weighs n // P full periods of 2^(k-1) ones plus
     w(t), the weight of s[t..t+r), and w(t+1) - w(t) = s[t+r] - s[t], so
-    the weights are running sums of those steps from first = w(0).
+    the weights are running sums of those steps from w(0).
     """
-    weight = (n // ((1 << k) - 1) << (k - 1)) + first
-    for head, tail in chunks:
-        weights = np.cumsum(np.subtract(tail, head, dtype=np.int8))
+    period = (1 << k) - 1
+    laps, r = divmod(n, period)
+    packed = packed.view(np.uint8)
+    weight = (laps << (k - 1)) + int(np.count_nonzero(_unpack(packed, 0, r)))
+    for t in range(0, period, CHUNK):
+        count = min(CHUNK, period - t)
+        weights = np.cumsum(np.subtract(_unpack(packed, t + r, count), _unpack(packed, t, count),
+                                        dtype=np.int8))
         weights += weight
         weight = int(weights[-1])
         yield weights
 
 
-def _window_counts(k: int, n: int, first: int,
-                   chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """A_0..A_n, as int64, of the n-windows of one period-(2^k - 1) sequence,
-    from _window_weights' chunks and first: every phase once, plus the zero
+def _window_counts(k: int, n: int, packed: np.ndarray) -> np.ndarray:
+    """A_0..A_n, as int64, of the n-windows of the period-(2^k - 1) sequence
+    in packed, as _window_weights reads it: every phase once, plus the zero
     word.  A window weighs lightest + 0..r, so each chunk is binned over
     r + 1 places."""
     laps, r = divmod(n, (1 << k) - 1)
     lightest = laps << (k - 1)
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
-    for weights in _window_weights(k, n, first, chunks):
+    for weights in _window_weights(k, n, packed):
         weights -= lightest
         counts[lightest:lightest + r + 1] += np.bincount(weights, minlength=r + 1)
     return counts
@@ -166,15 +176,16 @@ def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
 
     Up to SPAN_MAX_N coordinates it is counted over the span of
     code.rows; longer codes count the windows of code.poly's sequence at
-    all 2^k - 1 phases, which are their nonzero codewords.
+    all P = 2^k - 1 phases, which are their nonzero codewords, from its
+    first P + (n mod P) bits.
     """
     check_k("exhaustive enumeration", code.k, ENUMERATOR_CAP)
     if code.n <= SPAN_MAX_N:
         counts = _span_counts(packed_rows(code.rows, code.n), code.n)
     else:
-        r = code.n % ((1 << code.k) - 1)
-        first = (code.rows[0] & ((1 << r) - 1)).bit_count()  # row 0 is s_0..s_(n-1)
-        counts = _window_counts(code.k, code.n, first, sequence_chunks(code.poly, (0, r)))
+        period = (1 << code.k) - 1
+        packed = packed_sequence(code.poly, period + code.n % period)
+        counts = _window_counts(code.k, code.n, packed)
     return WeightEnumerator(n=code.n, dim=code.k, counts=tuple(counts.tolist()))
 
 
@@ -255,9 +266,9 @@ def _pair_members(k: int, n: int) -> Iterator[np.ndarray]:
             packed[:, :-(-n // 8)] = np.packbits(u[phases], axis=1, bitorder="little")
             yield _span_counts(packed.view("<u8"), n)
         return
-    r = n % ((1 << k) - 1)
-    for u in decimations(k, (1 << k) - 1):
-        yield _window_counts(k, n, int(np.count_nonzero(u[:r])), [(u, np.roll(u, -r))])
+    period = (1 << k) - 1
+    for u in decimations(k, period + n % period):
+        yield _window_counts(k, n, np.packbits(u, bitorder="little"))
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
@@ -307,10 +318,7 @@ def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistri
     dual_sum = _transform_counts(primal_sum, n, k)
     primal = tuple(float(Fraction(s, pairs)) for s in primal_sum)
     dual = tuple(float(Fraction(s, pairs)) for s in dual_sum)
-    return (
-        RealDistribution(n=n, values=primal, label="exact-avg-primal"),
-        RealDistribution(n=n, values=dual, label="exact-avg-dual"),
-    )
+    return RealDistribution(n=n, values=primal), RealDistribution(n=n, values=dual)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +380,7 @@ def avg_dual_approx(k: int, n: int) -> RealDistribution:
     for t in range(3, n + 1):
         denom = (1 << k) - t if t < 1 << k else 1 << k
         values[t] = float(Fraction(_span_weighted_count(n, t, k), denom))
-    return RealDistribution(n=n, values=tuple(values), label="approx-dual")
+    return RealDistribution(n=n, values=tuple(values))
 
 
 def avg_primal_approx(k: int, n: int, mode: str = "primary") -> RealDistribution:
@@ -399,15 +407,13 @@ def avg_primal_approx(k: int, n: int, mode: str = "primary") -> RealDistribution
     spans = [_span_weighted_count(n, t, k) for t in range(n + 1)]
     if mode == "literal":
         coeffs, denom = spans, 1 << n
-        label = "approx-primal-literal"
     else:
         dens = [(1 << k) - t if n < 1 << k else 1 << k for t in range(3, n + 1)]
         common = lcm(*dens)
         coeffs = [common, 0, 0] + [spans[t] * (common // d) for t, d in enumerate(dens, 3)]
         denom = common << (n - k)
-        label = "approx-primal"
     values = [float(Fraction(acc, denom)) for acc in _krawtchouk_sums(coeffs, n)]
-    return RealDistribution(n=n, values=tuple(values), label=label)
+    return RealDistribution(n=n, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,22 @@ def test_light_codewords_match_the_codebook(k, n):
     assert ((y[certified] @ words.T).min(axis=1) > 0).all()
 
 
+@pytest.mark.parametrize("k", [11, 12, 13])
+def test_light_codewords_join_window_chunks(monkeypatch, k):
+    # one chunk holds a whole period below k = 17; 300 phases a chunk cut
+    # these into 7, 14 and 28 chunks, the last one short
+    for n in (2 * k + 9, 64):
+        code = build_code(first_primitive(k), n)
+        whole = _light_codewords(code)
+        monkeypatch.setattr("prcodes.weights.CHUNK", 300)
+        chunked = _light_codewords(code)
+        monkeypatch.undo()
+        assert chunked[0] == whole[0]
+        for got, expected in zip(chunked[1:], whole[1:]):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("k", [11, 12, 13, 14, 15])
 def test_certified_rows_decode_to_their_sent_message(k):
     # a certified row's sent message is the float64 decision and the exact one

@@ -34,11 +34,11 @@ RM_32_11 = {0: 1, 10: 64, 12: 240, 14: 448, 16: 542, 18: 448, 20: 240,
             22: 64, 32: 1}
 
 
-def dist_from_counts(n, counts, label="fixture"):
+def dist_from_counts(n, counts):
     values = [0.0] * (n + 1)
     for j, c in counts.items():
         values[j] = float(c)
-    return RealDistribution(n=n, values=tuple(values), label=label)
+    return RealDistribution(n=n, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_dmin_bound_monotone_in_added_mass():
     for j in range(3, 17):
         bumped = list(base.values)
         bumped[j] += 0.3
-        d1 = dmin_bound(RealDistribution(n=16, values=tuple(bumped), label="b"))
+        d1 = dmin_bound(RealDistribution(n=16, values=tuple(bumped)))
         assert d1 <= d0
 
 
@@ -177,7 +177,7 @@ def test_integer_bound_is_exact_where_floats_round_up():
     # rounds to 1.0000000000000002
     sums = [28, 0, 0, 9, 18, 1, 5]
     assert dmin_bound_exact(28, sums) == 5
-    profile = RealDistribution(n=6, values=tuple(s / 28 for s in sums), label="avg")
+    profile = RealDistribution(n=6, values=tuple(s / 28 for s in sums))
     assert dmin_bound(profile) == 4
 
 
@@ -198,14 +198,14 @@ def test_report_validation():
 
 def test_union_bound_zero_profile():
     dist = dist_from_counts(10, {})
-    dist = RealDistribution(n=10, values=(0.0,) * 11, label="zero")
+    dist = RealDistribution(n=10, values=(0.0,) * 11)
     assert union_bound(dist, 1, 10, 1.0) == 0.0
 
 
 def test_union_bound_simplex_single_term():
     counts = [0.0] * 16
     counts[8] = 15.0
-    dist = RealDistribution(n=15, values=tuple(counts), label="simplex")
+    dist = RealDistribution(n=15, values=tuple(counts))
     value = union_bound(dist, 8, 15, 1.0)
     expect = (8 / 15) * 15 * qfunc(math.sqrt(8.0))
     assert value == pytest.approx(expect, rel=1e-12)
@@ -227,7 +227,7 @@ def test_union_bound_monotone():
     assert all(a > b for a, b in zip(values, values[1:]))
     bumped = list(dist.values)
     bumped[10] += 1.0
-    more = RealDistribution(n=20, values=tuple(bumped), label="b")
+    more = RealDistribution(n=20, values=tuple(bumped))
     assert union_bound(more, 9, 20, 1.0) > union_bound(dist, 9, 20, 1.0)
 
 
@@ -240,7 +240,7 @@ def test_union_bound_unweighted_variant_larger():
 
 
 def test_union_bound_validation():
-    dist = RealDistribution(n=10, values=(0.0,) * 11, label="zero")
+    dist = RealDistribution(n=10, values=(0.0,) * 11)
     with pytest.raises(ValueError):
         union_bound(dist, 1, 10, 0.0)
     with pytest.raises(ValueError):

@@ -247,6 +247,15 @@ def test_dmin_refuses_n_equal_k_before_ensemble_work(tmp_path, monkeypatch):
     assert run(["dmin", "--k", "5", "--n", "5", "--outdir", str(tmp_path)]) == 1
 
 
+def test_approx9_union_bound_refuses_short_codes(tmp_path, capsys):
+    # the sum starts at the profile's distance bound, 2 at k = 4, n = 5, where
+    # every degree-4 code has d = 1, so it would leave out the lightest codewords
+    assert run(["union-bound", "--poly", "0x13", "--n", "5", "--ebno-list", "4",
+                "--outdir", str(tmp_path)]) == 1
+    assert "2k = 8" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_union_bound_curve(tmp_path):
     assert run(["union-bound", "--poly", "0x13", "--n", "20",
                 "--ebno-list", "4,5,6", "--outdir", str(tmp_path)]) == 0

@@ -1,5 +1,6 @@
 """LFSR sequences, code construction, and disjointness."""
 
+import functools
 import random
 import tracemalloc
 
@@ -7,20 +8,26 @@ import numpy as np
 import pytest
 from util import ref_int_to_bits, ref_lfsr_bits, rotate_mask
 
-import prcodes.construct
+import prcodes.weights
 from prcodes.construct import (
     PrCode,
     _share_nonzero_codeword,
     build_code,
     codeword_set,
     packed_rows,
-    sequence_chunks,
     span_words,
     verify_disjoint,
 )
 from prcodes.errors import UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive, is_primitive, m_sequence
-from prcodes.weights import weight_enumerator_exact
+from prcodes.gf2 import (
+    BitPoly,
+    enumerate_primitives,
+    first_primitive,
+    is_primitive,
+    m_sequence,
+    packed_sequence,
+)
+from prcodes.weights import _window_weights, weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
 
@@ -287,43 +294,59 @@ def test_m_sequence_is_row_zero_period():
             assert m_sequence(p).tolist() == ref_lfsr_bits(p.mask, 1, period)
 
 
+@functools.cache
+def _ref_window_weights(mask, n):
+    """Weight of the n-window at phases 1..P of the sequence of mask seeded
+    with 1, 0, ..., 0 (phase P is phase 0), summed bit by bit."""
+    period = 2 ** (mask.bit_length() - 1) - 1
+    bits = ref_lfsr_bits(mask, 1, period + n)
+    return [sum(bits[t % period:t % period + n]) for t in range(1, period + 1)]
+
+
+def _joined_window_weights(p, n, packed, chunk):
+    parts = list(_window_weights(p.degree, n, packed))
+    assert all(len(part) <= chunk for part in parts)
+    return np.concatenate(parts).tolist()
+
+
 @pytest.mark.parametrize("chunk", [8, 63, 64, 1 << 16])
 def test_sequence_chunks_offsets(monkeypatch, chunk):
-    monkeypatch.setattr(prcodes.construct, "CHUNK", chunk)
+    # _window_weights reads the chunks of one period at offsets 0 and
+    # r = n mod P, here 0, 1, 5, 7, 64 and 126, from exactly P + r packed bits
+    monkeypatch.setattr(prcodes.weights, "CHUNK", chunk)
     p = BitPoly.parse("1+x^3+x^7")
     period = 127
-    ref = ref_lfsr_bits(p.mask, 1, 2 * period)
-    offsets = (0, 1, 64, 126, 127 + 5)
-    parts = list(sequence_chunks(p, offsets))
-    assert all(len(part) == len(offsets) for part in parts)
-    assert all(len(bits) <= chunk for part in parts for bits in part)
-    for i, o in enumerate(offsets):
-        got = np.concatenate([part[i] for part in parts]).tolist()
-        assert got == ref[o % period:o % period + period]
+    for n in (7, 64, 126, 127, 128, 132, 191, 253, 259):
+        bits = ref_lfsr_bits(p.mask, 1, period + n % period)
+        got = _joined_window_weights(p, n, np.packbits(bits, bitorder="little"), chunk)
+        assert got == _ref_window_weights(p.mask, n), f"n={n}"
 
 
 @pytest.mark.parametrize("chunk", [5, 8, 63, 64, 1 << 16])
 def test_sequence_chunks_short_periods_and_far_offsets(monkeypatch, chunk):
-    # k = 2 and 3 have periods shorter than a seed word; offsets run past
-    # one period and land on every residue mod 8
-    monkeypatch.setattr(prcodes.construct, "CHUNK", chunk)
+    # k = 2 and 3 have periods shorter than a byte; r = n mod P lands on
+    # every residue mod 8, on P - 1 and on 0, and n runs past two periods.
+    # The sequence comes packed in bytes of exactly P + r bits, and in the
+    # 64-bit words of packed_sequence
+    monkeypatch.setattr(prcodes.weights, "CHUNK", chunk)
     for k in range(2, 9):
         for p in enumerate_primitives(k)[:2]:
             period = 2**k - 1
-            ref = ref_lfsr_bits(p.mask, 1, 2 * period)
-            offsets = (0, 3, period - 1, period, 2 * period + 5, *range(9, 17))
-            parts = list(sequence_chunks(p, offsets))
-            assert sum(len(part[0]) for part in parts) == period
-            for i, o in enumerate(offsets):
-                got = np.concatenate([part[i] for part in parts]).tolist()
-                assert got == ref[o % period:o % period + period], f"{p} offset={o}"
+            for n in sorted({k, *range(period, period + 8), *range(9, 17),
+                             2 * period - 1, 2 * period + 5, 3 * period}):
+                bits = ref_lfsr_bits(p.mask, 1, period + n % period)
+                expected = _ref_window_weights(p.mask, n)
+                for packed in (np.packbits(bits, bitorder="little"),
+                               packed_sequence(p, period + n % period)):
+                    got = _joined_window_weights(p, n, packed, chunk)
+                    assert got == expected, f"{p} n={n} {packed.dtype}"
 
 
 @pytest.mark.parametrize("n", [120, 300])
 def test_enumerator_memory_stays_flat(n):
     # a k = 22 period is 4 MB unpacked and 0.5 MB packed; n = 120 takes the
     # span kernel, and n = 300 the window kernel, which unpacks one chunk of
-    # sequence_chunks at a time; either peaks well below a whole unpacked period
+    # phases at a time; either peaks well below a whole unpacked period
     code = build_code(first_primitive(22), n)
     tracemalloc.start()
     try:
