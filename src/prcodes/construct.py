@@ -14,8 +14,10 @@ reads all k rows off its first n + k bits.
 
 span_words is the one place a span of rows is built: from packed_rows'
 64-bit words it doubles a block whose column m is the codeword of
-message m.  codeword_set reads its ints off that block, weights counts
-the popcounts of its columns, and awgn maps its bits to BPSK symbols.
+message m, for one code or for a stack of codes at once.  codeword_set
+reads its ints off that block, weights counts the popcounts of its
+columns (a group of ensemble codes per block), and awgn maps its bits to
+BPSK symbols.
 """
 
 from __future__ import annotations
@@ -100,10 +102,13 @@ def span_words(words: np.ndarray) -> np.ndarray:
     """The GF(2) span of packed_rows' rows as a (planes, 2^rows) uint64
     block whose column m is the XOR of the rows picked by the bits of m,
     built by doubling: columns 2^i..2^(i+1)-1 are the first 2^i with row i
-    added."""
-    block = np.zeros((words.shape[1], 1 << len(words)), dtype="<u8")
-    for i in range(len(words)):
-        np.bitwise_xor(block[:, :1 << i], words[i, :, None], out=block[:, 1 << i:2 << i])
+    added.  Leading axes are a stack of codes: (..., rows, planes) words
+    give one (..., planes, 2^rows) block per code."""
+    *stack, rows, planes = words.shape
+    block = np.zeros((*stack, planes, 1 << rows), dtype="<u8")
+    for i in range(rows):
+        np.bitwise_xor(block[..., :1 << i], words[..., i, :, None],
+                       out=block[..., 1 << i:2 << i])
     return block
 
 

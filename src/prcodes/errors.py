@@ -18,8 +18,9 @@ CODEWORD_SET_CAP = 20
 # weights.weight_enumerator_exact counts 2^k codewords up to n = 192, else
 # 2^k - 1 windows: 0.09 s at k = 24, n = 120, and 0.11-0.13 s at n = 192-1000
 ENUMERATOR_CAP = 24
-# a whole degree-k ensemble (its averages, dmin, verify_existence): 0.4-0.5 s
-# at k = 16, n = 32-64, 1.2-1.7 s at n = 192-256; k = 17, n = 34 takes 2.6 s
+# a whole degree-k ensemble (its averages, dmin, verify_existence), summed
+# by weights.ensemble_summed_counts: 0.2-0.4 s at k = 16, n = 32-64, 0.8-0.9 s
+# at n = 192 and 1.7-1.8 s at n = 256; k = 17, n = 34 takes 1.5-1.7 s
 ENSEMBLE_CAP = 16
 # awgn exhaustive decoding costs 2^k * n flops per decoded trial, and
 # simulate_wer decodes only the trials it cannot certify, most of them in

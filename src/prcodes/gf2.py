@@ -11,8 +11,8 @@ modulo p equals 2^deg(p) - 1), generates such a recurrence's bits
 packed into 64-bit words, recovers the connection polynomial of a
 recurrence from its bits (Berlekamp-Massey), and walks the degree-k
 family: decimations yields one decimation of f's own m-sequence, f =
-first_primitive(k), per reciprocal pair, and pair_polynomials reads each
-one's polynomial off its first 2k bits.
+first_primitive(k), per reciprocal pair, a block of pairs at a time, and
+pair_polynomials reads each one's polynomial off its first 2k bits.
 
 The generator rests on the Frobenius identity p(x)^(2^m) = p(x^(2^m))
 over GF(2): a sequence that p's recurrence annihilates also satisfies
@@ -364,22 +364,25 @@ def pair_leaders(k: int) -> list[int]:
     return leaders
 
 
-def decimations(k: int, length: int) -> Iterator[np.ndarray]:
-    """The degree-k family, one sequence per reciprocal pair: for each
-    pair_leaders d in order, the uint8 bits s_{d t mod P}, t < length, of
-    s = m_sequence(first_primitive(k)).  Each is a shift of the sequence of
-    the polynomial that Berlekamp-Massey reads off its first 2k bits."""
+def decimations(k: int, length: int, group: int = 1) -> Iterator[np.ndarray]:
+    """The degree-k family, one sequence per reciprocal pair, group pairs
+    at a time: for each run of up to `group` pair_leaders d in order, a
+    (pairs, length) uint8 block whose rows are the bits s_{d t mod P},
+    t < length, of s = m_sequence(first_primitive(k)), from one gather.
+    Each row is a shift of the sequence of the polynomial that
+    Berlekamp-Massey reads off its first 2k bits."""
     s = m_sequence(first_primitive(k))
     period = len(s)
     steps = np.arange(length, dtype=np.int64)
-    for d in pair_leaders(k):
-        yield s[steps * d % period]
+    leaders = np.array(pair_leaders(k), dtype=np.int64)[:, None]
+    for i in range(0, len(leaders), group):
+        yield s[leaders[i:i + group] * steps % period]
 
 
 def pair_polynomials(k: int) -> list[BitPoly]:
     """One polynomial per reciprocal pair of degree k, in pair_leaders
     order: the one whose sequence decimations(k, .) yields."""
-    return [berlekamp_massey(u.tolist()) for u in decimations(k, 2 * k)]
+    return [berlekamp_massey(u.tolist()) for block in decimations(k, 2 * k) for u in block]
 
 
 def enumerate_primitives(k: int) -> list[BitPoly]:

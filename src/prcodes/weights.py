@@ -16,7 +16,9 @@ an error instead of being rounded away.
 
 On top of the exact machinery sit the ensemble averages over all
 maximal-period polynomials of a degree, one code per sequence of
-gf2.decimations, the one walk of first_primitive(k)'s own m-sequence;
+gf2.decimations, the one walk of first_primitive(k)'s own m-sequence
+(up to SPAN_MAX_N, the span kernel counts a group of those codes as one
+stack, as many as fill the 2^SPAN_LOW_BITS columns of its low block);
 closed-form approximations of those averages built from sparse-multiple
 counts (both primal ones through the same integer kernel, rounded to
 float once from an exact rational); and a KL divergence for comparing
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, lcm, log
+from math import comb, inf, lcm, log, prod
 from typing import Iterator
 
 import numpy as np
@@ -49,7 +51,9 @@ from .gf2 import BitPoly, decimations, packed_sequence, pair_polynomials
 SPAN_MAX_N = 192
 # rows whose codewords _span_counts builds into its low block; each codeword
 # of the others is one XOR of that 2^SPAN_LOW_BITS-column block.  Of 11-16,
-# 14 was fastest or within 10% of it at k = 22-24, n = 84-192 (2-vCPU VM)
+# 14 was fastest or within 10% of it at k = 22-24, n = 84-192 (2-vCPU VM).
+# _pair_members fills one such block with 2^SPAN_LOW_BITS >> k codes of a
+# smaller k; groups of 2^17 columns page-faulted and ran 10-20% slower at k = 13
 SPAN_LOW_BITS = 14
 # phases _window_weights weighs at a time: a few MB of working memory at any k
 CHUNK = 1 << 16
@@ -150,25 +154,37 @@ def _window_counts(k: int, n: int, packed: np.ndarray) -> np.ndarray:
 def _span_counts(words: np.ndarray, n: int) -> np.ndarray:
     """A_0..A_n, as int64, of the GF(2) span of k linearly independent
     n-bit rows, given as (k, ceil(n/64)) words in packed_rows' layout.
+    Leading axes are a stack of codes, as span_words takes them, and the
+    counts keep them: (..., k, planes) words give (..., n + 1) counts.
 
     span_words builds the codewords of the low min(k, SPAN_LOW_BITS) rows
     as one block and, once more, those of the high rows, whose columns are
-    the coset flips.  Each flip is XORed onto the low block; the popcounts
-    of the coset are summed over the planes, in the narrowest unsigned
-    type that holds n, and binned.  The bits of a row past bit n are
-    zero, so the sums are the codeword weights.
+    the coset flips.  Each flip is XORed onto the low block (flip 0 is the
+    zero word, so the first coset is the block itself); the popcounts of
+    the coset are summed over the planes, in the narrowest unsigned type
+    that holds the bins, and binned once for the whole stack, code c's
+    weights offset by c (n + 1).  The bits of a row past bit n are zero,
+    so the sums are the codeword weights.
     """
-    weight = np.min_scalar_type(n)
-    block = span_words(words[:SPAN_LOW_BITS])
-    counts = np.zeros(n + 1, dtype=np.int64)
-    coset = np.empty_like(block)
+    block = span_words(words[..., :SPAN_LOW_BITS, :])
+    flips = span_words(words[..., SPAN_LOW_BITS:, :])
+    stack = block.shape[:-2]
+    codes = prod(stack)
+    bins = codes * (n + 1)
+    weights = np.empty((*stack, block.shape[-1]), dtype=np.min_scalar_type(bins - 1))
+    offsets = np.arange(0, bins, n + 1, dtype=weights.dtype).reshape(*stack, 1)
+    counts = np.zeros(bins, dtype=np.int64)
     ones = np.empty(block.shape, dtype=np.uint8)
-    flips = span_words(words[SPAN_LOW_BITS:])
-    for g in range(flips.shape[1]):
-        np.bitwise_xor(block, flips[:, g:g + 1], out=coset)
-        np.bitwise_count(coset, out=ones)
-        counts += np.bincount(ones.sum(axis=0, dtype=weight), minlength=n + 1)
-    return counts
+    coset = None
+    for f in range(flips.shape[-1]):
+        if f:
+            coset = np.bitwise_xor(block, flips[..., f:f + 1], out=coset)
+        np.bitwise_count(coset if f else block, out=ones)
+        ones.sum(axis=-2, dtype=weights.dtype, out=weights)
+        if codes > 1:
+            weights += offsets
+        counts += np.bincount(weights.ravel(), minlength=bins)
+    return counts.reshape(*stack, n + 1)
 
 
 def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
@@ -259,16 +275,21 @@ def _pair_members(k: int, n: int) -> Iterator[np.ndarray]:
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
     if n <= SPAN_MAX_N:
-        # row j is u's window at phase j; those k are independent, so they span its code
+        # row j is u's window at phase j; those k are independent, so they
+        # span its code.  A group of pairs fills one low block of span_words.
+        # np.take gathers the windows 2.5-4x faster than u[:, phases] at 2-16 pairs
+        group = max(1, (1 << SPAN_LOW_BITS) >> k)
         phases = np.arange(k)[:, None] + np.arange(n)
-        packed = np.zeros((k, 8 * -(-n // 64)), dtype=np.uint8)
-        for u in decimations(k, n + k - 1):
-            packed[:, :-(-n // 8)] = np.packbits(u[phases], axis=1, bitorder="little")
-            yield _span_counts(packed.view("<u8"), n)
+        packed = np.zeros((group, k, 8 * -(-n // 64)), dtype=np.uint8)
+        for u in decimations(k, n + k - 1, group):
+            words = packed[:len(u)]
+            words[..., :-(-n // 8)] = np.packbits(np.take(u, phases, axis=1), axis=-1,
+                                                  bitorder="little")
+            yield from _span_counts(words.view("<u8"), n)
         return
     period = (1 << k) - 1
     for u in decimations(k, period + n % period):
-        yield _window_counts(k, n, np.packbits(u, bitorder="little"))
+        yield _window_counts(k, n, np.packbits(u[0], bitorder="little"))
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:

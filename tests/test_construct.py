@@ -165,6 +165,25 @@ def test_span_words_columns_are_encodings(k):
         assert got == [code.encode(m) for m in range(1 << k)], f"n={n}"
 
 
+@pytest.mark.parametrize("k, n", [(2, 4), (5, 64), (7, 65), (10, 129), (12, 192)])
+def test_span_words_stack_is_one_block_per_code(k, n):
+    # a (codes, rows, planes) stack of different codes' rows builds, code by
+    # code, the block that span_words builds for that code alone; so do a
+    # stack with two leading axes and the zero-row stack (one zero column
+    # per code), which _span_counts takes as its flips for k <= 14
+    polys = enumerate_primitives(k)[:6]
+    words = np.stack([packed_rows(build_code(p, n).rows, n) for p in polys])
+    planes = -(-n // 64)
+    block = span_words(words)
+    assert block.shape == (len(polys), planes, 1 << k)
+    for code, rows in zip(block, words):
+        assert np.array_equal(code, span_words(rows))
+    pairs = words[:len(polys) // 2 * 2].reshape(-1, 2, k, planes)
+    assert np.array_equal(span_words(pairs), block[:len(pairs) * 2].reshape(-1, 2, planes, 1 << k))
+    none = span_words(words[:, :0])
+    assert none.shape == (len(polys), planes, 1) and not none.any()
+
+
 def test_codeword_set_cap():
     # 2^k Python ints take an 81 MB peak at k = 20, n = 64, so from k = 21
     # check_k refuses the code before any word is built

@@ -318,13 +318,22 @@ def test_packed_sequence_reciprocal_taps_give_constant_terms():
 
 
 def test_decimations_walk_first_primitive_sequence():
-    # short walks and whole periods (the 32-bit index path) of s_(d t)
+    # short walks and whole periods of s_(d t), one pair per row, in blocks
+    # of 1, of 3 (which divides the 3, 9, 24 and 30 pairs of k = 5-7, 9 and
+    # 10), of 7 (which divides no pair count here, so the last block is
+    # short) and of every pair at once
     for k in range(2, 11):
         period = 2**k - 1
         s = ref_lfsr_bits(first_primitive(k).mask, 1, period)
+        pairs = len(pair_leaders(k))
         for length in sorted({1, 2 * k, period - 1, period}):
             expected = [[s[d * t % period] for t in range(length)] for d in pair_leaders(k)]
-            assert [u.tolist() for u in decimations(k, length)] == expected, (k, length)
+            for group in (1, 3, 7, pairs, pairs + 1):
+                blocks = list(decimations(k, length, group))
+                assert [len(u) for u in blocks[:-1]] == [group] * (len(blocks) - 1)
+                assert 1 <= len(blocks[-1]) <= group
+                got = [u.tolist() for u in np.concatenate(blocks)]
+                assert got == expected, (k, length, group)
 
 
 def test_pair_polynomials_match_constant_term_decimation():

@@ -20,7 +20,13 @@ from util import (
 import prcodes.weights
 from prcodes.construct import PrCode, build_code, packed_rows
 from prcodes.errors import InconsistentEnumeratorError, UnsupportedRangeError
-from prcodes.gf2 import BitPoly, enumerate_primitives, first_primitive, pair_polynomials
+from prcodes.gf2 import (
+    BitPoly,
+    enumerate_primitives,
+    first_primitive,
+    packed_sequence,
+    pair_polynomials,
+)
 from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
@@ -332,6 +338,48 @@ def test_ensemble_enumerators_match_per_code(k):
         assert ensemble_summed_counts(k, n) == (pairs, sums), f"n={n}"
 
 
+@pytest.mark.parametrize("k", [*range(2, 9), 10, 12, 14, pytest.param(15, marks=pytest.mark.slow)])
+def test_grouped_pair_members_match_single_codes(k):
+    # _pair_members counts max(1, 2^SPAN_LOW_BITS >> k) pairs per span
+    # block: all of them at k <= 8, the 30 of k = 10 as 16 + 14, the 72 of
+    # k = 12 as 18 blocks of 4, and one per block from k = 14.  Row by row,
+    # in order, they are the counts _span_counts gives each pair_polynomials
+    # code alone, and for k <= 8 the brute-force counts of its recurrence
+    polys = pair_polynomials(k)
+    group = max(1, (1 << prcodes.weights.SPAN_LOW_BITS) >> k)
+    real = prcodes.weights._span_counts
+    for n in sorted({2 * k, 64, 65, 128, 192}):
+        stacks = []
+
+        def recorded(words, length):
+            stacks.append(words.shape[:-2])
+            return real(words, length)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prcodes.weights, "_span_counts", recorded)
+            got = [c.tolist() for c in _pair_members(k, n)]
+        blocks = -(-len(polys) // group)
+        assert stacks == [(group,)] * (blocks - 1) + [(len(polys) - group * (blocks - 1),)]
+        expected = [real(packed_rows(build_code(p, n).rows, n), n).tolist() for p in polys]
+        assert got == expected, f"n={n}"
+        if k <= 8:
+            assert got == [_cached_ref_counts(p.mask, n) for p in polys], f"n={n}"
+
+
+@pytest.mark.parametrize("k, n", [(15, 64), (16, 65), (16, 192)])
+def test_span_counts_stack_above_the_low_block(k, n):
+    # a stack of codes whose span needs several cosets (2 at k = 15, 4 at
+    # k = 16): each coset's weights are binned with their code's offset, and
+    # each code's counts are those the window kernel reads off its sequence
+    polys = enumerate_primitives(k)[:3]
+    words = np.stack([packed_rows(build_code(p, n).rows, n) for p in polys])
+    got = _span_counts(words, n)
+    assert got.shape == (3, n + 1) and got.dtype == np.int64
+    for counts, p in zip(got, polys):
+        expected = _window_counts(k, n, packed_sequence(p, 2**k - 1 + n))
+        assert counts.tolist() == expected.tolist(), f"{p} n={n}"
+
+
 def test_ensemble_validation():
     with pytest.raises(UnsupportedRangeError):
         ensemble_enumerators(1, 4)
@@ -353,7 +401,8 @@ def test_ensemble_average_matches_members_average():
 @pytest.mark.parametrize("n", [20, 300])
 def test_ensemble_rejects_inconsistent_counts(monkeypatch, n, summed):
     # the first pair's counts gain a codeword: the summed totals no longer
-    # hold 2^k codewords per pair (n = 300 takes the window kernel)
+    # hold 2^k codewords per pair (n = 300 takes the window kernel, and at
+    # n = 20 the span kernel counts all 8 pairs as one stack)
     kernel = "_span_counts" if n <= prcodes.weights.SPAN_MAX_N else "_window_counts"
     real = getattr(prcodes.weights, kernel)
     first = iter([True])
@@ -361,7 +410,7 @@ def test_ensemble_rejects_inconsistent_counts(monkeypatch, n, summed):
     def corrupt(*args):
         counts = real(*args)
         if next(first, False):
-            counts[n // 2] += 1
+            counts.reshape(-1, n + 1)[0, n // 2] += 1
         return counts
 
     monkeypatch.setattr(prcodes.weights, kernel, corrupt)
@@ -381,6 +430,20 @@ def test_ensemble_average_memory_is_flat_in_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("k, n, bound", [(10, 192, 1.0), (13, 64, 0.5)])
+def test_ensemble_groups_stay_one_low_block(k, n, bound):
+    # a group of pairs holds at most 2^SPAN_LOW_BITS codeword columns: peaks
+    # of about 0.65 MiB at (10, 192) and 0.31 MiB at (13, 64).  Groups of
+    # 2^15 columns or more take 1.2 and 0.62 MiB and break these bounds (MiB)
+    tracemalloc.start()
+    try:
+        ensemble_summed_counts(k, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 2**20
 
 
 def test_transform_commutes_with_averaging():
