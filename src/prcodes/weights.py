@@ -10,9 +10,13 @@ windows of the sequence at the P = 2^k - 1 phases: A is a count of
 window weights plus the zero word, read from one packed sequence a chunk
 of phases at a time, at a cost in P that does not grow with n.  The
 binary MacWilliams transform maps an enumerator to its dual's through
-the Krawtchouk kernel; everything on that path is arbitrary-precision
-integer arithmetic, so a non-integer or negative output is reported as
-an error instead of being rounded away.
+the Krawtchouk sums sum_t c_t K_j(t), the coefficients of
+sum_t c_t (1-z)^t (1+z)^(n-t).  Since (1-z)^t (1+z)^(n-t) =
+sum_l C(t,l) (-2z)^l (1+z)^(n-l), two passes of Pascal steps compute
+them, d_l = sum_t C(t,l) c_t and then sum_l (-2)^l d_l z^l (1+z)^(n-l),
+with big-int additions and shifts alone.  Everything on that path is
+arbitrary-precision integer arithmetic, so a non-integer or negative
+output is reported as an error instead of being rounded away.
 
 On top of the exact machinery sit the ensemble averages over all
 maximal-period polynomials of a degree, one code per sequence of
@@ -20,9 +24,11 @@ gf2.decimations, the one walk of first_primitive(k)'s own m-sequence
 (up to SPAN_MAX_N, the span kernel counts a group of those codes as one
 stack, as many as fill the 2^SPAN_LOW_BITS columns of its low block);
 closed-form approximations of those averages built from sparse-multiple
-counts (both primal ones through the same integer kernel, rounded to
-float once from an exact rational); and a KL divergence for comparing
-the two.
+counts (both primal ones through the same integer kernel); and a KL
+divergence for comparing the two.  Each average or approximation is an
+exact rational a/b of ints, rounded to float once as a / b: CPython's
+int true division is correctly rounded, so it is the double that
+float(Fraction(a, b)) gives, without reducing the fraction first.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, lcm, log, prod
+from operator import add
 from typing import Iterator
 
 import numpy as np
@@ -221,22 +228,24 @@ def krawtchouk(n: int, j: int, t: int) -> int:
     return acc
 
 
-def _krawtchouk_table(n: int) -> list[list[int]]:
-    """table[j][t] = K_j(t), row by row through the three-term recurrence
-    (j+1) K_{j+1}(t) = (n-2t) K_j(t) - (n-j+1) K_{j-1}(t), started from
-    K_{-1} = 0 and K_0 = 1 (so K_1(t) = n - 2t).  Every division is exact."""
-    steps = [n - 2 * t for t in range(n + 1)]
-    table = [[0] * (n + 1), [1] * (n + 1)]  # K_{-1}, K_0
-    for j in range(n):
-        table.append([(step * c - (n - j + 1) * p) // (j + 1)
-                      for step, c, p in zip(steps, table[-1], table[-2])])
-    return table[1:]
-
-
 def _krawtchouk_sums(coeffs: list[int], n: int) -> list[int]:
-    """[sum_t coeffs[t] K_j(t) for j = 0..n], exact; the one loop over the table."""
-    terms = [(t, c) for t, c in enumerate(coeffs) if c]
-    return [sum(c * row[t] for t, c in terms) for row in _krawtchouk_table(n)]
+    """[sum_t coeffs[t] K_j(t) for j = 0..n], exact, from coeffs[0..n].
+
+    The sums are the coefficients of out(z) = sum_t c_t (1-z)^t (1+z)^(n-t),
+    and writing 1 - z = (1 + z) - 2z turns each term into
+    sum_l C(t,l) (-2z)^l (1+z)^(n-l).  So out(z) = sum_l (-2)^l d_l z^l
+    (1+z)^(n-l) with d_l = sum_t C(t,l) c_t, and two Horner passes of
+    Pascal steps give it with additions and shifts alone, n(n+1)/2 big-int
+    additions each: d(y) = sum_t c_t (1+y)^t, then out(z).
+    """
+    d = [coeffs[n]]
+    for c in reversed(coeffs[:n]):  # d(y) <- d(y) (1 + y) + c_t
+        d = [d[0] + c, *map(add, d[1:], d), d[-1]]
+    out = [d[0]]
+    for l in range(1, n + 1):  # out(z) <- out(z) (1 + z) + (-2)^l d_l z^l
+        term = d[l] << l
+        out = [out[0], *map(add, out[1:], out), out[-1] + (-term if l & 1 else term)]
+    return out
 
 
 def _transform_counts(counts: list[int], n: int, dim: int) -> list[int]:
@@ -337,8 +346,8 @@ def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistri
     """
     pairs, primal_sum = ensemble_summed_counts(k, n)
     dual_sum = _transform_counts(primal_sum, n, k)
-    primal = tuple(float(Fraction(s, pairs)) for s in primal_sum)
-    dual = tuple(float(Fraction(s, pairs)) for s in dual_sum)
+    primal = tuple(s / pairs for s in primal_sum)
+    dual = tuple(s / pairs for s in dual_sum)
     return RealDistribution(n=n, values=primal), RealDistribution(n=n, values=dual)
 
 
@@ -375,10 +384,14 @@ def n_multiples(k: int, t: int) -> int:
 
 def _span_weighted_count(n: int, t: int, k: int) -> int:
     """Sum over degrees c of C(c-1, t-2) (n-c): weight-t windows grouped by
-    the distance c between their first and last one, c >= max(k, t-1)."""
+    the distance c between their first and last one, c0 <= c < n with
+    c0 = max(k, t-1).  Writing n - c as a count of the m in c..n-1 and
+    summing over c first by the hockey-stick identity leaves
+    C(n,t) - C(c0,t) - (n-c0) C(c0-1,t-1), which is 0 at c0 = n."""
     if t < 2:
         return 0
-    return sum(comb(c - 1, t - 2) * (n - c) for c in range(max(k, t - 1), n))
+    c0 = max(k, t - 1)
+    return comb(n, t) - comb(c0, t) - (n - c0) * comb(c0 - 1, t - 1)
 
 
 def avg_dual_approx(k: int, n: int) -> RealDistribution:
@@ -400,7 +413,7 @@ def avg_dual_approx(k: int, n: int) -> RealDistribution:
     values[0] = 1.0
     for t in range(3, n + 1):
         denom = (1 << k) - t if t < 1 << k else 1 << k
-        values[t] = float(Fraction(_span_weighted_count(n, t, k), denom))
+        values[t] = _span_weighted_count(n, t, k) / denom
     return RealDistribution(n=n, values=tuple(values))
 
 
@@ -433,7 +446,7 @@ def avg_primal_approx(k: int, n: int, mode: str = "primary") -> RealDistribution
         common = lcm(*dens)
         coeffs = [common, 0, 0] + [spans[t] * (common // d) for t, d in enumerate(dens, 3)]
         denom = common << (n - k)
-    values = [float(Fraction(acc, denom)) for acc in _krawtchouk_sums(coeffs, n)]
+    values = [acc / denom for acc in _krawtchouk_sums(coeffs, n)]
     return RealDistribution(n=n, values=tuple(values))
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from util import (
+    ref_avg_dual_approx,
     ref_avg_primal_approx,
     ref_lfsr_bits,
     ref_mul,
@@ -30,9 +31,10 @@ from prcodes.gf2 import (
 from prcodes.weights import (
     RealDistribution,
     WeightEnumerator,
-    _krawtchouk_table,
+    _krawtchouk_sums,
     _pair_members,
     _span_counts,
+    _span_weighted_count,
     _window_counts,
     avg_dual_approx,
     avg_primal_approx,
@@ -230,22 +232,32 @@ def test_krawtchouk_orthogonality(n):
             assert acc == expect, f"n={n} j={j} l={l}"
 
 
-def _assert_table_matches_direct_formula(n):
-    table = _krawtchouk_table(n)
-    assert len(table) == n + 1
-    for j, row in enumerate(table):
-        assert row == [krawtchouk(n, j, t) for t in range(n + 1)], f"n={n} j={j}"
+def _assert_unit_sums_match_direct_formula(n):
+    # the kernel's sums over the unit vector e_t are K_0(t)..K_n(t)
+    for t in range(n + 1):
+        unit = [int(i == t) for i in range(n + 1)]
+        assert _krawtchouk_sums(unit, n) == [krawtchouk(n, j, t) for j in range(n + 1)], f"n={n} t={t}"
 
 
-def test_krawtchouk_table_recurrence_matches_direct_formula():
+def test_krawtchouk_sums_of_unit_vectors_match_direct_formula():
     for n in range(65):
-        _assert_table_matches_direct_formula(n)
+        _assert_unit_sums_match_direct_formula(n)
 
 
 @pytest.mark.slow
-def test_krawtchouk_table_recurrence_matches_direct_formula_long():
+def test_krawtchouk_sums_of_unit_vectors_match_direct_formula_long():
     for n in (125, 200):
-        _assert_table_matches_direct_formula(n)
+        _assert_unit_sums_match_direct_formula(n)
+
+
+@pytest.mark.parametrize("bits", [1, 22, 2000])
+def test_krawtchouk_sums_of_dense_vectors_match_direct_sum(bits):
+    # dense coefficients of either sign against sum_t c_t K_j(t), term by term
+    rng = random.Random(bits)
+    for n in range(41):
+        coeffs = [rng.getrandbits(bits) * rng.choice((1, -1)) for _ in range(n + 1)]
+        expected = [sum(c * krawtchouk(n, j, t) for t, c in enumerate(coeffs)) for j in range(n + 1)]
+        assert _krawtchouk_sums(coeffs, n) == expected, f"n={n}"
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +289,14 @@ def test_involution_on_built_codes():
     for p, n in cases:
         enum = weight_enumerator_exact(build_code(p, n))
         assert macwilliams(macwilliams(enum)) == enum
+
+
+@pytest.mark.parametrize("k, n", [(12, 150), (16, 192)])
+def test_involution_at_lengths_past_the_direct_oracle(k, n):
+    enum = weight_enumerator_exact(build_code(first_primitive(k), n))
+    dual = macwilliams(enum)
+    assert dual.dim == n - k
+    assert macwilliams(dual) == enum
 
 
 def test_full_space_dual_is_trivial():
@@ -601,6 +621,24 @@ PRIMAL_APPROX_GRID = sorted({
     for n in (k, k + 1, 2 * k, 3 * k, 31, 48, 64, 2**k - 1, 2**k, 2**k + 3)
     if k <= n <= 130
 })
+
+
+def test_span_weighted_count_matches_direct_sum():
+    # the closed form against the sum over c, for every t and every c0 =
+    # max(k, t-1), including c0 = n, where the sum is empty
+    for n in range(2, 81):
+        for t in range(n + 1):
+            tail = [0] * (n + 1)  # tail[c] sums the terms of c..n-1
+            for c in range(n - 1, 0, -1):
+                tail[c] = tail[c + 1] + (math.comb(c - 1, t - 2) * (n - c) if t >= 2 else 0)
+            for k in range(2, n + 1):
+                assert _span_weighted_count(n, t, k) == tail[max(k, t - 1)], (n, t, k)
+
+
+def test_dual_approx_matches_fraction_reference():
+    # a / b on ints rounds the exact rational once, as float(Fraction(a, b)) does
+    for k, n in PRIMAL_APPROX_GRID:
+        assert avg_dual_approx(k, n).values == ref_avg_dual_approx(k, n), (k, n)
 
 
 @pytest.mark.parametrize("mode", ["primary", "literal"])

@@ -226,14 +226,31 @@ def ref_wer_counts(code, ebno_db_points, max_trials, target_word_errors, seed,
     return out
 
 
+def ref_span_counts(k: int, n: int) -> dict[int, int]:
+    """{t: sum_c C(c-1, t-2) (n-c) over max(k, t-1) <= c < n} for t = 2..n,
+    each summed term by term."""
+    return {t: sum(comb(c - 1, t - 2) * (n - c) for c in range(max(k, t - 1), n))
+            for t in range(2, n + 1)}
+
+
+def ref_avg_dual_approx(k: int, n: int) -> tuple[float, ...]:
+    """avg_dual_approx's values as one Fraction per entry: 1 at weight 0,
+    0 at weights 1 and 2, and the span count over 2^k - t (over 2^k once
+    t >= 2^k) at each t >= 3."""
+    spans = ref_span_counts(k, n)
+    values = [1.0, 0.0, 0.0]
+    for t in range(3, n + 1):
+        values.append(float(Fraction(spans[t], (1 << k) - t if t < 1 << k else 1 << k)))
+    return tuple(values)
+
+
 def ref_avg_primal_approx(k: int, n: int, mode: str) -> tuple[float, ...]:
     """avg_primal_approx's values as one Fraction sum per entry over a
     table of `krawtchouk`: primary 2^-(n-k) [K_j(0) + sum_{t>=3} B_t K_j(t)]
     with B_t the span count over 2^k - t (over 2^k when n >= 2^k);
     literal 2^-n sum_{t>=2} D_t K_j(t)."""
     K = [[krawtchouk(n, j, t) for t in range(n + 1)] for j in range(n + 1)]
-    spans = {t: sum(comb(c - 1, t - 2) * (n - c) for c in range(max(k, t - 1), n))
-             for t in range(2, n + 1)}
+    spans = ref_span_counts(k, n)
     values = []
     for j in range(n + 1):
         if mode == "literal":
