@@ -16,7 +16,7 @@ span_words is the one place a span of rows is built: from packed_rows'
 64-bit words it doubles a block whose column m is the codeword of
 message m, for one code or for a stack of codes at once.  codeword_set
 reads its ints off that block, weights counts the popcounts of its
-columns (a group of ensemble codes per block), and awgn maps its bits to
+columns (a stack of ensemble codes per block), and awgn maps its bits to
 BPSK symbols.
 """
 

@@ -19,8 +19,9 @@ CODEWORD_SET_CAP = 20
 # 2^k - 1 windows: 0.09 s at k = 24, n = 120, and 0.11-0.13 s at n = 192-1000
 ENUMERATOR_CAP = 24
 # a whole degree-k ensemble (its averages, dmin, verify_existence), summed
-# by weights.ensemble_summed_counts: 0.2-0.4 s at k = 16, n = 32-64, 0.8-0.9 s
-# at n = 192 and 1.7-1.8 s at n = 256; k = 17, n = 34 takes 1.5-1.7 s
+# by weights.ensemble_summed_counts in a fresh process: 0.23-0.31 s at
+# k = 16, n = 32-64, 0.41-0.45 s at n = 192 and 1.35-1.38 s at n = 256 (the
+# window kernel); k = 17, n = 34 takes 1.75-2.14 s and a 0.50 MiB peak
 ENSEMBLE_CAP = 16
 # awgn exhaustive decoding costs 2^k * n flops per decoded trial, and
 # simulate_wer decodes only the trials it cannot certify, most of them in

@@ -12,7 +12,9 @@ packed into 64-bit words, recovers the connection polynomial of a
 recurrence from its bits (Berlekamp-Massey), and walks the degree-k
 family: decimations yields one decimation of f's own m-sequence, f =
 first_primitive(k), per reciprocal pair, a block of pairs at a time, and
-pair_polynomials reads each one's polynomial off its first 2k bits.
+pair_polynomials reads each one's polynomial off its first 2k bits, a
+block of pairs per vectorized Berlekamp-Massey run.  The sequence and
+the pair leaders are built once per degree per process.
 
 The generator rests on the Frobenius identity p(x)^(2^m) = p(x^(2^m))
 over GF(2): a sequence that p's recurrence annihilates also satisfies
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,7 +37,8 @@ from .errors import ENUMERATION_CAP, PRIMITIVITY_CAP, check_k
 _TERM_RE = re.compile(r"^(1|x|x\^(\d+))$")
 
 
-@dataclass(frozen=True, order=True)
+# slots: enumerate_primitives(24) holds 276,480 of them, 11 MB less this way
+@dataclass(frozen=True, order=True, slots=True)
 class BitPoly:
     """A polynomial over GF(2) stored as an integer bitmask."""
 
@@ -364,25 +368,63 @@ def pair_leaders(k: int) -> list[int]:
     return leaders
 
 
+@lru_cache(maxsize=8)
+def _family(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(packed, leaders) for degree k, read-only, kept for the last 8
+    degrees used so that each is built once per process: the first
+    P = 2^k - 1 bits of first_primitive(k)'s sequence as packed_sequence
+    gives them, and pair_leaders(k) as int64.  The bits stay packed, 3 MB
+    in all at k = 24 where m_sequence's bytes would take 17 MB, and
+    decimations unpacks them for one walk at a time."""
+    packed = packed_sequence(first_primitive(k), (1 << k) - 1).view(np.uint8)
+    leaders = np.array(pair_leaders(k), dtype=np.int64)
+    packed.flags.writeable = leaders.flags.writeable = False
+    return packed, leaders
+
+
 def decimations(k: int, length: int, group: int = 1) -> Iterator[np.ndarray]:
     """The degree-k family, one sequence per reciprocal pair, group pairs
     at a time: for each run of up to `group` pair_leaders d in order, a
-    (pairs, length) uint8 block whose rows are the bits s_{d t mod P},
+    fresh (pairs, length) uint8 block whose rows are the bits s_{d t mod P},
     t < length, of s = m_sequence(first_primitive(k)), from one gather.
     Each row is a shift of the sequence of the polynomial that
     Berlekamp-Massey reads off its first 2k bits."""
-    s = m_sequence(first_primitive(k))
-    period = len(s)
+    packed, leaders = _family(k)
+    period = (1 << k) - 1
+    s = np.unpackbits(packed, count=period, bitorder="little")
     steps = np.arange(length, dtype=np.int64)
-    leaders = np.array(pair_leaders(k), dtype=np.int64)[:, None]
     for i in range(0, len(leaders), group):
-        yield s[leaders[i:i + group] * steps % period]
+        yield s[leaders[i:i + group, None] * steps % period]
+
+
+def _berlekamp_massey_rows(bits: np.ndarray) -> np.ndarray:
+    """berlekamp_massey of every row of a (rows, t) bit array at once, as
+    uint64 masks: the same steps, each a np.where over the rows.  Every
+    polynomial it holds stays below degree t + 1, so it is exact for t <= 62."""
+    rows = len(bits)
+    c, prev = np.ones(rows, dtype=np.uint64), np.ones(rows, dtype=np.uint64)
+    length = np.zeros(rows, dtype=np.int64)
+    shift = np.ones(rows, dtype=np.uint64)
+    recent = np.zeros(rows, dtype=np.uint64)
+    for t in range(bits.shape[1]):
+        recent = recent << np.uint64(1) | bits[:, t]
+        shift_prev = prev << shift
+        odd = np.bitwise_count(c & recent) & 1 == 1
+        grow = odd & (2 * length <= t)
+        prev = np.where(grow, c, prev)
+        c = np.where(odd, c ^ shift_prev, c)
+        length = np.where(grow, t + 1 - length, length)
+        shift = np.where(grow, 1, shift + np.uint64(1))
+    return c
 
 
 def pair_polynomials(k: int) -> list[BitPoly]:
     """One polynomial per reciprocal pair of degree k, in pair_leaders
-    order: the one whose sequence decimations(k, .) yields."""
-    return [berlekamp_massey(u.tolist()) for block in decimations(k, 2 * k) for u in block]
+    order: the one whose sequence decimations(k, .) yields, as
+    Berlekamp-Massey reads it off its first 2k bits.  Blocks of 4096 pairs
+    keep the int64 gather index to 1.5 MB at k = 24."""
+    return [BitPoly(c) for block in decimations(k, 2 * k, 4096)
+            for c in _berlekamp_massey_rows(block).tolist()]
 
 
 def enumerate_primitives(k: int) -> list[BitPoly]:

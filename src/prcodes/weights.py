@@ -3,12 +3,13 @@
 Exact enumerators are integer vectors A_0..A_n, counted by one of two
 kernels chosen by the length n.  Up to SPAN_MAX_N coordinates, A is the
 histogram of popcounts over the GF(2) span of k generator rows packed
-in 64-bit words, 2^k codewords of ceil(n/64) words each, which
-construct.span_words builds for the low rows and again for the high
-ones.  Longer codes use that their nonzero codewords are the n-bit
-windows of the sequence at the P = 2^k - 1 phases: A is a count of
-window weights plus the zero word, read from one packed sequence a chunk
-of phases at a time, at a cost in P that does not grow with n.  The
+in 64-bit words, 2^k codewords of ceil(n/64) words each:
+construct.span_words builds the span of the low rows as one block, and
+each high row XORed onto it in turn moves it to the next coset.  Longer
+codes use that their nonzero codewords are the n-bit windows of the
+sequence at the P = 2^k - 1 phases: A is a count of window weights plus
+the zero word, read from one packed sequence a chunk of phases at a
+time, at a cost in P that does not grow with n.  The
 binary MacWilliams transform maps an enumerator to its dual's through
 the Krawtchouk sums sum_t c_t K_j(t), the coefficients of
 sum_t c_t (1-z)^t (1+z)^(n-t).  Since (1-z)^t (1+z)^(n-t) =
@@ -21,8 +22,9 @@ output is reported as an error instead of being rounded away.
 On top of the exact machinery sit the ensemble averages over all
 maximal-period polynomials of a degree, one code per sequence of
 gf2.decimations, the one walk of first_primitive(k)'s own m-sequence
-(up to SPAN_MAX_N, the span kernel counts a group of those codes as one
-stack, as many as fill the 2^SPAN_LOW_BITS columns of its low block);
+(up to SPAN_MAX_N, the span kernel counts a stack of up to _PAIR_STACK
+of those codes at once, with fewer low rows each, so that the stack's
+low block still has at most 2^SPAN_LOW_BITS columns);
 closed-form approximations of those averages built from sparse-multiple
 counts (both primal ones through the same integer kernel); and a KL
 divergence for comparing the two.  Each average or approximation is an
@@ -56,12 +58,20 @@ from .gf2 import BitPoly, decimations, packed_sequence, pair_polynomials
 # the span took 2, 8, 29 and 94 ms at k = 18, 20, 22, 24 against 5, 14, 49
 # and 117 ms for the windows; at n = 256 they break even at k = 24 (2-vCPU VM)
 SPAN_MAX_N = 192
-# rows whose codewords _span_counts builds into its low block; each codeword
-# of the others is one XOR of that 2^SPAN_LOW_BITS-column block.  Of 11-16,
-# 14 was fastest or within 10% of it at k = 22-24, n = 84-192 (2-vCPU VM).
-# _pair_members fills one such block with 2^SPAN_LOW_BITS >> k codes of a
-# smaller k; groups of 2^17 columns page-faulted and ran 10-20% slower at k = 13
+# rows whose codewords _span_counts builds into the low block of one code;
+# each coset of the others is one XOR onto that 2^SPAN_LOW_BITS-column block.
+# Of 11-16, 14 was fastest or within 10% of it at k = 22-24, n = 84-192
+# (2-vCPU VM).  A stack of c codes takes SPAN_LOW_BITS - ceil(log2 c) low
+# rows each, so its block stays at most as wide; blocks of 2^15 columns broke
+# the memory bounds of the ensemble tests, and of 2^17 page-faulted and ran
+# 10-20% slower at k = 13
 SPAN_LOW_BITS = 14
+# pairs _pair_members counts as one stack of _span_counts.  Of 16-256, 64 was
+# fastest or within 6% of it at k = 11-15, n = 40-192 (medians of 3-7 calls;
+# k = 16 spread 15-25% from run to run): smaller stacks repeat the per-stack
+# set-up more often at k = 11-12, larger ones leave each code's low block
+# short at k = 13-15 (2-vCPU VM)
+_PAIR_STACK = 64
 # phases _window_weights weighs at a time: a few MB of working memory at any k
 CHUNK = 1 << 16
 
@@ -158,40 +168,44 @@ def _window_counts(k: int, n: int, packed: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _span_counts(words: np.ndarray, n: int) -> np.ndarray:
+def _span_counts(words: np.ndarray, n: int, summed: bool = False) -> np.ndarray:
     """A_0..A_n, as int64, of the GF(2) span of k linearly independent
     n-bit rows, given as (k, ceil(n/64)) words in packed_rows' layout.
-    Leading axes are a stack of codes, as span_words takes them, and the
-    counts keep them: (..., k, planes) words give (..., n + 1) counts.
+    Leading axes are a stack of c codes, as span_words takes them, and the
+    counts keep them: (..., k, planes) words give (..., n + 1) counts, or
+    with summed, the (n + 1) counts of all c codes added together.
 
-    span_words builds the codewords of the low min(k, SPAN_LOW_BITS) rows
-    as one block and, once more, those of the high rows, whose columns are
-    the coset flips.  Each flip is XORed onto the low block (flip 0 is the
-    zero word, so the first coset is the block itself); the popcounts of
-    the coset are summed over the planes, in the narrowest unsigned type
-    that holds the bins, and binned once for the whole stack, code c's
-    weights offset by c (n + 1).  The bits of a row past bit n are zero,
-    so the sums are the codeword weights.
+    span_words builds the codewords of the low rows as one block, with
+    max(1, SPAN_LOW_BITS - ceil(log2 c)) rows per code, so the stack's
+    block has at most 2^SPAN_LOW_BITS columns; the other rows pick its
+    cosets.  The cosets are walked in Gray-code order: step f XORs high
+    row j, j the lowest set bit of f, onto the block in place.  The
+    popcounts of a coset are summed over the planes, in the narrowest
+    unsigned type that holds the bins, and binned once for the whole
+    stack: code i's weights offset by i (n + 1), or all into the same
+    n + 1 bins when summed.  The bits of a row past bit n are zero, so the
+    sums are the codeword weights.
     """
-    block = span_words(words[..., :SPAN_LOW_BITS, :])
-    flips = span_words(words[..., SPAN_LOW_BITS:, :])
-    stack = block.shape[:-2]
+    stack = words.shape[:-2]
     codes = prod(stack)
-    bins = codes * (n + 1)
+    low = max(1, SPAN_LOW_BITS - (codes - 1).bit_length())
+    block = span_words(words[..., :low, :])
+    high = words[..., low:, :, None]
+    per_code = codes > 1 and not summed  # code i binned apart, from i (n + 1)
+    bins = codes * (n + 1) if per_code else n + 1
     weights = np.empty((*stack, block.shape[-1]), dtype=np.min_scalar_type(bins - 1))
-    offsets = np.arange(0, bins, n + 1, dtype=weights.dtype).reshape(*stack, 1)
+    offsets = np.arange(0, bins, n + 1, dtype=weights.dtype).reshape(*stack, 1) if per_code else 0
     counts = np.zeros(bins, dtype=np.int64)
     ones = np.empty(block.shape, dtype=np.uint8)
-    coset = None
-    for f in range(flips.shape[-1]):
+    for f in range(1 << high.shape[-3]):
         if f:
-            coset = np.bitwise_xor(block, flips[..., f:f + 1], out=coset)
-        np.bitwise_count(coset if f else block, out=ones)
+            np.bitwise_xor(block, high[..., (f & -f).bit_length() - 1, :, :], out=block)
+        np.bitwise_count(block, out=ones)
         ones.sum(axis=-2, dtype=weights.dtype, out=weights)
-        if codes > 1:
+        if per_code:
             weights += offsets
         counts += np.bincount(weights.ravel(), minlength=bins)
-    return counts.reshape(*stack, n + 1)
+    return counts if summed else counts.reshape(*stack, n + 1)
 
 
 def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
@@ -276,39 +290,43 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 #
 # One sequence of gf2.decimations per reciprocal pair stands for both codes.
 
-def _pair_members(k: int, n: int) -> Iterator[np.ndarray]:
-    """Length-n counts A_0..A_n, as int64, of the code of each sequence of
-    gf2.decimations(k, .), one per reciprocal pair of degree k in
-    pair_leaders order (k = 2 has a single, self-reciprocal code)."""
+def _pair_members(k: int, n: int, summed: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """(pairs, counts) for each run of pairs of gf2.decimations(k, .), in
+    pair_leaders order, one sequence per reciprocal pair of degree k (k = 2
+    has a single, self-reciprocal code): counts is (pairs, n + 1) int64,
+    the length-n counts A_0..A_n of each pair's code, or with summed, their
+    sum.  Up to SPAN_MAX_N, a run is up to _PAIR_STACK pairs, counted as
+    one stack; the window kernel counts one pair at a time."""
     check_k("ensemble enumeration", k, ENSEMBLE_CAP, low=2)
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
     if n <= SPAN_MAX_N:
         # row j is u's window at phase j; those k are independent, so they
-        # span its code.  A group of pairs fills one low block of span_words.
-        # np.take gathers the windows 2.5-4x faster than u[:, phases] at 2-16 pairs
-        group = max(1, (1 << SPAN_LOW_BITS) >> k)
+        # span its code.  np.take gathers the windows 2.5-4x faster than
+        # u[:, phases] at 2-16 pairs
         phases = np.arange(k)[:, None] + np.arange(n)
-        packed = np.zeros((group, k, 8 * -(-n // 64)), dtype=np.uint8)
-        for u in decimations(k, n + k - 1, group):
+        packed = np.zeros((_PAIR_STACK, k, 8 * -(-n // 64)), dtype=np.uint8)
+        for u in decimations(k, n + k - 1, _PAIR_STACK):
             words = packed[:len(u)]
             words[..., :-(-n // 8)] = np.packbits(np.take(u, phases, axis=1), axis=-1,
                                                   bitorder="little")
-            yield from _span_counts(words.view("<u8"), n)
+            yield len(u), _span_counts(words.view("<u8"), n, summed)
         return
     period = (1 << k) - 1
     for u in decimations(k, period + n % period):
-        yield _window_counts(k, n, np.packbits(u[0], bitorder="little"))
+        counts = _window_counts(k, n, np.packbits(u[0], bitorder="little"))
+        yield 1, counts if summed else counts[None]
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
     """Exact enumerator for every degree-k maximal-period polynomial,
     ascending by mask.  pair_polynomials names the polynomial of each
     sequence _pair_members counts, and its reciprocal shares the counts."""
-    members = list(_pair_members(k, n))  # its range checks run before any polynomial work
+    # its range checks run before any polynomial work
+    members = [row for _, rows in _pair_members(k, n) for row in rows.tolist()]
     out = []
     for p, counts in zip(pair_polynomials(k), members):
-        enum = WeightEnumerator(n=n, dim=k, counts=tuple(counts.tolist()))
+        enum = WeightEnumerator(n=n, dim=k, counts=tuple(counts))
         out.extend((q, enum) for q in {p, p.reciprocal()})
     return sorted(out, key=lambda member: member[0].mask)
 
@@ -319,14 +337,15 @@ def ensemble_summed_counts(k: int, n: int) -> tuple[int, list[int]]:
     share one enumerator, so sums[j] / pairs is, as an exact fraction, the
     average A_j over all the codes.
 
-    The pairs' counts are added as they stream, so memory stays O(n).  The
-    sums must hold one zero word per pair and 2^k codewords per pair, or
+    _pair_members sums each run of pairs as it counts them, and the runs
+    are added as they stream, so memory stays O(n).  The sums must hold
+    one zero word per pair and 2^k codewords per pair, or
     InconsistentEnumeratorError is raised.
     """
-    pairs, total = 0, 0  # total becomes a new array at the first pair
-    for counts in _pair_members(k, n):
+    pairs, total = 0, 0  # total becomes a new array at the first run
+    for run, counts in _pair_members(k, n, summed=True):
         total += counts
-        pairs += 1
+        pairs += run
     sums = total.tolist()
     if sums[0] != pairs or sum(sums) != pairs << k:
         raise InconsistentEnumeratorError(

@@ -170,7 +170,7 @@ def test_span_words_stack_is_one_block_per_code(k, n):
     # a (codes, rows, planes) stack of different codes' rows builds, code by
     # code, the block that span_words builds for that code alone; so do a
     # stack with two leading axes and the zero-row stack (one zero column
-    # per code), which _span_counts takes as its flips for k <= 14
+    # per code)
     polys = enumerate_primitives(k)[:6]
     words = np.stack([packed_rows(build_code(p, n).rows, n) for p in polys])
     planes = -(-n // 64)

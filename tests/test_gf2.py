@@ -18,6 +18,8 @@ from util import (
 from prcodes.errors import UnsupportedRangeError
 from prcodes.gf2 import (
     BitPoly,
+    _berlekamp_massey_rows,
+    _family,
     _mod,
     _mul,
     _sqr,
@@ -347,3 +349,50 @@ def test_pair_polynomials_match_constant_term_decimation():
         expected = [berlekamp_massey([s[d * t % period] for t in range(2 * k)])
                     for d in pair_leaders(k)]
         assert pair_polynomials(k) == expected, f"k={k}"
+
+
+def _berlekamp_massey_row_by_row(k):
+    for block in decimations(k, 2 * k, 1000):
+        expected = [berlekamp_massey(u).mask for u in block.tolist()]
+        assert _berlekamp_massey_rows(block).tolist() == expected, f"k={k}"
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_berlekamp_massey_rows_match_scalar_on_the_family(k):
+    # every pair's first 2k bits, in blocks of 1000 (a short last block from
+    # k = 14), read as berlekamp_massey reads each row alone
+    _berlekamp_massey_row_by_row(k)
+
+
+@pytest.mark.slow
+def test_berlekamp_massey_rows_match_scalar_on_the_family_k20():
+    _berlekamp_massey_row_by_row(20)
+
+
+def test_berlekamp_massey_rows_match_scalar_on_random_bits():
+    # arbitrary rows, not only m-sequences, up to the 62 bits the uint64
+    # masks hold, and the empty input
+    rng = np.random.default_rng(7)
+    for length in (0, 1, 2, 3, 9, 31, 48, 62):
+        bits = (rng.random((400, length)) < rng.random((400, 1))).astype(np.uint8)
+        expected = [berlekamp_massey(u).mask for u in bits.tolist()]
+        assert _berlekamp_massey_rows(bits).tolist() == expected, f"length={length}"
+
+
+def test_family_base_is_read_only():
+    # the cached sequence and leaders are shared by every later call
+    packed, leaders = _family(9)
+    assert _family(9)[0] is packed
+    with pytest.raises(ValueError):
+        packed[0] ^= 1
+    with pytest.raises(ValueError):
+        leaders[0] = 0
+    assert leaders.tolist() == pair_leaders(9)
+
+
+def test_decimations_yield_fresh_blocks():
+    # a caller that edits a yielded block cannot change what a later call sees
+    first = [u.copy() for u in decimations(10, 40, 7)]
+    for u in decimations(10, 40, 7):
+        u ^= 1
+    assert all(np.array_equal(a, b) for a, b in zip(first, decimations(10, 40, 7)))

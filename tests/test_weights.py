@@ -168,8 +168,8 @@ def test_span_and_window_kernels_match_brute_force(k):
 @pytest.mark.parametrize("low_bits", [2, 3])
 @pytest.mark.parametrize("k", range(2, 11))
 def test_span_kernel_high_block_matches_brute_force(monkeypatch, k, low_bits):
-    # few low rows, so that the block of the high rows' flips has several
-    # columns at small k
+    # few low rows, so that several cosets are walked, in Gray-code order,
+    # at small k
     monkeypatch.setattr(prcodes.weights, "SPAN_LOW_BITS", low_bits)
     for p, n, expected in _kernel_cases(k):
         assert _span_counts(packed_rows(build_code(p, n).rows, n), n).tolist() == expected, f"{p} n={n}"
@@ -346,7 +346,8 @@ def test_ensemble_enumerators_match_per_code(k):
     for n in sorted({k, 2 * k, period, period + 3} | spans):
         # _pair_members counts the code of each pair_polynomials member, in order
         members = [weight_enumerator_exact(build_code(p, n)).counts for p in pair_polynomials(k)]
-        assert [tuple(c.tolist()) for c in _pair_members(k, n)] == members, f"n={n}"
+        got = [tuple(c) for _, rows in _pair_members(k, n) for c in rows.tolist()]
+        assert got == members, f"n={n}"
         members = ensemble_enumerators(k, n)
         assert [p for p, _ in members] == polys
         pairs, sums = 0, [0] * (n + 1)
@@ -358,39 +359,79 @@ def test_ensemble_enumerators_match_per_code(k):
         assert ensemble_summed_counts(k, n) == (pairs, sums), f"n={n}"
 
 
-@pytest.mark.parametrize("k", [*range(2, 9), 10, 12, 14, pytest.param(15, marks=pytest.mark.slow)])
-def test_grouped_pair_members_match_single_codes(k):
-    # _pair_members counts max(1, 2^SPAN_LOW_BITS >> k) pairs per span
-    # block: all of them at k <= 8, the 30 of k = 10 as 16 + 14, the 72 of
-    # k = 12 as 18 blocks of 4, and one per block from k = 14.  Row by row,
-    # in order, they are the counts _span_counts gives each pair_polynomials
-    # code alone, and for k <= 8 the brute-force counts of its recurrence
-    polys = pair_polynomials(k)
-    group = max(1, (1 << prcodes.weights.SPAN_LOW_BITS) >> k)
-    real = prcodes.weights._span_counts
-    for n in sorted({2 * k, 64, 65, 128, 192}):
-        stacks = []
+def _stack_rule(codes):
+    """Low rows _span_counts gives each of a stack of `codes` codes."""
+    return max(1, prcodes.weights.SPAN_LOW_BITS - math.ceil(math.log2(codes)))
 
-        def recorded(words, length):
+
+@pytest.mark.parametrize("k", [*range(2, 9), 10, 11, 12, 13, 14,
+                               pytest.param(15, marks=pytest.mark.slow)])
+def test_grouped_pair_members_match_single_codes(k):
+    # _pair_members counts _PAIR_STACK = 64 pairs per stack: all of them at
+    # k <= 10, the 315 of k = 13 as 4 stacks of 64 and one of 59, the 756
+    # of k = 14 as 11 and one of 52.  _span_counts builds a stack of c codes
+    # from max(1, SPAN_LOW_BITS - ceil(log2 c)) low rows each, so the
+    # stack's low block never exceeds 2^SPAN_LOW_BITS columns.  Row by row,
+    # in order, the counts are those _span_counts gives each
+    # pair_polynomials code alone, and for k <= 8 the brute-force counts of
+    # its recurrence; with summed, each stack gives the sum of its rows
+    polys = pair_polynomials(k)
+    stack = prcodes.weights._PAIR_STACK
+    real, real_span = prcodes.weights._span_counts, prcodes.weights.span_words
+    full, last = divmod(len(polys), stack)
+    sizes = [stack] * full + [last] * (last > 0)
+    for n in sorted({2 * k, 64, 65, 128, 192}):
+        stacks, blocks = [], []
+
+        def recorded(words, length, summed=False):
             stacks.append(words.shape[:-2])
-            return real(words, length)
+            return real(words, length, summed)
+
+        def recorded_span(words):
+            block = real_span(words)
+            blocks.append(block.shape)
+            return block
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prcodes.weights, "_span_counts", recorded)
-            got = [c.tolist() for c in _pair_members(k, n)]
-        blocks = -(-len(polys) // group)
-        assert stacks == [(group,)] * (blocks - 1) + [(len(polys) - group * (blocks - 1),)]
+            patch.setattr(prcodes.weights, "span_words", recorded_span)
+            runs = list(_pair_members(k, n))
+            summed = list(_pair_members(k, n, summed=True))
+        assert stacks == [(c,) for c in sizes] * 2
+        planes = -(-n // 64)
+        low = [min(k, _stack_rule(c)) for c in sizes]
+        assert blocks == [(c, planes, 1 << b) for c, b in zip(sizes, low)] * 2
+        assert all(c << b <= 1 << prcodes.weights.SPAN_LOW_BITS for c, b in zip(sizes, low))
+        assert [(c, rows.shape) for c, rows in runs] == [(c, (c, n + 1)) for c in sizes]
+        got = [row for _, rows in runs for row in rows.tolist()]
         expected = [real(packed_rows(build_code(p, n).rows, n), n).tolist() for p in polys]
         assert got == expected, f"n={n}"
+        assert [(c, counts.tolist()) for c, counts in summed] == \
+            [(c, rows.sum(axis=0).tolist()) for c, rows in runs], f"n={n}"
         if k <= 8:
             assert got == [_cached_ref_counts(p.mask, n) for p in polys], f"n={n}"
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_summed_counts_match_rows_and_brute_force(k):
+    # one code per pair, summed per weight: the span kernel's stacks, the
+    # window kernel's single pairs past SPAN_MAX_N, and the brute-force
+    # counts of every pair_polynomials recurrence all agree
+    polys = pair_polynomials(k)
+    for n in sorted({k, 2 * k + 5, 64, 65, 192, 193, 2**k + 4}):
+        rows = [row for _, stack in _pair_members(k, n) for row in stack.tolist()]
+        sums = [sum(column) for column in zip(*rows)]
+        assert ensemble_summed_counts(k, n) == (len(polys), sums), f"n={n}"
+        ref = [sum(column) for column in zip(*(_cached_ref_counts(p.mask, n) for p in polys))]
+        assert sums == ref, f"n={n}"
+
+
 @pytest.mark.parametrize("k, n", [(15, 64), (16, 65), (16, 192)])
 def test_span_counts_stack_above_the_low_block(k, n):
-    # a stack of codes whose span needs several cosets (2 at k = 15, 4 at
-    # k = 16): each coset's weights are binned with their code's offset, and
-    # each code's counts are those the window kernel reads off its sequence
+    # a stack of 3 codes with 12 low rows each, whose span needs several
+    # cosets (8 at k = 15, 16 at k = 16): each coset's weights are binned
+    # with their code's offset, and each code's counts are those the window
+    # kernel reads off its sequence; summed, they are added into n + 1 bins
     polys = enumerate_primitives(k)[:3]
     words = np.stack([packed_rows(build_code(p, n).rows, n) for p in polys])
     got = _span_counts(words, n)
@@ -398,6 +439,9 @@ def test_span_counts_stack_above_the_low_block(k, n):
     for counts, p in zip(got, polys):
         expected = _window_counts(k, n, packed_sequence(p, 2**k - 1 + n))
         assert counts.tolist() == expected.tolist(), f"{p} n={n}"
+    summed = _span_counts(words, n, summed=True)
+    assert summed.shape == (n + 1,) and summed.dtype == np.int64
+    assert summed.tolist() == got.sum(axis=0).tolist()
 
 
 def test_ensemble_validation():
@@ -454,9 +498,10 @@ def test_ensemble_average_memory_is_flat_in_pairs():
 
 @pytest.mark.parametrize("k, n, bound", [(10, 192, 1.0), (13, 64, 0.5)])
 def test_ensemble_groups_stay_one_low_block(k, n, bound):
-    # a group of pairs holds at most 2^SPAN_LOW_BITS codeword columns: peaks
-    # of about 0.65 MiB at (10, 192) and 0.31 MiB at (13, 64).  Groups of
-    # 2^15 columns or more take 1.2 and 0.62 MiB and break these bounds (MiB)
+    # a stack of pairs holds at most 2^SPAN_LOW_BITS codeword columns in its
+    # low block, walked coset by coset in place: peaks of about 0.58 MiB at
+    # (10, 192) and 0.34 MiB at (13, 64).  Stacks of up to 2^15 columns take
+    # 1.1 and 0.59 MiB and break these bounds (MiB)
     tracemalloc.start()
     try:
         ensemble_summed_counts(k, n)
