@@ -6,9 +6,9 @@ profile (a closed form); dmin_bound_exact decides it in integers from
 the summed counts of an exact ensemble and their code count.  Because
 codes built from different maximal-period polynomials of one degree
 share no nonzero codeword once n >= 2k, some polynomial of that degree
-must reach the bound; verify_existence finds one with a single pass
-over the exact ensemble, which supplies both the sums the bound is
-decided from and the per-code distances.
+must reach the bound; verify_existence decides the bound from the
+ensemble's summed counts and then counts the codes one at a time, in
+mask order, until one reaches it.
 
 The union bound sums pairwise error probabilities Q(sqrt(i*gamma))
 weighted by the profile, where gamma = 2 Es/N0 so that a weight-i
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from math import comb, erfc, inf, sqrt
 from typing import Sequence
 
+from .construct import build_code
 from .errors import TheoremViolationError
-from .gf2 import BitPoly
-from .weights import RealDistribution, ensemble_enumerators
+from .gf2 import BitPoly, _primitives_by_mask
+from .weights import RealDistribution, ensemble_summed_counts, weight_enumerator_exact
 
 
 @dataclass(frozen=True)
@@ -110,20 +111,18 @@ def gv_distance(n: int, k: int) -> int:
 def verify_existence(k: int, n: int) -> DminReport:
     """Exhaustively confirm some degree-k code meets the distance bound.
 
-    Computes every code's exact enumerator once, decides the bound from
-    their summed counts, and reports the polynomial of smallest mask whose
+    Decides the bound from ensemble_summed_counts, then walks the
+    maximal-period polynomials in mask order and reports the first whose
     exact minimum distance reaches it.  Failure to find one would
     contradict the disjointness-based counting argument, so it raises
     instead of returning an incomplete report.
     """
     if n < 2 * k:
         raise ValueError(f"existence argument requires n >= 2k = {2 * k}, got {n}")
-    members = ensemble_enumerators(k, n)
-    sums = [sum(column) for column in zip(*(enum.counts for _, enum in members))]
-    d = dmin_bound_exact(len(members), sums)
+    d = dmin_bound_exact(*ensemble_summed_counts(k, n))
     gv = gv_distance(n, k)
-    for poly, enum in members:
-        wd = enum.min_nonzero_weight()
+    for poly in _primitives_by_mask(k):
+        wd = weight_enumerator_exact(build_code(poly, n)).min_nonzero_weight()
         if wd >= d:
             return DminReport(
                 k=k, n=n, dmin_bound=d, gv_d=gv, witness_poly=poly, witness_d=wd

@@ -19,10 +19,14 @@ CODEWORD_SET_CAP = 20
 # 2^k - 1 windows: 0.09 s at k = 24, n = 120, and 0.11-0.13 s at n = 192-1000
 ENUMERATOR_CAP = 24
 # a whole degree-k ensemble (its averages, dmin, verify_existence), summed
-# by weights.ensemble_summed_counts in a fresh process: 0.23-0.31 s at
-# k = 16, n = 32-64, 0.41-0.45 s at n = 192 and 1.35-1.38 s at n = 256 (the
-# window kernel); k = 17, n = 34 takes 1.75-2.14 s and a 0.50 MiB peak
-ENSEMBLE_CAP = 16
+# by weights.ensemble_summed_counts in a fresh process: 1.5 s at k = 17,
+# n = 34, and 2.7 s at k = 18, n = 36, 3.1 s at n = 64 and 5.1 s at n = 192
+# (the span kernel), with a 0.65 MiB tracemalloc peak at n = 40.  Past
+# n = 192 the window kernel's cost does not grow with n but is the larger:
+# 7.0 s at k = 17 and 13.6 s at k = 18, n = 300, accepted as the cost of
+# those lengths rather than refused by a cap that depends on n.
+# `dmin --scan` and `kld` at k = 18, n = 192 take 5.4-5.9 s end to end
+ENSEMBLE_CAP = 18
 # awgn exhaustive decoding costs 2^k * n flops per decoded trial, and
 # simulate_wer decodes only the trials it cannot certify, most of them in
 # float32 and the rest exactly, one at a time: 16 trials at k = 20, n = 64

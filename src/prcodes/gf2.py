@@ -7,14 +7,15 @@ everywhere in this package: hex masks ("0x13") and symbolic sums
 
 Beyond the basic ring operations the module tests whether a polynomial
 generates a maximum-length recurrence (the multiplicative order of x
-modulo p equals 2^deg(p) - 1), generates such a recurrence's bits
-packed into 64-bit words, recovers the connection polynomial of a
-recurrence from its bits (Berlekamp-Massey), and walks the degree-k
-family: decimations yields one decimation of f's own m-sequence, f =
-first_primitive(k), per reciprocal pair, a block of pairs at a time, and
-pair_polynomials reads each one's polynomial off its first 2k bits, a
-block of pairs per vectorized Berlekamp-Massey run.  The sequence and
-the pair leaders are built once per degree per process.
+modulo p equals 2^deg(p) - 1), draws such polynomials in mask order,
+generates a recurrence's bits packed into 64-bit words, recovers the
+connection polynomials of many recurrences from their bits at once
+(Berlekamp-Massey), and walks the degree-k family: decimations yields
+one decimation of f's own m-sequence, f = first_primitive(k), per
+reciprocal pair, a block of pairs at a time, and pair_polynomials reads
+each one's polynomial off its first 2k bits, a block of pairs per
+vectorized Berlekamp-Massey run.  The sequence and the pair leaders are
+built once per degree per process.
 
 The generator rests on the Frobenius identity p(x)^(2^m) = p(x^(2^m))
 over GF(2): a sequence that p's recurrence annihilates also satisfies
@@ -28,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -264,38 +265,19 @@ def is_primitive(p: BitPoly) -> bool:
     return all(_powmod(2, order // q, p.mask) != 1 for q in factorize(order))
 
 
-def first_primitive(k: int) -> BitPoly:
-    """The degree-k polynomial with maximal order of x and the smallest
-    mask, found by testing candidates in mask order."""
+def _primitives_by_mask(k: int) -> Iterator[BitPoly]:
+    """The degree-k polynomials with maximal order of x, ascending by mask,
+    found by testing candidates in mask order as they are drawn."""
     check_k("enumeration", k, ENUMERATION_CAP, low=2)
-    candidates = (BitPoly((1 << k) | mid << 1 | 1) for mid in range(1 << (k - 1)))
-    return next(p for p in candidates if is_primitive(p))
+    for mid in range(1 << (k - 1)):
+        p = BitPoly((1 << k) | mid << 1 | 1)
+        if is_primitive(p):
+            yield p
 
 
-# ---------------------------------------------------------------------------
-# recurrence recovery
-
-def berlekamp_massey(bits: Sequence[int]) -> BitPoly:
-    """Shortest connection polynomial generating the given bits.
-
-    Returns c with c_0 = 1 and s_t = sum_{i>=1} c_i s_{t-i} for every t
-    covered by the input (Massey, IEEE T-IT 15, 1969).  For a sequence of
-    maximal period from a degree-k polynomial, 2k bits determine it.
-    """
-    c, prev = 1, 1  # current and last-replaced connection polynomials
-    length, shift = 0, 1
-    recent = 0  # bit i holds s_{t-i}
-    for t, bit in enumerate(bits):
-        recent = recent << 1 | int(bit)
-        shift_prev = prev << shift
-        if (c & recent).bit_count() & 1:
-            if 2 * length <= t:
-                prev, c = c, c ^ shift_prev
-                length, shift = t + 1 - length, 1
-                continue
-            c ^= shift_prev
-        shift += 1
-    return BitPoly(c)
+def first_primitive(k: int) -> BitPoly:
+    """The degree-k polynomial with maximal order of x and the smallest mask."""
+    return next(_primitives_by_mask(k))
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +317,6 @@ def packed_sequence(p: BitPoly, length: int) -> np.ndarray:
     return words
 
 
-def m_sequence(p: BitPoly) -> np.ndarray:
-    """One period s_0..s_{P-1} of p's sequence seeded with 1, 0, ..., 0, as
-    uint8 bits; p must have maximal period P = 2^k - 1."""
-    period = (1 << p.degree) - 1
-    return np.unpackbits(packed_sequence(p, period).view(np.uint8), count=period,
-                         bitorder="little")
-
-
 # ---------------------------------------------------------------------------
 # the degree-k family, by decimation
 #
@@ -374,7 +348,7 @@ def _family(k: int) -> tuple[np.ndarray, np.ndarray]:
     degrees used so that each is built once per process: the first
     P = 2^k - 1 bits of first_primitive(k)'s sequence as packed_sequence
     gives them, and pair_leaders(k) as int64.  The bits stay packed, 3 MB
-    in all at k = 24 where m_sequence's bytes would take 17 MB, and
+    in all at k = 24 where a byte per bit would take 17 MB, and
     decimations unpacks them for one walk at a time."""
     packed = packed_sequence(first_primitive(k), (1 << k) - 1).view(np.uint8)
     leaders = np.array(pair_leaders(k), dtype=np.int64)
@@ -386,7 +360,8 @@ def decimations(k: int, length: int, group: int = 1) -> Iterator[np.ndarray]:
     """The degree-k family, one sequence per reciprocal pair, group pairs
     at a time: for each run of up to `group` pair_leaders d in order, a
     fresh (pairs, length) uint8 block whose rows are the bits s_{d t mod P},
-    t < length, of s = m_sequence(first_primitive(k)), from one gather.
+    t < length, of s = one period of first_primitive(k)'s sequence seeded
+    with 1, 0, ..., 0, from one gather.
     Each row is a shift of the sequence of the polynomial that
     Berlekamp-Massey reads off its first 2k bits."""
     packed, leaders = _family(k)
@@ -398,8 +373,11 @@ def decimations(k: int, length: int, group: int = 1) -> Iterator[np.ndarray]:
 
 
 def _berlekamp_massey_rows(bits: np.ndarray) -> np.ndarray:
-    """berlekamp_massey of every row of a (rows, t) bit array at once, as
-    uint64 masks: the same steps, each a np.where over the rows.  Every
+    """Shortest connection polynomial of every row of a (rows, t) bit array
+    at once, as uint64 masks c with c_0 = 1 and s_j = sum_{i>=1} c_i s_{j-i}
+    wherever the row covers it: Berlekamp-Massey (Massey, IEEE T-IT 15,
+    1969), each step a np.where over the rows.  For a sequence of maximal
+    period from a degree-k polynomial, 2k bits determine it.  Every
     polynomial it holds stays below degree t + 1, so it is exact for t <= 62."""
     rows = len(bits)
     c, prev = np.ones(rows, dtype=np.uint64), np.ones(rows, dtype=np.uint64)

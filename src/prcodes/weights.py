@@ -23,8 +23,8 @@ On top of the exact machinery sit the ensemble averages over all
 maximal-period polynomials of a degree, one code per sequence of
 gf2.decimations, the one walk of first_primitive(k)'s own m-sequence
 (up to SPAN_MAX_N, the span kernel counts a stack of up to _PAIR_STACK
-of those codes at once, with fewer low rows each, so that the stack's
-low block still has at most 2^SPAN_LOW_BITS columns);
+of those codes at once and adds their counts, with fewer low rows each,
+so that the stack's low block still has at most 2^SPAN_LOW_BITS columns);
 closed-form approximations of those averages built from sparse-multiple
 counts (both primal ones through the same integer kernel); and a KL
 divergence for comparing the two.  Each average or approximation is an
@@ -66,11 +66,11 @@ SPAN_MAX_N = 192
 # the memory bounds of the ensemble tests, and of 2^17 page-faulted and ran
 # 10-20% slower at k = 13
 SPAN_LOW_BITS = 14
-# pairs _pair_members counts as one stack of _span_counts.  Of 16-256, 64 was
-# fastest or within 6% of it at k = 11-15, n = 40-192 (medians of 3-7 calls;
-# k = 16 spread 15-25% from run to run): smaller stacks repeat the per-stack
-# set-up more often at k = 11-12, larger ones leave each code's low block
-# short at k = 13-15 (2-vCPU VM)
+# pairs ensemble_summed_counts counts as one stack of _span_counts.  Of
+# 16-256, 64 was fastest or within 6% of it at k = 11-15, n = 40-192 (medians
+# of 3-7 calls; k = 16 spread 15-25% from run to run): smaller stacks repeat
+# the per-stack set-up more often at k = 11-12, larger ones leave each code's
+# low block short at k = 13-15 (2-vCPU VM)
 _PAIR_STACK = 64
 # phases _window_weights weighs at a time: a few MB of working memory at any k
 CHUNK = 1 << 16
@@ -168,12 +168,12 @@ def _window_counts(k: int, n: int, packed: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _span_counts(words: np.ndarray, n: int, summed: bool = False) -> np.ndarray:
+def _span_counts(words: np.ndarray, n: int) -> np.ndarray:
     """A_0..A_n, as int64, of the GF(2) span of k linearly independent
     n-bit rows, given as (k, ceil(n/64)) words in packed_rows' layout.
     Leading axes are a stack of c codes, as span_words takes them, and the
-    counts keep them: (..., k, planes) words give (..., n + 1) counts, or
-    with summed, the (n + 1) counts of all c codes added together.
+    (n + 1) counts are those of all c codes added together; a single code
+    is a stack of none.
 
     span_words builds the codewords of the low rows as one block, with
     max(1, SPAN_LOW_BITS - ceil(log2 c)) rows per code, so the stack's
@@ -181,31 +181,23 @@ def _span_counts(words: np.ndarray, n: int, summed: bool = False) -> np.ndarray:
     cosets.  The cosets are walked in Gray-code order: step f XORs high
     row j, j the lowest set bit of f, onto the block in place.  The
     popcounts of a coset are summed over the planes, in the narrowest
-    unsigned type that holds the bins, and binned once for the whole
-    stack: code i's weights offset by i (n + 1), or all into the same
-    n + 1 bins when summed.  The bits of a row past bit n are zero, so the
-    sums are the codeword weights.
+    unsigned type that holds n, and binned once for the whole stack.  The
+    bits of a row past bit n are zero, so the sums are the codeword
+    weights.
     """
-    stack = words.shape[:-2]
-    codes = prod(stack)
-    low = max(1, SPAN_LOW_BITS - (codes - 1).bit_length())
+    low = max(1, SPAN_LOW_BITS - (prod(words.shape[:-2]) - 1).bit_length())
     block = span_words(words[..., :low, :])
     high = words[..., low:, :, None]
-    per_code = codes > 1 and not summed  # code i binned apart, from i (n + 1)
-    bins = codes * (n + 1) if per_code else n + 1
-    weights = np.empty((*stack, block.shape[-1]), dtype=np.min_scalar_type(bins - 1))
-    offsets = np.arange(0, bins, n + 1, dtype=weights.dtype).reshape(*stack, 1) if per_code else 0
-    counts = np.zeros(bins, dtype=np.int64)
+    weights = np.empty((*words.shape[:-2], block.shape[-1]), dtype=np.min_scalar_type(n))
+    counts = np.zeros(n + 1, dtype=np.int64)
     ones = np.empty(block.shape, dtype=np.uint8)
     for f in range(1 << high.shape[-3]):
         if f:
             np.bitwise_xor(block, high[..., (f & -f).bit_length() - 1, :, :], out=block)
         np.bitwise_count(block, out=ones)
         ones.sum(axis=-2, dtype=weights.dtype, out=weights)
-        if per_code:
-            weights += offsets
-        counts += np.bincount(weights.ravel(), minlength=bins)
-    return counts if summed else counts.reshape(*stack, n + 1)
+        counts += np.bincount(weights.ravel(), minlength=n + 1)
+    return counts
 
 
 def weight_enumerator_exact(code: PrCode) -> WeightEnumerator:
@@ -290,13 +282,14 @@ def macwilliams(a: WeightEnumerator) -> WeightEnumerator:
 #
 # One sequence of gf2.decimations per reciprocal pair stands for both codes.
 
-def _pair_members(k: int, n: int, summed: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """(pairs, counts) for each run of pairs of gf2.decimations(k, .), in
-    pair_leaders order, one sequence per reciprocal pair of degree k (k = 2
-    has a single, self-reciprocal code): counts is (pairs, n + 1) int64,
-    the length-n counts A_0..A_n of each pair's code, or with summed, their
-    sum.  Up to SPAN_MAX_N, a run is up to _PAIR_STACK pairs, counted as
-    one stack; the window kernel counts one pair at a time."""
+def _pair_members(k: int, n: int, group: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(pairs, counts) for each run of up to `group` pairs of
+    gf2.decimations(k, .), in pair_leaders order, one sequence per
+    reciprocal pair of degree k (k = 2 has a single, self-reciprocal
+    code): counts is the (n + 1) int64 sum of the length-n counts
+    A_0..A_n of the run's codes.  Up to SPAN_MAX_N, a run is counted as
+    one stack of _span_counts; the window kernel counts one pair at a
+    time, whatever the group."""
     check_k("ensemble enumeration", k, ENSEMBLE_CAP, low=2)
     if n < k:
         raise ValueError(f"block length must be >= k = {k}, got {n}")
@@ -305,25 +298,25 @@ def _pair_members(k: int, n: int, summed: bool = False) -> Iterator[tuple[int, n
         # span its code.  np.take gathers the windows 2.5-4x faster than
         # u[:, phases] at 2-16 pairs
         phases = np.arange(k)[:, None] + np.arange(n)
-        packed = np.zeros((_PAIR_STACK, k, 8 * -(-n // 64)), dtype=np.uint8)
-        for u in decimations(k, n + k - 1, _PAIR_STACK):
+        packed = np.zeros((group, k, 8 * -(-n // 64)), dtype=np.uint8)
+        for u in decimations(k, n + k - 1, group):
             words = packed[:len(u)]
             words[..., :-(-n // 8)] = np.packbits(np.take(u, phases, axis=1), axis=-1,
                                                   bitorder="little")
-            yield len(u), _span_counts(words.view("<u8"), n, summed)
+            yield len(u), _span_counts(words.view("<u8"), n)
         return
     period = (1 << k) - 1
     for u in decimations(k, period + n % period):
-        counts = _window_counts(k, n, np.packbits(u[0], bitorder="little"))
-        yield 1, counts if summed else counts[None]
+        yield 1, _window_counts(k, n, np.packbits(u[0], bitorder="little"))
 
 
 def ensemble_enumerators(k: int, n: int) -> list[tuple[BitPoly, WeightEnumerator]]:
     """Exact enumerator for every degree-k maximal-period polynomial,
-    ascending by mask.  pair_polynomials names the polynomial of each
-    sequence _pair_members counts, and its reciprocal shares the counts."""
+    ascending by mask.  _pair_members counts each pair alone, and
+    pair_polynomials names the polynomial of each sequence it counts; its
+    reciprocal shares the counts."""
     # its range checks run before any polynomial work
-    members = [row for _, rows in _pair_members(k, n) for row in rows.tolist()]
+    members = [counts.tolist() for _, counts in _pair_members(k, n, 1)]
     out = []
     for p, counts in zip(pair_polynomials(k), members):
         enum = WeightEnumerator(n=n, dim=k, counts=tuple(counts))
@@ -337,13 +330,13 @@ def ensemble_summed_counts(k: int, n: int) -> tuple[int, list[int]]:
     share one enumerator, so sums[j] / pairs is, as an exact fraction, the
     average A_j over all the codes.
 
-    _pair_members sums each run of pairs as it counts them, and the runs
-    are added as they stream, so memory stays O(n).  The sums must hold
-    one zero word per pair and 2^k codewords per pair, or
+    _pair_members sums each stack of _PAIR_STACK pairs as it counts them,
+    and the stacks are added as they stream, so memory stays O(n).  The
+    sums must hold one zero word per pair and 2^k codewords per pair, or
     InconsistentEnumeratorError is raised.
     """
     pairs, total = 0, 0  # total becomes a new array at the first run
-    for run, counts in _pair_members(k, n, summed=True):
+    for run, counts in _pair_members(k, n, _PAIR_STACK):
         total += counts
         pairs += run
     sums = total.tolist()

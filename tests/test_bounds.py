@@ -108,7 +108,7 @@ def test_existence_validation():
     with pytest.raises(ValueError):
         verify_existence(4, 7)  # n < 2k
     with pytest.raises(UnsupportedRangeError):
-        verify_existence(17, 34)
+        verify_existence(19, 38)
 
 
 def test_existence_never_fails_in_guaranteed_regime():
@@ -124,7 +124,8 @@ def test_existence_never_fails_in_guaranteed_regime():
 
 @pytest.mark.parametrize("k", range(4, 11))
 def test_existence_witness_matches_ascending_scan(k):
-    for n in sorted({2 * k, 2 * k + 3, 3 * k, 4 * k}):
+    # 65 takes a second plane of the span kernel and 193 the window kernel
+    for n in sorted({2 * k, 2 * k + 3, 3 * k, 4 * k} | {m for m in (65, 193) if m >= 2 * k}):
         rep = verify_existence(k, n)
         assert rep.witness_poly.mask == ref_first_witness(k, n, rep.dmin_bound)
 

@@ -178,15 +178,15 @@ def test_avg_weights_modes_write_files(tmp_path):
 
 
 def test_slow_gate_requires_flag(tmp_path, capsys):
-    # the flag changes nothing for an ensemble; the library's k <= 16 limit refuses
+    # the flag changes nothing for an ensemble; the library's k <= 18 limit refuses
     argv = ["avg-weights", "--k", "13", "--n", "27", "--mode", "exact"]
     assert run(argv + ["--outdir", str(tmp_path / "plain")]) == 0
     assert run(argv + ["--allow-slow", "--outdir", str(tmp_path / "flagged")]) == 0
     name = "avg_weights_exact_k13_n27.csv"
     assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "flagged" / name).read_bytes()
-    assert run(["avg-weights", "--k", "17", "--n", "27", "--mode", "exact",
+    assert run(["avg-weights", "--k", "19", "--n", "27", "--mode", "exact",
                 "--outdir", str(tmp_path)]) == 1
-    assert "2 <= k <= 16, got 17" in capsys.readouterr().err
+    assert "2 <= k <= 18, got 19" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["dmin"], ["dmin", "--scan"], ["kld", "--which", "dual"]])

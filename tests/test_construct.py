@@ -24,7 +24,6 @@ from prcodes.gf2 import (
     enumerate_primitives,
     first_primitive,
     is_primitive,
-    m_sequence,
     packed_sequence,
 )
 from prcodes.weights import _window_weights, weight_enumerator_exact
@@ -307,10 +306,13 @@ def test_no_weight_one_or_two_words_beyond_double_length_high():
 # whole periods
 
 def test_m_sequence_is_row_zero_period():
+    # one period of the unpacked bits, from the seed 1, 0, ..., 0
     for k in range(2, 11):
         for p in enumerate_primitives(k)[:3]:
             period = 2**k - 1
-            assert m_sequence(p).tolist() == ref_lfsr_bits(p.mask, 1, period)
+            bits = np.unpackbits(packed_sequence(p, period).view(np.uint8), count=period,
+                                 bitorder="little")
+            assert bits.tolist() == ref_lfsr_bits(p.mask, 1, period)
 
 
 @functools.cache

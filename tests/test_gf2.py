@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from util import (
+    ref_berlekamp_massey,
     ref_euler_phi,
     ref_factorize,
     ref_is_irreducible,
@@ -23,7 +24,6 @@ from prcodes.gf2 import (
     _mod,
     _mul,
     _sqr,
-    berlekamp_massey,
     decimations,
     enumerate_primitives,
     factorize,
@@ -258,14 +258,16 @@ def test_berlekamp_massey_recovers_every_primitive():
     for k in range(2, 11):
         for p in enumerate_primitives(k):
             state = rng.randrange(1, 1 << k)
-            assert berlekamp_massey(ref_lfsr_bits(p.mask, state, 2 * k)) == p
+            bits = ref_lfsr_bits(p.mask, state, 2 * k)
+            assert ref_berlekamp_massey(bits) == p
+            assert _berlekamp_massey_rows(np.array([bits], dtype=np.uint8)).tolist() == [p.mask]
 
 
 def test_berlekamp_massey_short_inputs():
-    assert berlekamp_massey([]) == ONE
-    assert berlekamp_massey([0, 0, 0]) == ONE
-    assert berlekamp_massey([0, 0, 0, 1]) == BitPoly.parse("1+x^4")
-    assert berlekamp_massey([1, 1, 1, 1]) == BitPoly.parse("1+x")
+    assert ref_berlekamp_massey([]) == ONE
+    assert ref_berlekamp_massey([0, 0, 0]) == ONE
+    assert ref_berlekamp_massey([0, 0, 0, 1]) == BitPoly.parse("1+x^4")
+    assert ref_berlekamp_massey([1, 1, 1, 1]) == BitPoly.parse("1+x")
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +348,21 @@ def test_pair_polynomials_match_constant_term_decimation():
         f = first_primitive(k)
         period = 2**k - 1
         s = ref_lfsr_bits(f.mask, 1, period)
-        expected = [berlekamp_massey([s[d * t % period] for t in range(2 * k)])
+        expected = [ref_berlekamp_massey([s[d * t % period] for t in range(2 * k)])
                     for d in pair_leaders(k)]
         assert pair_polynomials(k) == expected, f"k={k}"
 
 
 def _berlekamp_massey_row_by_row(k):
     for block in decimations(k, 2 * k, 1000):
-        expected = [berlekamp_massey(u).mask for u in block.tolist()]
+        expected = [ref_berlekamp_massey(u).mask for u in block.tolist()]
         assert _berlekamp_massey_rows(block).tolist() == expected, f"k={k}"
 
 
 @pytest.mark.parametrize("k", range(2, 17))
 def test_berlekamp_massey_rows_match_scalar_on_the_family(k):
     # every pair's first 2k bits, in blocks of 1000 (a short last block from
-    # k = 14), read as berlekamp_massey reads each row alone
+    # k = 14), read as ref_berlekamp_massey reads each row alone
     _berlekamp_massey_row_by_row(k)
 
 
@@ -375,7 +377,7 @@ def test_berlekamp_massey_rows_match_scalar_on_random_bits():
     rng = np.random.default_rng(7)
     for length in (0, 1, 2, 3, 9, 31, 48, 62):
         bits = (rng.random((400, length)) < rng.random((400, 1))).astype(np.uint8)
-        expected = [berlekamp_massey(u).mask for u in bits.tolist()]
+        expected = [ref_berlekamp_massey(u).mask for u in bits.tolist()]
         assert _berlekamp_massey_rows(bits).tolist() == expected, f"length={length}"
 
 

@@ -1,9 +1,11 @@
 """Import layering: every module of the package imports only the modules
-below it, and only at module level; only errors.check_k refuses a size; and
-every function the bench harness traces still exists."""
+below it, and only at module level; only errors.check_k refuses a size;
+every function the bench harness traces still exists; and every function
+and class of the package has a user."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,14 +96,41 @@ def test_only_check_k_raises_range_errors(name):
         assert not lines, f"{name} raises UnsupportedRangeError itself at line(s) {lines}"
 
 
-def test_bench_traced_functions_exist():
-    """The bench's tracer wraps each name in bench/spans.py's TRACED table by
-    getattr on its module, so a deleted or renamed one breaks every traced
-    run.  The table is read from the source, without importing the bench."""
+def _traced():
+    """bench/spans.py's TRACED table, {module: names}, read from the source
+    without importing the bench."""
     tree = ast.parse(BENCH_SPANS.read_text(), filename=str(BENCH_SPANS))
     (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
-    missing = [f"{module}.{name}" for module, names in ast.literal_eval(table).items()
-               for name in names
+    return ast.literal_eval(table)
+
+
+def test_bench_traced_functions_exist():
+    """The bench's tracer wraps each name in bench/spans.py's TRACED table by
+    getattr on its module, so a deleted or renamed one breaks every traced
+    run."""
+    missing = [f"{module}.{name}" for module, names in _traced().items() for name in names
                if not callable(getattr(importlib.import_module(f"prcodes.{module}"), name, None))]
     assert not missing, f"bench/spans.py traces missing functions: {missing}"
+
+
+def _reads(node):
+    """How often each name is read under node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_package_function_has_a_user():
+    """Each module-level def or class is read somewhere else in the package,
+    exported by __init__, or traced by the bench; code that only tests run
+    belongs in tests/util.py."""
+    trees = {name: _tree(name) for name in ORDER}
+    reads = sum(map(_reads, trees.values()), Counter())
+    exported = {alias.name for node in _tree("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    traced = {(module, name) for module, names in _traced().items() for name in names}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in exported and (module, node.name) not in traced
+              and reads[node.name] == _reads(node)[node.name]]
+    assert not unused, f"package functions with no user: {unused}"

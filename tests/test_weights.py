@@ -334,7 +334,7 @@ def test_ensemble_total_mass():
 
 def test_ensemble_cap():
     with pytest.raises(UnsupportedRangeError):
-        ensemble_average_exact(17, 20)
+        ensemble_average_exact(19, 20)
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -344,10 +344,13 @@ def test_ensemble_enumerators_match_per_code(k):
     # 191-193 straddle the largest length counted over the span of the rows
     spans = {191, 192, 193} if k >= 8 else set()
     for n in sorted({k, 2 * k, period, period + 3} | spans):
-        # _pair_members counts the code of each pair_polynomials member, in order
-        members = [weight_enumerator_exact(build_code(p, n)).counts for p in pair_polynomials(k)]
-        got = [tuple(c) for _, rows in _pair_members(k, n) for c in rows.tolist()]
-        assert got == members, f"n={n}"
+        # runs of one pair count the code of each pair_polynomials member
+        # alone, in order
+        members = [list(weight_enumerator_exact(build_code(p, n)).counts)
+                   for p in pair_polynomials(k)]
+        runs = list(_pair_members(k, n, 1))
+        assert [run for run, _ in runs] == [1] * len(members), f"n={n}"
+        assert [counts.tolist() for _, counts in runs] == members, f"n={n}"
         members = ensemble_enumerators(k, n)
         assert [p for p, _ in members] == polys
         pairs, sums = 0, [0] * (n + 1)
@@ -367,14 +370,14 @@ def _stack_rule(codes):
 @pytest.mark.parametrize("k", [*range(2, 9), 10, 11, 12, 13, 14,
                                pytest.param(15, marks=pytest.mark.slow)])
 def test_grouped_pair_members_match_single_codes(k):
-    # _pair_members counts _PAIR_STACK = 64 pairs per stack: all of them at
-    # k <= 10, the 315 of k = 13 as 4 stacks of 64 and one of 59, the 756
-    # of k = 14 as 11 and one of 52.  _span_counts builds a stack of c codes
-    # from max(1, SPAN_LOW_BITS - ceil(log2 c)) low rows each, so the
-    # stack's low block never exceeds 2^SPAN_LOW_BITS columns.  Row by row,
-    # in order, the counts are those _span_counts gives each
-    # pair_polynomials code alone, and for k <= 8 the brute-force counts of
-    # its recurrence; with summed, each stack gives the sum of its rows
+    # ensemble_summed_counts has _pair_members count _PAIR_STACK = 64 pairs
+    # per stack: all of them at k <= 10, the 315 of k = 13 as 4 stacks of
+    # 64 and one of 59, the 756 of k = 14 as 11 and one of 52.  _span_counts
+    # builds a stack of c codes from max(1, SPAN_LOW_BITS - ceil(log2 c))
+    # low rows each, so the stack's low block never exceeds
+    # 2^SPAN_LOW_BITS columns.  Each stack's counts are those _span_counts
+    # gives each of its pair_polynomials codes alone, added, and for k <= 8
+    # the brute-force counts of their recurrences, added
     polys = pair_polynomials(k)
     stack = prcodes.weights._PAIR_STACK
     real, real_span = prcodes.weights._span_counts, prcodes.weights.span_words
@@ -383,9 +386,9 @@ def test_grouped_pair_members_match_single_codes(k):
     for n in sorted({2 * k, 64, 65, 128, 192}):
         stacks, blocks = [], []
 
-        def recorded(words, length, summed=False):
+        def recorded(words, length):
             stacks.append(words.shape[:-2])
-            return real(words, length, summed)
+            return real(words, length)
 
         def recorded_span(words):
             block = real_span(words)
@@ -395,31 +398,30 @@ def test_grouped_pair_members_match_single_codes(k):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(prcodes.weights, "_span_counts", recorded)
             patch.setattr(prcodes.weights, "span_words", recorded_span)
-            runs = list(_pair_members(k, n))
-            summed = list(_pair_members(k, n, summed=True))
-        assert stacks == [(c,) for c in sizes] * 2
+            runs = list(_pair_members(k, n, stack))
+        assert stacks == [(c,) for c in sizes]
         planes = -(-n // 64)
         low = [min(k, _stack_rule(c)) for c in sizes]
-        assert blocks == [(c, planes, 1 << b) for c, b in zip(sizes, low)] * 2
+        assert blocks == [(c, planes, 1 << b) for c, b in zip(sizes, low)]
         assert all(c << b <= 1 << prcodes.weights.SPAN_LOW_BITS for c, b in zip(sizes, low))
-        assert [(c, rows.shape) for c, rows in runs] == [(c, (c, n + 1)) for c in sizes]
-        got = [row for _, rows in runs for row in rows.tolist()]
-        expected = [real(packed_rows(build_code(p, n).rows, n), n).tolist() for p in polys]
-        assert got == expected, f"n={n}"
-        assert [(c, counts.tolist()) for c, counts in summed] == \
-            [(c, rows.sum(axis=0).tolist()) for c, rows in runs], f"n={n}"
+        assert [(c, counts.shape, counts.dtype) for c, counts in runs] == \
+            [(c, (n + 1,), np.int64) for c in sizes]
+        alone = [real(packed_rows(build_code(p, n).rows, n), n).tolist() for p in polys]
+        added = [[sum(col) for col in zip(*alone[i:i + stack])] for i in range(0, len(polys), stack)]
+        assert [counts.tolist() for _, counts in runs] == added, f"n={n}"
         if k <= 8:
-            assert got == [_cached_ref_counts(p.mask, n) for p in polys], f"n={n}"
+            assert alone == [_cached_ref_counts(p.mask, n) for p in polys], f"n={n}"
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_summed_counts_match_rows_and_brute_force(k):
     # one code per pair, summed per weight: the span kernel's stacks, the
-    # window kernel's single pairs past SPAN_MAX_N, and the brute-force
-    # counts of every pair_polynomials recurrence all agree
+    # window kernel's single pairs past SPAN_MAX_N, the runs of one pair
+    # each, and the brute-force counts of every pair_polynomials recurrence
+    # all agree
     polys = pair_polynomials(k)
     for n in sorted({k, 2 * k + 5, 64, 65, 192, 193, 2**k + 4}):
-        rows = [row for _, stack in _pair_members(k, n) for row in stack.tolist()]
+        rows = [counts.tolist() for _, counts in _pair_members(k, n, 1)]
         sums = [sum(column) for column in zip(*rows)]
         assert ensemble_summed_counts(k, n) == (len(polys), sums), f"n={n}"
         ref = [sum(column) for column in zip(*(_cached_ref_counts(p.mask, n) for p in polys))]
@@ -429,19 +431,17 @@ def test_summed_counts_match_rows_and_brute_force(k):
 @pytest.mark.parametrize("k, n", [(15, 64), (16, 65), (16, 192)])
 def test_span_counts_stack_above_the_low_block(k, n):
     # a stack of 3 codes with 12 low rows each, whose span needs several
-    # cosets (8 at k = 15, 16 at k = 16): each coset's weights are binned
-    # with their code's offset, and each code's counts are those the window
-    # kernel reads off its sequence; summed, they are added into n + 1 bins
+    # cosets (8 at k = 15, 16 at k = 16): the stack's counts, added into
+    # n + 1 bins, are the counts the window kernel reads off each code's
+    # sequence, added, and so are those of each code counted alone
     polys = enumerate_primitives(k)[:3]
     words = np.stack([packed_rows(build_code(p, n).rows, n) for p in polys])
     got = _span_counts(words, n)
-    assert got.shape == (3, n + 1) and got.dtype == np.int64
-    for counts, p in zip(got, polys):
-        expected = _window_counts(k, n, packed_sequence(p, 2**k - 1 + n))
-        assert counts.tolist() == expected.tolist(), f"{p} n={n}"
-    summed = _span_counts(words, n, summed=True)
-    assert summed.shape == (n + 1,) and summed.dtype == np.int64
-    assert summed.tolist() == got.sum(axis=0).tolist()
+    assert got.shape == (n + 1,) and got.dtype == np.int64
+    expected = [_window_counts(k, n, packed_sequence(p, 2**k - 1 + n)) for p in polys]
+    for code, counts, p in zip(words, expected, polys):
+        assert _span_counts(code, n).tolist() == counts.tolist(), f"{p} n={n}"
+    assert got.tolist() == sum(expected).tolist()
 
 
 def test_ensemble_validation():
@@ -494,6 +494,20 @@ def test_ensemble_average_memory_is_flat_in_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.slow
+def test_ensemble_at_the_cap_stays_one_low_block():
+    # k = 18, the largest degree ensemble_summed_counts takes: its 3,888
+    # pairs stream through stacks of 64, and the peak stays at about
+    # 0.65 MiB, near the 0.58 and 0.34 MiB of k = 10 and 13 below
+    tracemalloc.start()
+    try:
+        ensemble_summed_counts(18, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * 2**20
 
 
 @pytest.mark.parametrize("k, n, bound", [(10, 192, 1.0), (13, 64, 0.5)])

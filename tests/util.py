@@ -130,6 +130,26 @@ def ref_lfsr_bits(p_mask: int, state: int, length: int) -> list[int]:
     return out
 
 
+def ref_berlekamp_massey(bits) -> BitPoly:
+    """Shortest connection polynomial generating the given bits, one bit at
+    a time: c with c_0 = 1 and s_t = sum_{i>=1} c_i s_{t-i} for every t
+    covered by the input (Massey, IEEE T-IT 15, 1969)."""
+    c, prev = 1, 1  # current and last-replaced connection polynomials
+    length, shift = 0, 1
+    recent = 0  # bit i holds s_{t-i}
+    for t, bit in enumerate(bits):
+        recent = recent << 1 | int(bit)
+        shift_prev = prev << shift
+        if (c & recent).bit_count() & 1:
+            if 2 * length <= t:
+                prev, c = c, c ^ shift_prev
+                length, shift = t + 1 - length, 1
+                continue
+            c ^= shift_prev
+        shift += 1
+    return BitPoly(c)
+
+
 def ref_weight_counts(p_mask: int, n: int) -> list[int]:
     """Counts by weight of the n-bit outputs of p's recurrence from every
     one of the 2^k initial states, the zero state included."""
