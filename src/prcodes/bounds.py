@@ -51,8 +51,11 @@ def qfunc(x: float) -> float:
 def es_n0(ebno_db: float, k: int, n: int) -> float:
     """Symbol SNR Es/N0 = (k/n) Eb/N0 of an Eb/N0 point in dB.
 
-    A ValueError names the SNR point unless gamma = 2 Es/N0 and the noise
-    variance 1/gamma are both positive finite floats."""
+    A ValueError names the block length n = 0, which leaves k/n
+    undefined, and otherwise the SNR point unless gamma = 2 Es/N0 and the
+    noise variance 1/gamma are both positive finite floats."""
+    if n == 0:
+        raise ValueError("block length n = 0 leaves Es/N0 = (k/n) Eb/N0 undefined")
     try:
         es = (k / n) * 10.0 ** (ebno_db / 10.0)
     except OverflowError:

@@ -5,17 +5,18 @@ integer 0b10011 = 0x13.  Two text formats are accepted and produced
 everywhere in this package: hex masks ("0x13") and symbolic sums
 ("1+x+x^4").
 
-Beyond the basic ring operations the module tests whether a polynomial
-generates a maximum-length recurrence (the multiplicative order of x
-modulo p equals 2^deg(p) - 1), draws such polynomials in mask order,
-generates a recurrence's bits packed into 64-bit words, recovers the
-connection polynomials of many recurrences from their bits at once
-(Berlekamp-Massey), and walks the degree-k family: decimations yields
-one decimation of f's own m-sequence, f = first_primitive(k), per
-reciprocal pair, a block of pairs at a time, and pair_polynomials reads
-each one's polynomial off its first 2k bits, a block of pairs per
-vectorized Berlekamp-Massey run.  The sequence and the pair leaders are
-built once per degree per process.
+Its only ring arithmetic is reduction, squaring and powers of x modulo p
+(square and shift, with no general product).  With them the module tests
+whether a polynomial generates a maximum-length recurrence (the
+multiplicative order of x modulo p equals 2^deg(p) - 1), draws such
+polynomials in mask order, generates a recurrence's bits packed into
+64-bit words, recovers the connection polynomials of many recurrences
+from their bits at once (Berlekamp-Massey), and walks the degree-k
+family: decimations yields one decimation of f's own m-sequence, f =
+first_primitive(k), per reciprocal pair, a block of pairs at a time, and
+pair_polynomials reads each one's polynomial off its first 2k bits, a
+block of pairs per vectorized Berlekamp-Massey run.  The sequence and
+the pair leaders are built once per degree per process.
 
 The generator rests on the Frobenius identity p(x)^(2^m) = p(x^(2^m))
 over GF(2): a sequence that p's recurrence annihilates also satisfies
@@ -87,12 +88,7 @@ class BitPoly:
 
     def reciprocal(self) -> "BitPoly":
         """x^deg * p(1/x): the bit-reversed polynomial."""
-        d = self.degree
-        rev = 0
-        for i in range(d + 1):
-            if (self.mask >> i) & 1:
-                rev |= 1 << (d - i)
-        return BitPoly(rev)
+        return BitPoly(int(f"{self.mask:b}"[::-1], 2))
 
     def to_hex(self) -> str:
         return hex(self.mask)
@@ -120,19 +116,6 @@ class BitPoly:
 # ---------------------------------------------------------------------------
 # raw mask arithmetic
 
-def _mul(a: int, b: int) -> int:
-    """Carry-less product of two masks."""
-    if a < b:
-        a, b = b, a
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def _mod(a: int, m: int) -> int:
     """Remainder of mask a modulo nonzero mask m."""
     dm = m.bit_length() - 1
@@ -145,23 +128,19 @@ def _mod(a: int, m: int) -> int:
 
 def _sqr(a: int) -> int:
     """Square of a mask: spreads every bit i to position 2i."""
-    r = 0
-    while a:
-        low = a & -a
-        r |= 1 << (2 * (low.bit_length() - 1))
-        a ^= low
-    return r
+    return int("0".join(f"{a:b}"), 2)
 
 
-def _powmod(base: int, e: int, m: int) -> int:
-    """base^e mod m over GF(2), square-and-multiply."""
-    r = 1
-    base = _mod(base, m)
-    while e:
-        if e & 1:
-            r = _mod(_mul(r, base), m)
-        base = _mod(_sqr(base), m)
-        e >>= 1
+def _xpow(e: int, m: int) -> int:
+    """x^e mod m over GF(2), m of degree >= 1: for each bit of e from the
+    top, square, and where the bit is set multiply by x, a shift."""
+    r, top = 1, 1 << (m.bit_length() - 1)
+    for bit in f"{e:b}":
+        r = _mod(_sqr(r), m)
+        if bit == "1":
+            r <<= 1
+            if r & top:
+                r ^= m
     return r
 
 
@@ -244,9 +223,12 @@ def is_primitive(p: BitPoly) -> bool:
     """Whether p of degree k generates a maximum-length recurrence.
 
     True iff the order of x in GF(2)[x]/(p) is exactly 2^k - 1 (which
-    forces p to be irreducible): x^(2^k) = x, in k squarings, and
-    x^((2^k - 1)/q) != 1 for each prime q.  A zero constant term cannot
-    occur in a connection polynomial, so it is rejected as a caller bug.
+    forces p to be irreducible): x^(2^k) = x, and x^((2^k - 1)/q) != 1
+    for each prime q dividing 2^k - 1 (Lidl & Niederreiter, Finite
+    Fields, Thm. 3.18), both powers by _xpow.  The first check costs only
+    k squarings and rejects most candidates, which are reducible.  A zero
+    constant term cannot occur in a connection polynomial, so it is
+    rejected as a caller bug.
     Degrees above errors.PRIMITIVITY_CAP are refused: 2^k - 1 would then
     be factored with no proven primality test and no time bound.
     """
@@ -256,13 +238,9 @@ def is_primitive(p: BitPoly) -> bool:
     if not p.mask & 1:
         raise ValueError(f"connection polynomial must have constant term 1, got {p!r}")
     check_k("primitivity test", k, PRIMITIVITY_CAP, low=2)
-    t = 2
-    for _ in range(k):
-        t = _mod(_sqr(t), p.mask)
-    if t != 2:
-        return False
     order = (1 << k) - 1
-    return all(_powmod(2, order // q, p.mask) != 1 for q in factorize(order))
+    return _xpow(1 << k, p.mask) == 2 and all(
+        _xpow(order // q, p.mask) != 1 for q in factorize(order))
 
 
 def _primitives_by_mask(k: int) -> Iterator[BitPoly]:

@@ -265,6 +265,16 @@ def test_gamma_rejects_unrepresentable_snr(bad):
     assert 0 < ebno_db_to_gamma(-3000.0, 4, 20) and ebno_db_to_gamma(3000.0, 4, 20) < math.inf
 
 
+def test_gamma_refuses_zero_block_length():
+    # k/n is undefined at n = 0: refused by name before the division, while
+    # a negative n still gets the SNR point's message
+    for db in (3.0, math.nan):
+        with pytest.raises(ValueError, match="block length n = 0"):
+            ebno_db_to_gamma(db, 4, 0)
+    with pytest.raises(ValueError, match="Eb/N0 = 3.0 dB gives Es/N0 -"):
+        ebno_db_to_gamma(3.0, 4, -1)
+
+
 # ---------------------------------------------------------------------------
 # external fixture profiles through the same evaluators
 

@@ -256,6 +256,15 @@ def test_approx9_union_bound_refuses_short_codes(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("source", ["exact", "approx9"])
+def test_union_bound_refuses_zero_block_length(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    assert run(["union-bound", "--poly", "0x13", "--n", "0", "--source", source,
+                "--ebno-list", "3", "--outdir", str(out)]) == 1
+    assert "error: block length n = 0" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_union_bound_curve(tmp_path):
     assert run(["union-bound", "--poly", "0x13", "--n", "20",
                 "--ebno-list", "4,5,6", "--outdir", str(tmp_path)]) == 0

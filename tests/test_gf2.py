@@ -14,6 +14,8 @@ from util import (
     ref_mul,
     ref_order_of_x,
     ref_primitives,
+    ref_reciprocal,
+    ref_sqr,
 )
 
 from prcodes.errors import UnsupportedRangeError
@@ -22,8 +24,8 @@ from prcodes.gf2 import (
     _berlekamp_massey_rows,
     _family,
     _mod,
-    _mul,
     _sqr,
+    _xpow,
     decimations,
     enumerate_primitives,
     factorize,
@@ -69,6 +71,18 @@ def test_parse_roundtrip_random():
 def test_reciprocal():
     assert BitPoly.parse("0x13").reciprocal() == BitPoly.parse("0x19")
     assert BitPoly.parse("1+x+x^2").reciprocal() == BitPoly.parse("1+x+x^2")
+    # against the bit loop: the zero mask, masks with a zero constant term
+    # (whose reversal drops in degree), and involution where both end
+    # terms are set
+    rng = random.Random(0x5EED)
+    masks = [0, 1, 2, 0b110, 1 << 40, *(rng.randrange(1 << rng.randrange(1, 70))
+                                        for _ in range(2000))]
+    for mask in masks:
+        assert BitPoly(mask).reciprocal().mask == ref_reciprocal(mask), hex(mask)
+        if mask > 1:
+            p = BitPoly(mask | 1)
+            assert p.reciprocal().reciprocal() == p
+    assert BitPoly(0b1100).reciprocal() == BitPoly(0b11)
 
 
 def test_negative_mask_rejected():
@@ -77,23 +91,31 @@ def test_negative_mask_rejected():
 
 
 # ---------------------------------------------------------------------------
-# modular multiplication
+# reduction, squaring and powers of x
 
-def test_mul_mod_commutes_and_associates():
-    # the raw ring operations under is_primitive, against the schoolbook oracles
-    def mul_mod(a, b, m):
-        return _mod(_mul(a, b), m)
-
+def test_mod_sqr_and_xpow_match_schoolbook():
+    # the raw arithmetic under is_primitive, against the schoolbook oracles:
+    # x^e mod m by e single steps x -> x * x mod m, for every e up to a few
+    # hundred and for the two powers is_primitive takes, e = 2^k and
+    # e = (2^k - 1)/q
     rng = random.Random(0xC0DE)
+    assert _sqr(0) == 0 and _sqr(1) == 1
     for _ in range(1000):
         k = rng.randrange(2, 17)
         m = (1 << k) | rng.randrange(1 << k) | 1
-        a, b, c = (rng.randrange(1 << 17) for _ in range(3))
-        ab = mul_mod(a, b, m)
-        assert ab == mul_mod(b, a, m)
-        assert ab == ref_mod(ref_mul(a, b), m)
-        assert mul_mod(ab, c, m) == mul_mod(a, mul_mod(b, c, m), m)
-        assert _mod(_sqr(a), m) == mul_mod(a, a, m)
+        a = rng.choice((0, rng.randrange(1 << 17)))
+        assert _mod(a, m) == ref_mod(a, m)
+        assert _sqr(a) == ref_mul(a, a) == ref_sqr(a)
+    for _ in range(60):
+        k = rng.randrange(2, 17)
+        m = (1 << k) | rng.randrange(1 << k) | rng.randrange(2)
+        order = (1 << k) - 1
+        targets = {1 << k, *(order // q for q in factorize(order))}
+        x = 1
+        for e in range(max(400, *targets) + 1):
+            if e <= 400 or e in targets:
+                assert _xpow(e, m) == x, (hex(m), e)
+            x = ref_mod(x << 1, m)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +184,22 @@ def test_is_primitive_refuses_degrees_past_the_factoring_cap():
     for text in ("1+x+x^65", "1+x+x^256"):
         with pytest.raises(UnsupportedRangeError):
             is_primitive(BitPoly.parse(text))
+
+
+@pytest.mark.parametrize("k, count, first", [
+    (20, 11, (0x100009, 0x100053, 0x100065)),
+    (32, 6, (0x1000000AF, 0x1000000C5, 0x1000000F5)),
+    (48, 4, (0x10000000000B7, 0x100000000017F, 0x10000000001A7)),
+    (63, 5, (0x8000000000000003, 0x8000000000000021, 0x8000000000000033)),
+    (64, 6, (0x1000000000000001B, 0x1000000000000001D, 0x100000000000000F5)),
+])
+def test_first_primitives_at_large_degrees(k, count, first):
+    # the maximal-order polynomials among the first 256 candidates in mask
+    # order, past the degrees that the enumeration checks
+    found = [mask for mid in range(256)
+             if is_primitive(BitPoly(mask := (1 << k) | mid << 1 | 1))]
+    assert len(found) == count
+    assert tuple(found[:3]) == first
 
 
 def test_primitive_implies_irreducible():

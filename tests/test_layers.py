@@ -1,10 +1,13 @@
 """Import layering: every module of the package imports only the modules
 below it, and only at module level; only errors.check_k refuses a size;
-every function the bench harness traces still exists; and every function
-and class of the package has a user."""
+every function the bench harness traces still exists; every function
+and class of the package has a user; and importing the CLI loads none of
+the modules that the package imports lazily."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -134,3 +137,14 @@ def test_every_package_function_has_a_user():
               and node.name not in exported and (module, node.name) not in traced
               and reads[node.name] == _reads(node)[node.name]]
     assert not unused, f"package functions with no user: {unused}"
+
+
+def test_cli_import_loads_no_lazy_module():
+    """Import time is most of a command's setup, so the modules that only
+    some paths need (awgn.simulate_wer's process pool among them) are
+    imported inside those paths, not when the CLI loads."""
+    lazy = ["asyncio", "concurrent.futures", "multiprocessing", "subprocess"]
+    probe = f"import sys, prcodes.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, cwd=PACKAGE.parent)
+    assert done.stdout.strip() == "[]", done.stdout

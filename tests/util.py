@@ -26,6 +26,26 @@ def ref_mul(a: int, b: int) -> int:
     return r
 
 
+def ref_sqr(a: int) -> int:
+    """Square of a mask by moving each set bit i to position 2i."""
+    r = 0
+    while a:
+        low = a & -a
+        r |= 1 << (2 * (low.bit_length() - 1))
+        a ^= low
+    return r
+
+
+def ref_reciprocal(mask: int) -> int:
+    """Bit-reversed mask of the same degree: bit i moves to deg - i."""
+    d = mask.bit_length() - 1
+    rev = 0
+    for i in range(d + 1):
+        if (mask >> i) & 1:
+            rev |= 1 << (d - i)
+    return rev
+
+
 def ref_mod(a: int, m: int) -> int:
     """Long-division remainder of mask a modulo mask m."""
     dm = m.bit_length() - 1
