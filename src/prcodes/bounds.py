@@ -8,7 +8,8 @@ codes built from different maximal-period polynomials of one degree
 share no nonzero codeword once n >= 2k, some polynomial of that degree
 must reach the bound; verify_existence decides the bound from the
 ensemble's summed counts and then counts the codes one at a time, in
-mask order, until one reaches it.
+mask order (gf2.enumerate_primitives, the family the ensemble count has
+just walked), until one reaches it.
 
 The union bound sums pairwise error probabilities Q(sqrt(i*gamma))
 weighted by the profile, where gamma = 2 Es/N0 so that a weight-i
@@ -23,7 +24,7 @@ from typing import Sequence
 
 from .construct import build_code
 from .errors import TheoremViolationError
-from .gf2 import BitPoly, _primitives_by_mask
+from .gf2 import BitPoly, enumerate_primitives
 from .weights import RealDistribution, ensemble_summed_counts, weight_enumerator_exact
 
 
@@ -51,11 +52,11 @@ def qfunc(x: float) -> float:
 def es_n0(ebno_db: float, k: int, n: int) -> float:
     """Symbol SNR Es/N0 = (k/n) Eb/N0 of an Eb/N0 point in dB.
 
-    A ValueError names the block length n = 0, which leaves k/n
-    undefined, and otherwise the SNR point unless gamma = 2 Es/N0 and the
-    noise variance 1/gamma are both positive finite floats."""
-    if n == 0:
-        raise ValueError("block length n = 0 leaves Es/N0 = (k/n) Eb/N0 undefined")
+    A ValueError names a block length n < 1, for which k/n is no code
+    rate, and otherwise the SNR point unless gamma = 2 Es/N0 and the noise
+    variance 1/gamma are both positive finite floats."""
+    if n < 1:
+        raise ValueError(f"block length n = {n} must be at least 1 for Es/N0 = (k/n) Eb/N0")
     try:
         es = (k / n) * 10.0 ** (ebno_db / 10.0)
     except OverflowError:
@@ -115,16 +116,17 @@ def verify_existence(k: int, n: int) -> DminReport:
     """Exhaustively confirm some degree-k code meets the distance bound.
 
     Decides the bound from ensemble_summed_counts, then walks the
-    maximal-period polynomials in mask order and reports the first whose
-    exact minimum distance reaches it.  Failure to find one would
-    contradict the disjointness-based counting argument, so it raises
-    instead of returning an incomplete report.
+    maximal-period polynomials in mask order, as enumerate_primitives
+    lists them off the degree's family that the count has just cached,
+    and reports the first whose exact minimum distance reaches it.
+    Failure to find one would contradict the disjointness-based counting
+    argument, so it raises instead of returning an incomplete report.
     """
     if n < 2 * k:
         raise ValueError(f"existence argument requires n >= 2k = {2 * k}, got {n}")
     d = dmin_bound_exact(*ensemble_summed_counts(k, n))
     gv = gv_distance(n, k)
-    for poly in _primitives_by_mask(k):
+    for poly in enumerate_primitives(k):
         wd = weight_enumerator_exact(build_code(poly, n)).min_nonzero_weight()
         if wd >= d:
             return DminReport(

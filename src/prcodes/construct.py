@@ -17,7 +17,8 @@ span_words is the one place a span of rows is built: from packed_rows'
 message m, for one code or for a stack of codes at once.  codeword_set
 reads its ints off that block, weights counts the popcounts of its
 columns (a stack of ensemble codes per block), and awgn maps its bits to
-BPSK symbols.
+BPSK symbols and weighs its columns, a coset at a time, for the list of
+light codewords it certifies decisions with.
 """
 
 from __future__ import annotations

@@ -30,9 +30,10 @@ ENUMERATOR_CAP = 24
 ENSEMBLE_CAP = 18
 # awgn exhaustive decoding costs 2^k * n flops per decoded trial, and
 # simulate_wer decodes only the trials it cannot certify, most of them in
-# float32 and the rest exactly, one at a time: 16 trials at k = 20, n = 64
-# take 0.08-0.09 s at 0-4 dB and 0.02 s at 8 dB; 256 take 0.54 s at 0 dB,
-# 0.33 s at 4 dB and 0.02 s at 8 dB, 18 ms of it listing the light codewords
+# float32 and the rest exactly, one at a time: in a fresh process, 16 trials
+# at k = 20, n = 64 take 0.075 s at 0 dB and 0.02 s at 4-8 dB; 256 take
+# 0.34 s at 0 dB, 0.11 s at 4 dB and 0.03 s at 8 dB, 12 ms of it listing the
+# light codewords
 DECODER_CAP = 20
 # simulate refuses k >= 12 without --allow-slow (the CLI's one slow gate):
 # 20,000 trials at k = 12, n = 24 take 0.11 s at 0 dB, 0.05 s at 3 dB and

@@ -8,15 +8,16 @@ everywhere in this package: hex masks ("0x13") and symbolic sums
 Its only ring arithmetic is reduction, squaring and powers of x modulo p
 (square and shift, with no general product).  With them the module tests
 whether a polynomial generates a maximum-length recurrence (the
-multiplicative order of x modulo p equals 2^deg(p) - 1), draws such
-polynomials in mask order, generates a recurrence's bits packed into
-64-bit words, recovers the connection polynomials of many recurrences
-from their bits at once (Berlekamp-Massey), and walks the degree-k
-family: decimations yields one decimation of f's own m-sequence, f =
-first_primitive(k), per reciprocal pair, a block of pairs at a time, and
-pair_polynomials reads each one's polynomial off its first 2k bits, a
-block of pairs per vectorized Berlekamp-Massey run.  The sequence and
-the pair leaders are built once per degree per process.
+multiplicative order of x modulo p equals 2^deg(p) - 1), finds the
+first such polynomial in mask order, generates a recurrence's bits
+packed into 64-bit words, recovers the connection polynomials of many
+recurrences from their bits at once (Berlekamp-Massey), and walks the
+degree-k family: decimations yields one decimation of f's own
+m-sequence, f = first_primitive(k), per reciprocal pair, a block of
+pairs at a time, and pair_polynomials reads each one's polynomial off
+its first 2k bits, a block of pairs per vectorized Berlekamp-Massey run;
+enumerate_primitives lists the family by mask from those.  The sequence
+and the pair leaders are built once per degree per process.
 
 The generator rests on the Frobenius identity p(x)^(2^m) = p(x^(2^m))
 over GF(2): a sequence that p's recurrence annihilates also satisfies
@@ -243,19 +244,11 @@ def is_primitive(p: BitPoly) -> bool:
         _xpow(order // q, p.mask) != 1 for q in factorize(order))
 
 
-def _primitives_by_mask(k: int) -> Iterator[BitPoly]:
-    """The degree-k polynomials with maximal order of x, ascending by mask,
-    found by testing candidates in mask order as they are drawn."""
-    check_k("enumeration", k, ENUMERATION_CAP, low=2)
-    for mid in range(1 << (k - 1)):
-        p = BitPoly((1 << k) | mid << 1 | 1)
-        if is_primitive(p):
-            yield p
-
-
 def first_primitive(k: int) -> BitPoly:
-    """The degree-k polynomial with maximal order of x and the smallest mask."""
-    return next(_primitives_by_mask(k))
+    """The degree-k polynomial with maximal order of x and the smallest mask,
+    found by testing candidates in mask order until one passes."""
+    check_k("enumeration", k, ENUMERATION_CAP, low=2)
+    return next(filter(is_primitive, map(BitPoly, range((1 << k) | 1, 2 << k, 2))))
 
 
 # ---------------------------------------------------------------------------

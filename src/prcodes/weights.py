@@ -9,9 +9,13 @@ each high row XORed onto it in turn moves it to the next coset.  Longer
 codes use that their nonzero codewords are the n-bit windows of the
 sequence at the P = 2^k - 1 phases: A is a count of window weights plus
 the zero word, read from one packed sequence a chunk of phases at a
-time, at a cost in P that does not grow with n.  The
-binary MacWilliams transform maps an enumerator to its dual's through
-the Krawtchouk sums sum_t c_t K_j(t), the coefficients of
+time, at a cost in P that does not grow with n.  That window kernel,
+_window_counts, serves only these enumerators past SPAN_MAX_N, of one
+code or of each ensemble member; awgn lists its light codewords off
+the span.
+
+The binary MacWilliams transform maps an enumerator to its dual's
+through the Krawtchouk sums sum_t c_t K_j(t), the coefficients of
 sum_t c_t (1-z)^t (1+z)^(n-t).  Since (1-z)^t (1+z)^(n-t) =
 sum_l C(t,l) (-2z)^l (1+z)^(n-l), two passes of Pascal steps compute
 them, d_l = sum_t C(t,l) c_t and then sum_l (-2)^l d_l z^l (1+z)^(n-l),
@@ -72,7 +76,8 @@ SPAN_LOW_BITS = 14
 # the per-stack set-up more often at k = 11-12, larger ones leave each code's
 # low block short at k = 13-15 (2-vCPU VM)
 _PAIR_STACK = 64
-# phases _window_weights weighs at a time: a few MB of working memory at any k
+# phases _window_counts weighs at a time, for the enumerators past SPAN_MAX_N:
+# a few MB of working memory at any k
 CHUNK = 1 << 16
 
 
@@ -129,41 +134,31 @@ def _unpack(packed: np.ndarray, start: int, count: int) -> np.ndarray:
     return np.unpackbits(window, count=skip + count, bitorder="little")[skip:]
 
 
-def _window_weights(k: int, n: int, packed: np.ndarray) -> Iterator[np.ndarray]:
-    """Weights of the n-windows of one period-(2^k - 1) sequence, per chunk.
+def _window_counts(k: int, n: int, packed: np.ndarray) -> np.ndarray:
+    """A_0..A_n, as int64, of the n-windows of one period-(2^k - 1)
+    sequence: every phase once, plus the zero word.
 
     packed holds at least s_0..s_(P+r-1), little-endian, with P = 2^k - 1
-    and r = n mod P.  For t = 0..P-1 in consecutive chunks of at most
-    CHUNK phases, this unpacks s[t..t+c) and s[t+r..t+r+c) and yields the
-    int64 weights of the windows at phases t+1..t+c (phase P is phase 0).
-    The window at phase t weighs n // P full periods of 2^(k-1) ones plus
-    w(t), the weight of s[t..t+r), and w(t+1) - w(t) = s[t+r] - s[t], so
-    the weights are running sums of those steps from w(0).
+    and r = n mod P.  The window at phase t weighs n // P full periods of
+    2^(k-1) ones plus w(t), the weight of s[t..t+r), and w(t+1) - w(t) =
+    s[t+r] - s[t].  So for t = 0..P-1 in consecutive chunks of at most
+    CHUNK phases, this unpacks s[t..t+c) and s[t+r..t+r+c), and the w of
+    the windows at phases t+1..t+c (phase P is phase 0) are running sums
+    of their differences from w(t).  Each chunk's w are binned over the
+    r + 1 weights from the lightest window's up.
     """
     period = (1 << k) - 1
     laps, r = divmod(n, period)
-    packed = packed.view(np.uint8)
-    weight = (laps << (k - 1)) + int(np.count_nonzero(_unpack(packed, 0, r)))
-    for t in range(0, period, CHUNK):
-        count = min(CHUNK, period - t)
-        weights = np.cumsum(np.subtract(_unpack(packed, t + r, count), _unpack(packed, t, count),
-                                        dtype=np.int8))
-        weights += weight
-        weight = int(weights[-1])
-        yield weights
-
-
-def _window_counts(k: int, n: int, packed: np.ndarray) -> np.ndarray:
-    """A_0..A_n, as int64, of the n-windows of the period-(2^k - 1) sequence
-    in packed, as _window_weights reads it: every phase once, plus the zero
-    word.  A window weighs lightest + 0..r, so each chunk is binned over
-    r + 1 places."""
-    laps, r = divmod(n, (1 << k) - 1)
     lightest = laps << (k - 1)
+    packed = packed.view(np.uint8)
+    weight = int(np.count_nonzero(_unpack(packed, 0, r)))
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[0] = 1
-    for weights in _window_weights(k, n, packed):
-        weights -= lightest
+    for t in range(0, period, CHUNK):
+        count = min(CHUNK, period - t)
+        steps = np.subtract(_unpack(packed, t + r, count), _unpack(packed, t, count), dtype=np.int8)
+        weights = weight + np.cumsum(steps)
+        weight = int(weights[-1])
         counts[lightest:lightest + r + 1] += np.bincount(weights, minlength=r + 1)
     return counts
 

@@ -15,6 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from util import (
     ref_batches,
     ref_codebook_signs,
@@ -51,7 +52,7 @@ from prcodes.awgn import (
 from prcodes.cli import run
 from prcodes.construct import PrCode, build_code
 from prcodes.errors import UnsupportedRangeError
-from prcodes.gf2 import BitPoly, first_primitive
+from prcodes.gf2 import BitPoly, first_primitive, packed_sequence
 from prcodes.weights import weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
@@ -615,10 +616,13 @@ def assert_listing(code, cap, light, light_weights):
 
 
 @pytest.mark.parametrize("k, n", [*((k, n) for k in range(11, 16) for n in (20, 33, 48, 64, 100)),
-                                  (11, 2047), (11, 2100)])
+                                  (11, 2045), (11, 2047), (11, 2100)])
 def test_light_codewords_match_the_codebook(k, n):
     # n = 2^k - 1 is the simplex code, whose 2047 words all weigh 1024 and
-    # leave the list empty; n = 2100 > 2^k - 1 repeats coordinates
+    # leave the list empty; at n = 2^k - 3 exactly 2^(k-2) = 512 words, the
+    # windows that leave out a 1, 1 pair, weigh 1022 and the rest more, so the
+    # budget is met with equality (the zero word must not count); n = 2100 >
+    # 2^k - 1 repeats coordinates
     code = build_code(first_primitive(k), n)
     listing = _light_codewords(code)
     assert_listing(code, *listing)
@@ -630,6 +634,8 @@ def test_light_codewords_match_the_codebook(k, n):
     assert min(light_weights.tolist(), default=cap) == d_min == weights.min()
     if n == 2047:
         assert len(light) == 0 and cap == 1024
+    if n == 2045:
+        assert len(light) == 512 and cap == 1023
     # a certified row's y = rx * s_m sums to more than 0 over every codeword
     rng = np.random.default_rng(k * 1000 + n)
     y = 1.0 + rng.standard_normal((3, 128, n)) * np.array([0.3, 0.6, 1.0])[:, None, None]
@@ -639,20 +645,28 @@ def test_light_codewords_match_the_codebook(k, n):
     assert ((y[certified] @ words.T).min(axis=1) > 0).all()
 
 
-@pytest.mark.parametrize("k", [11, 12, 13])
-def test_light_codewords_join_window_chunks(monkeypatch, k):
-    # one chunk holds a whole period below k = 17; 300 phases a chunk cut
-    # these into 7, 14 and 28 chunks, the last one short
-    for n in (2 * k + 9, 64):
-        code = build_code(first_primitive(k), n)
-        whole = _light_codewords(code)
-        monkeypatch.setattr("prcodes.weights.CHUNK", 300)
-        chunked = _light_codewords(code)
-        monkeypatch.undo()
-        assert chunked[0] == whole[0]
-        for got, expected in zip(chunked[1:], whole[1:]):
-            assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected)
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [18, 20])
+def test_light_codewords_match_the_windows_at_large_k(k):
+    # the nonzero codewords are the n-windows of code.poly's sequence at its
+    # P phases: cap and the list, as a multiset of (weight, word), read off
+    # one period of those windows
+    n = 64
+    code = build_code(first_primitive(k), n)
+    cap, light, light_weights = _light_codewords(code)
+    period = (1 << k) - 1
+    seq = np.unpackbits(packed_sequence(code.poly, period + n).view(np.uint8), count=period + n,
+                        bitorder="little")
+    windows = sliding_window_view(seq, n)[:period]
+    weights = windows.sum(axis=1)
+    budget = min(1 << (k - 2), 1 << 14)
+    assert np.count_nonzero(weights < cap) <= budget < np.count_nonzero(weights <= cap)
+    assert light.dtype == np.uint8 and light_weights.dtype == np.int64
+    assert light_weights.tolist() == np.count_nonzero(light, axis=1).tolist()
+    assert np.all(np.diff(light_weights) >= 0)
+    got = sorted(zip(light_weights.tolist(), (row.tobytes() for row in light)))
+    assert got == sorted(zip(weights[weights < cap].tolist(),
+                             (row.tobytes() for row in windows[weights < cap])))
 
 
 @pytest.mark.parametrize("k", [11, 12, 13, 14, 15])

@@ -266,13 +266,14 @@ def test_gamma_rejects_unrepresentable_snr(bad):
 
 
 def test_gamma_refuses_zero_block_length():
-    # k/n is undefined at n = 0: refused by name before the division, while
-    # a negative n still gets the SNR point's message
+    # k/n is undefined at n = 0 and no code rate at n < 0: either is refused
+    # by name before the division, whatever the SNR point
     for db in (3.0, math.nan):
         with pytest.raises(ValueError, match="block length n = 0"):
             ebno_db_to_gamma(db, 4, 0)
-    with pytest.raises(ValueError, match="Eb/N0 = 3.0 dB gives Es/N0 -"):
-        ebno_db_to_gamma(3.0, 4, -1)
+        for n in (-1, -20):
+            with pytest.raises(ValueError, match=f"block length n = {n} must be at least 1"):
+                ebno_db_to_gamma(db, 4, n)
 
 
 # ---------------------------------------------------------------------------

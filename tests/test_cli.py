@@ -265,6 +265,17 @@ def test_union_bound_refuses_zero_block_length(tmp_path, capsys, source):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("source", ["exact", "approx9"])
+def test_union_bound_refuses_negative_block_length(tmp_path, capsys, source):
+    # the refusal names the block length, not the valid SNR point
+    out = tmp_path / "out"
+    assert run(["union-bound", "--poly", "0x13", "--n", "-1", "--source", source,
+                "--ebno-list", "3", "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: block length n = -1 must be at least 1" in err and "3.0 dB" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_union_bound_curve(tmp_path):
     assert run(["union-bound", "--poly", "0x13", "--n", "20",
                 "--ebno-list", "4,5,6", "--outdir", str(tmp_path)]) == 0

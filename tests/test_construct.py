@@ -26,7 +26,7 @@ from prcodes.gf2 import (
     is_primitive,
     packed_sequence,
 )
-from prcodes.weights import _window_weights, weight_enumerator_exact
+from prcodes.weights import _window_counts, weight_enumerator_exact
 
 P4 = BitPoly.parse("1+x+x^4")
 
@@ -324,23 +324,27 @@ def _ref_window_weights(mask, n):
     return [sum(bits[t % period:t % period + n]) for t in range(1, period + 1)]
 
 
-def _joined_window_weights(p, n, packed, chunk):
-    parts = list(_window_weights(p.degree, n, packed))
-    assert all(len(part) <= chunk for part in parts)
-    return np.concatenate(parts).tolist()
+def _ref_window_counts(mask, n):
+    """A_0..A_n of the code of mask at length n: the histogram of its
+    windows' weights plus the zero word."""
+    counts = [0] * (n + 1)
+    for w in [0, *_ref_window_weights(mask, n)]:
+        counts[w] += 1
+    return counts
 
 
 @pytest.mark.parametrize("chunk", [8, 63, 64, 1 << 16])
 def test_sequence_chunks_offsets(monkeypatch, chunk):
-    # _window_weights reads the chunks of one period at offsets 0 and
+    # _window_counts reads the chunks of one period at offsets 0 and
     # r = n mod P, here 0, 1, 5, 7, 64 and 126, from exactly P + r packed bits
     monkeypatch.setattr(prcodes.weights, "CHUNK", chunk)
     p = BitPoly.parse("1+x^3+x^7")
     period = 127
     for n in (7, 64, 126, 127, 128, 132, 191, 253, 259):
         bits = ref_lfsr_bits(p.mask, 1, period + n % period)
-        got = _joined_window_weights(p, n, np.packbits(bits, bitorder="little"), chunk)
-        assert got == _ref_window_weights(p.mask, n), f"n={n}"
+        got = _window_counts(p.degree, n, np.packbits(bits, bitorder="little"))
+        assert got.dtype == np.int64
+        assert got.tolist() == _ref_window_counts(p.mask, n), f"n={n}"
 
 
 @pytest.mark.parametrize("chunk", [5, 8, 63, 64, 1 << 16])
@@ -356,11 +360,11 @@ def test_sequence_chunks_short_periods_and_far_offsets(monkeypatch, chunk):
             for n in sorted({k, *range(period, period + 8), *range(9, 17),
                              2 * period - 1, 2 * period + 5, 3 * period}):
                 bits = ref_lfsr_bits(p.mask, 1, period + n % period)
-                expected = _ref_window_weights(p.mask, n)
+                expected = _ref_window_counts(p.mask, n)
                 for packed in (np.packbits(bits, bitorder="little"),
                                packed_sequence(p, period + n % period)):
-                    got = _joined_window_weights(p, n, packed, chunk)
-                    assert got == expected, f"{p} n={n} {packed.dtype}"
+                    got = _window_counts(k, n, packed)
+                    assert got.tolist() == expected, f"{p} n={n} {packed.dtype}"
 
 
 @pytest.mark.parametrize("n", [120, 300])

@@ -1,8 +1,9 @@
 """Import layering: every module of the package imports only the modules
-below it, and only at module level; only errors.check_k refuses a size;
-every function the bench harness traces still exists; every function
-and class of the package has a user; and importing the CLI loads none of
-the modules that the package imports lazily."""
+below it, only their public names, and only at module level; only
+errors.check_k refuses a size; every function the bench harness traces
+still exists; every function and class of the package has a user; and
+importing the CLI loads none of the modules that the package imports
+lazily."""
 
 import ast
 import importlib
@@ -148,3 +149,21 @@ def test_cli_import_loads_no_lazy_module():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, cwd=PACKAGE.parent)
     assert done.stdout.strip() == "[]", done.stdout
+
+
+def test_modules_import_only_public_names():
+    """A module reads only the public names of the layers below it, so a
+    private helper has its callers in its own module; and awgn reaches the
+    codewords through construct's span alone, importing nothing from gf2's
+    sequences or weights' kernels."""
+    private, awgn_sources = [], set()
+    for name in ["__init__", *ORDER]:
+        for node in ast.walk(_tree(name)):
+            for module, imported in _package_imports(node):
+                leaf = imported.rpartition(".")[2]
+                if leaf.startswith("_") and not leaf.endswith("__"):
+                    private.append(f"{name} imports {module}.{leaf} (line {node.lineno})")
+                if name == "awgn":
+                    awgn_sources.add(module)
+    assert not private, private
+    assert not awgn_sources & {"gf2", "weights"}, sorted(awgn_sources)
