@@ -6,8 +6,8 @@ the boundary (2-vCPU VM).  check_k is the only code that refuses a size.
 """
 
 # gf2.first_primitive, and so listing the degree-k family: first_primitive
-# takes 0.001 s at k = 24; enumerate_primitives(24) takes 3.0 s in a fresh
-# process, 2.4 s of it in pair_leaders, with a 74 MB peak RSS
+# takes 0.001 s at k = 24; enumerate_primitives(24) takes 1.9 s in a fresh
+# process, 1.2 s of it in pair_leaders, with a 74 MB peak RSS
 ENUMERATION_CAP = 24
 # gf2.is_primitive factors 2^k - 1, and its Miller-Rabin bases are proven
 # only below 2^64; 1+x+x^3+x^4+x^64 takes 1.4 ms, while Pollard rho on

@@ -148,23 +148,19 @@ def _xpow(e: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # integer factorization (needed for multiplicative-order tests)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _is_prime(v: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all v < 2^64."""
-    if v < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if v % p == 0:
-            return v == p
+    """Deterministic Miller-Rabin with the prime bases 2..37, valid for all
+    v < 2^64.  v must be odd, above 47 and free of every prime up to 47, as
+    factorize's cofactors are."""
     d = v - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES[:12]:
         x = pow(a, d, v)
         if x == 1 or x == v - 1:
             continue
@@ -178,9 +174,9 @@ def _is_prime(v: int) -> bool:
 
 
 def _pollard_rho(v: int) -> int:
-    """A nontrivial factor of composite odd v; deterministic parameter sweep."""
-    if v % 2 == 0:
-        return 2
+    """A factor strictly between 1 and v of a composite v that, like
+    factorize's cofactors, is odd and free of every prime up to 47;
+    deterministic parameter sweep."""
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -203,11 +199,11 @@ def factorize(v: int) -> dict[int, int]:
         while v % p == 0:
             factors[p] = factors.get(p, 0) + 1
             v //= p
+    # every m on the stack, and each part that rho splits it into, is odd,
+    # above 47 and free of the primes up to 47: what _is_prime and rho need
     stack = [v] if v > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
@@ -298,11 +294,16 @@ def packed_sequence(p: BitPoly, length: int) -> np.ndarray:
 # decimation per class {+-d 2^j} covers a reciprocal pair of codes.
 
 def pair_leaders(k: int) -> list[int]:
-    """Smallest member of each class {+-d 2^j mod P} of units d mod P = 2^k - 1."""
+    """Smallest member of each class {+-d 2^j mod P} of units d mod P = 2^k - 1.
+
+    With each member m a class holds P - m and m 2^(k-1), which is m / 2
+    mod P when m is even, so its least member is odd and below 2^(k-1): the
+    ascending walk over those d alone still meets every class first at its
+    least member."""
     period = (1 << k) - 1
     seen = bytearray(period)
     leaders = []
-    for d in range(1, period):
+    for d in range(1, 1 << (k - 1), 2):
         if seen[d] or math.gcd(d, period) != 1:
             continue
         leaders.append(d)

@@ -1,5 +1,6 @@
 """Binary-polynomial arithmetic, factoring, and maximal-order enumeration."""
 
+import math
 import random
 
 import numpy as np
@@ -13,6 +14,7 @@ from util import (
     ref_mod,
     ref_mul,
     ref_order_of_x,
+    ref_pair_leaders,
     ref_primitives,
     ref_reciprocal,
     ref_sqr,
@@ -138,6 +140,12 @@ def test_factorize_against_trial_division():
     for _ in range(200):
         v = rng.randrange(2, 10**6)
         assert factorize(v) == ref_factorize(v)
+    # products of two or three primes past the trial-division table take the
+    # Miller-Rabin and rho path
+    primes = [p for p in range(53, 10_008) if ref_factorize(p) == {p: 1}]
+    for _ in range(200):
+        v = math.prod(rng.choices(primes, k=rng.choice((2, 3))))
+        assert factorize(v) == ref_factorize(v)
 
 
 def test_factorize_large_inputs():
@@ -145,14 +153,14 @@ def test_factorize_large_inputs():
     assert factorize(m61) == {m61: 1}
     m31 = (1 << 31) - 1
     assert factorize(m31 * m31) == {m31: 2}
-    for k in (24, 32, 40):
+    for k in range(2, 65):
         v = (1 << k) - 1
         fac = factorize(v)
-        prod = 1
-        for p, e in fac.items():
-            assert ref_factorize(p) == {p: 1}, f"{p} is not prime"
-            prod *= p**e
-        assert prod == v
+        assert math.prod(p**e for p, e in fac.items()) == v, f"k={k}"
+        for p in fac:
+            assert factorize(p) == {p: 1}, f"k={k}: {p}"
+            if p < 1 << 32:
+                assert ref_factorize(p) == {p: 1}, f"k={k}: {p} is not prime"
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +264,11 @@ def test_enumerate_counts_match_totient_beyond_walk():
     for k in range(17, 21):
         count = len(enumerate_primitives(k))
         assert count == ref_euler_phi(2**k - 1) // k, f"k={k}"
+
+
+def test_pair_leaders_match_brute_force():
+    for k in range(2, 17):
+        assert pair_leaders(k) == ref_pair_leaders(k), f"k={k}"
 
 
 def test_pair_polynomials_one_per_reciprocal_pair():

@@ -7,7 +7,7 @@ computes by smarter routes, so disagreements point at real bugs.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -107,6 +107,14 @@ def ref_euler_phi(v: int) -> int:
     for p, e in ref_factorize(v).items():
         phi *= (p - 1) * p ** (e - 1)
     return phi
+
+
+def ref_pair_leaders(k: int) -> list[int]:
+    """The least of +-d 2^j mod P for every unit d mod P = 2^k - 1,
+    deduplicated and sorted."""
+    period = (1 << k) - 1
+    return sorted({min(s * d * (1 << j) % period for s in (1, -1) for j in range(k))
+                   for d in range(1, period) if gcd(d, period) == 1})
 
 
 def ref_int_to_bits(mask: int, length: int) -> list[int]:
