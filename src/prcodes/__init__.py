@@ -18,7 +18,6 @@ from .construct import (
 )
 from .errors import (
     InconsistentEnumeratorError,
-    RecursionInconsistencyError,
     TheoremViolationError,
     UnsupportedRangeError,
 )
@@ -34,6 +33,7 @@ from .weights import (
     avg_dual_approx,
     avg_primal_approx,
     ensemble_average_exact,
+    ensemble_average_primal,
     ensemble_enumerators,
     kld,
     krawtchouk,

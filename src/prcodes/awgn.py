@@ -41,7 +41,8 @@ the float32 stage's (rows, 2^t) scores, cast rows and flips; and, per
 call, the list's L * n bytes and L weights (L <= min(2^(k-2), 2^14))
 and the float32 tables' (2^t + 2^(k-t)) * n * 4.  Making the list
 takes 2^k int64 weights, one per message (8 MiB at k = 20), while it
-runs.  No 2^k * n * 8 codebook is built.
+runs.  No 2^k * n * 8 codebook is built, and n is refused past
+DECODER_LENGTH_CAP, before any of it is allocated.
 
 Reproducibility contract: point index i of a run uses the generator
 `numpy.random.default_rng(seed ^ i)`, draws trials in fixed batches of
@@ -80,7 +81,7 @@ import numpy as np
 
 from .bounds import es_n0
 from .construct import PrCode, packed_rows, span_words
-from .errors import DECODER_CAP, check_k
+from .errors import DECODER_CAP, DECODER_LENGTH_CAP, check_k
 
 # message bits spanned by the low table: scores are computed 2^LOW_BITS columns
 # at a time (2^10-2^12 columns time within ~15% of each other at k = 13-15), and
@@ -473,6 +474,7 @@ def ml_decode(code: PrCode, received) -> int:
     difference of two scores, can overflow.
     """
     check_k("exhaustive decoding", code.k, DECODER_CAP)
+    check_k("exhaustive decoding", code.n, DECODER_LENGTH_CAP, name="n")
     r = np.asarray(received, dtype=np.float64)
     if r.shape != (code.n,):
         raise ValueError(f"received vector must have length {code.n}")
@@ -504,6 +506,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     """
     code = cfg.code
     check_k("exhaustive decoding", code.k, DECODER_CAP)
+    check_k("exhaustive decoding", code.n, DECODER_LENGTH_CAP, name="n")
     low, high = _sign_tables(code)
     batch = max(1, _BATCH_BUDGET >> code.k)
     if len(high) == 1:

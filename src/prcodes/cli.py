@@ -60,6 +60,7 @@ from .weights import (
     avg_dual_approx,
     avg_primal_approx,
     ensemble_average_exact,
+    ensemble_average_primal,
     ensemble_summed_counts,
     kld,
     macwilliams,
@@ -92,7 +93,7 @@ WER_N32_POLYS = ["1+x+x^3", "1+x^2+x^5", "1+x+x^3+x^6+x^7", "1+x+x^3+x^4+x^9",
 # the library functions are looked up at call time, so a wrapper later bound
 # over one of their names applies here too
 PROFILES = {
-    "exact": lambda k, n: ensemble_average_exact(k, n)[0],
+    "exact": lambda k, n: ensemble_average_primal(k, n),
     "approx8": lambda k, n: avg_dual_approx(k, n),
     "approx9": lambda k, n: avg_primal_approx(k, n, mode="primary"),
     "literal9": lambda k, n: avg_primal_approx(k, n, mode="literal"),
@@ -137,9 +138,12 @@ def _ebno_list(text: str) -> tuple[float, ...]:
 
 def _exact_and_approx(k: int, n: int, which: str):
     """Exact ensemble average of the dual or primal distribution, and its
-    closed-form estimate (approx8 for the dual, approx9 for the primal)."""
-    dual = which == "dual"  # ensemble_average_exact gives (primal, dual)
-    return ensemble_average_exact(k, n)[dual], PROFILES["approx8" if dual else "approx9"](k, n)
+    closed-form estimate (approx8 for the dual, approx9 for the primal).
+    The primal average is taken without the dual, whose entries can pass
+    the float range where the primal's do not."""
+    if which == "dual":
+        return ensemble_average_exact(k, n)[1], PROFILES["approx8"](k, n)
+    return PROFILES["exact"](k, n), PROFILES["approx9"](k, n)
 
 
 def _require_2k(k: int, n: int) -> None:

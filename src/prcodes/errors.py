@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the size table that
-every exhaustive computation checks its degree k against.
+every exhaustive computation checks its degree k against, and the
+decoder its block length n.
 
-Each limit below is the largest supported k, with the measured cost at
-the boundary (2-vCPU VM).  check_k is the only code that refuses a size.
+Each limit below is the largest supported k or n, with the measured cost
+at the boundary (2-vCPU VM).  check_k is the only code that refuses a
+size.
 """
 
 # gf2.first_primitive, and so listing the degree-k family: first_primitive
@@ -35,6 +37,12 @@ ENSEMBLE_CAP = 18
 # 0.34 s at 0 dB, 0.11 s at 4 dB and 0.03 s at 8 dB, 12 ms of it listing the
 # light codewords
 DECODER_CAP = 20
+# awgn decoding holds buffers, sign tables and a light-codeword list of
+# O(n) each, about 0.1 MB per coordinate at k = DECODER_CAP: 2,048 trials
+# at 4 dB peak at 52 MB RSS at n = 64, 256 MB at n = 2100 and 439 MB at
+# n = 4096 (fresh processes), where n = 300,000 would ask for 4.9 GB of
+# noise buffers alone
+DECODER_LENGTH_CAP = 4096
 # simulate refuses k >= 12 without --allow-slow (the CLI's one slow gate):
 # 20,000 trials at k = 12, n = 24 take 0.11 s at 0 dB, 0.05 s at 3 dB and
 # 0.03 s at 6-9 dB, so the default 10^7 take 15 s to about a minute
@@ -45,10 +53,11 @@ class UnsupportedRangeError(ValueError):
     """A size parameter exceeds the supported enumeration or search cap."""
 
 
-def check_k(operation: str, k: int, cap: int, low: int = 1) -> None:
-    """Refuse a degree k outside low..cap for the named operation."""
+def check_k(operation: str, k: int, cap: int, low: int = 1, name: str = "k") -> None:
+    """Refuse a degree k, or the size the message names `name`, outside
+    low..cap for the named operation."""
     if not low <= k <= cap:
-        raise UnsupportedRangeError(f"{operation} supports {low} <= k <= {cap}, got {k}")
+        raise UnsupportedRangeError(f"{operation} supports {low} <= {name} <= {cap}, got {k}")
 
 
 class InconsistentEnumeratorError(ValueError):
@@ -57,10 +66,6 @@ class InconsistentEnumeratorError(ValueError):
     Raised when the input claimed to be the weight distribution of a
     linear code but the transform proves otherwise.
     """
-
-
-class RecursionInconsistencyError(ArithmeticError):
-    """The sparse-multiple counting recursion left a non-integer value."""
 
 
 class TheoremViolationError(RuntimeError):

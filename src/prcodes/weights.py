@@ -29,18 +29,21 @@ gf2.decimations, the one walk of first_primitive(k)'s own m-sequence
 (up to SPAN_MAX_N, the span kernel counts a stack of up to _PAIR_STACK
 of those codes at once and adds their counts, with fewer low rows each,
 so that the stack's low block still has at most 2^SPAN_LOW_BITS columns);
-closed-form approximations of those averages built from sparse-multiple
-counts (both primal ones through the same integer kernel); and a KL
-divergence for comparing the two.  Each average or approximation is an
-exact rational a/b of ints, rounded to float once as a / b: CPython's
-int true division is correctly rounded, so it is the double that
-float(Fraction(a, b)) gives, without reducing the fraction first.
+closed-form approximations of those averages built from the counts of
+weight-t windows by the span of their ones (both primal ones through
+the same integer kernel); and a KL divergence for comparing the two.
+n_multiples, the number of weight-t multiples of a maximal-period
+polynomial, is one closed-form count: the MacWilliams transform of the
+simplex code, the dual of the Hamming code those multiples form, taken
+at one weight.  Each average or approximation is an exact rational a/b
+of ints, rounded to float once as a / b: CPython's int true division is
+correctly rounded, so it is the double that float(Fraction(a, b))
+gives, without reducing the fraction first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, inf, lcm, log, prod
 from operator import add
 from typing import Iterator
@@ -52,7 +55,6 @@ from .errors import (
     ENSEMBLE_CAP,
     ENUMERATOR_CAP,
     InconsistentEnumeratorError,
-    RecursionInconsistencyError,
     check_k,
 )
 from .gf2 import BitPoly, decimations, packed_sequence, pair_polynomials
@@ -343,19 +345,28 @@ def ensemble_summed_counts(k: int, n: int) -> tuple[int, list[int]]:
     return pairs, sums
 
 
+def _average(pairs: int, sums: list[int]) -> RealDistribution:
+    """sums[j] / pairs at each weight j, each rounded to float once."""
+    return RealDistribution(n=len(sums) - 1, values=tuple(s / pairs for s in sums))
+
+
+def ensemble_average_primal(k: int, n: int) -> RealDistribution:
+    """Exact average primal weight distribution for degree k: the
+    ensemble_summed_counts totals divided by the pair count.  No dual is
+    formed, so it holds at lengths where the dual average would pass the
+    float range."""
+    return _average(*ensemble_summed_counts(k, n))
+
+
 def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistribution]:
     """Exact average primal and dual weight distributions for degree k.
 
-    The ensemble_summed_counts totals are divided by the pair count and
-    rounded to float once.  The dual average is the transform of the
-    summed primal counts, which by linearity equals the average of the
-    per-code duals.
+    The primal is ensemble_average_primal's.  The dual average is the
+    transform of the summed primal counts, which by linearity equals the
+    average of the per-code duals, rounded the same way.
     """
     pairs, primal_sum = ensemble_summed_counts(k, n)
-    dual_sum = _transform_counts(primal_sum, n, k)
-    primal = tuple(s / pairs for s in primal_sum)
-    dual = tuple(s / pairs for s in dual_sum)
-    return RealDistribution(n=n, values=primal), RealDistribution(n=n, values=dual)
+    return _average(pairs, primal_sum), _average(pairs, _transform_counts(primal_sum, n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +374,32 @@ def ensemble_average_exact(k: int, n: int) -> tuple[RealDistribution, RealDistri
 
 def n_multiples(k: int, t: int) -> int:
     """Number of weight-t multiples (constant term 1) of degree <= 2^k - 2
-    of a degree-k maximal-period polynomial.
+    of a degree-k maximal-period polynomial; the same for every such
+    polynomial.
 
-    Computed by the exact recursion seeded with zero counts at t = 1, 2;
-    the result is independent of which degree-k polynomial is chosen.
+    Its multiples of degree <= P - 1, P = 2^k - 1, are the words of the
+    cyclic Hamming code it generates, whose dual is the simplex code: 1
+    word of weight 0 and P of weight 2^(k-1).  MacWilliams gives the
+    Hamming code's A_t = 2^-k [C(P, t) + P K_t(2^(k-1))], and K_t(2^(k-1))
+    is the z^t coefficient of (1-z)^(2^(k-1)) (1+z)^(2^(k-1)-1) = (1-z)
+    (1-z^2)^(2^(k-1)-1), that is (-1)^ceil(t/2) C(2^(k-1)-1, floor(t/2)).
+    By cyclic symmetry coordinate 0, the constant term, lies in t/P of the
+    weight-t words, so the count is t A_t / P, which is 0 at t = 1, 2 and
+    t > P.  A remainder or a negative count raises
+    InconsistentEnumeratorError.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    if t <= 2:
-        return 0
-    m = 1 << k
-    prev2, prev1 = Fraction(0), Fraction(0)  # N at t-2, t-1
-    value = Fraction(0)
-    for s in range(3, t + 1):
-        value = (
-            comb(m - 2, s - 2) - prev1 - Fraction(s - 1, s - 2) * (m - s + 1) * prev2
-        ) / (s - 1)
-        prev2, prev1 = prev1, value
-    if value.denominator != 1:
-        raise RecursionInconsistencyError(
-            f"count at t={t} is the non-integer {value}"
+    period = (1 << k) - 1
+    kraw = (-1) ** ((t + 1) // 2) * comb((1 << (k - 1)) - 1, t // 2)  # K_t(2^(k-1))
+    count, rem = divmod(t * (comb(period, t) + period * kraw), period << k)
+    if rem or count < 0:
+        raise InconsistentEnumeratorError(
+            f"count of weight-{t} multiples at k={k} is not a nonnegative integer"
         )
-    return int(value)
+    return count
 
 
 def _span_weighted_count(n: int, t: int, k: int) -> int:

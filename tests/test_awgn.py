@@ -51,7 +51,7 @@ from prcodes.awgn import (
 )
 from prcodes.cli import run
 from prcodes.construct import PrCode, build_code
-from prcodes.errors import UnsupportedRangeError
+from prcodes.errors import DECODER_LENGTH_CAP, UnsupportedRangeError
 from prcodes.gf2 import BitPoly, first_primitive, packed_sequence
 from prcodes.weights import weight_enumerator_exact
 
@@ -114,6 +114,9 @@ def test_decode_validation(code20):
     fake = PrCode(poly=P4, k=21, n=21, rows=tuple(1 << i for i in range(21)))
     with pytest.raises(UnsupportedRangeError):
         ml_decode(fake, np.ones(21))
+    long = build_code(P4, DECODER_LENGTH_CAP + 1)
+    with pytest.raises(UnsupportedRangeError, match=f"n <= {DECODER_LENGTH_CAP}"):
+        ml_decode(long, np.ones(long.n))
 
 
 def tables32(code):
@@ -1287,7 +1290,8 @@ def test_simulate_matches_reference_at_benchmark_shapes(k, n):
 
 def test_simulate_cap():
     fake = PrCode(poly=P4, k=21, n=21, rows=tuple(1 << i for i in range(21)))
-    cfg = SimConfig(code=fake, ebno_db_points=(3.0,), max_trials=10,
-                    target_word_errors=1, seed=1)
-    with pytest.raises(UnsupportedRangeError):
-        simulate_wer(cfg)
+    for code in (fake, build_code(P4, DECODER_LENGTH_CAP + 1)):
+        cfg = SimConfig(code=code, ebno_db_points=(3.0,), max_trials=10,
+                        target_word_errors=1, seed=1)
+        with pytest.raises(UnsupportedRangeError):
+            simulate_wer(cfg)

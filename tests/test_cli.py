@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ import prcodes.weights
 from prcodes import cli
 from prcodes.cli import run
 from prcodes.construct import build_code
+from prcodes.errors import DECODER_LENGTH_CAP
 from prcodes.gf2 import BitPoly, enumerate_primitives
 from prcodes.weights import (
     avg_dual_approx,
@@ -161,6 +163,18 @@ def test_avg_weights_exact(tmp_path):
                 "--outdir", str(tmp_path)]) == 0
     _, _, rows = read_csv(tmp_path / "avg_weights_exact_k2_n3.csv")
     assert [float(v) for _, v in rows] == [1.0, 0.0, 3.0, 0.0]
+
+
+def test_primal_averages_past_the_dual_float_range(tmp_path):
+    # at k = 10, n = 1040 the dual average passes the float range; the
+    # primal commands do not form it
+    assert run(["avg-weights", "--k", "10", "--n", "1040", "--mode", "exact",
+                "--outdir", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "avg_weights_exact_k10_n1040.csv")
+    # each value is written to 12 significant digits, within 5e-12 of itself
+    assert math.isclose(sum(float(v) for _, v in rows), 2**10, rel_tol=1e-11)
+    assert run(["kld", "--k", "10", "--n", "1040", "--which", "primal",
+                "--outdir", str(tmp_path)]) == 0
 
 
 def test_avg_weights_modes_write_files(tmp_path):
@@ -411,6 +425,21 @@ def test_simulate_slow_gate(tmp_path, capsys):
     assert run(["simulate", "--poly", poly, "--n", "24", "--ebno-list", "3",
                 "--outdir", str(tmp_path)]) == 1
     assert "--allow-slow" in capsys.readouterr().err
+
+
+def test_simulate_refuses_block_length_past_cap(tmp_path, capsys):
+    # refused before any decoder table or noise buffer is built
+    n = DECODER_LENGTH_CAP + 1
+    tracemalloc.start()
+    try:
+        status = run(["simulate", "--poly", "0x13", "--n", str(n), "--ebno-list", "3",
+                      "--outdir", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert f"n <= {DECODER_LENGTH_CAP}, got {n}" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_outdir_env_default(tmp_path, monkeypatch):

@@ -144,7 +144,8 @@ def test_cli_import_loads_no_lazy_module():
     """Import time is most of a command's setup, so the modules that only
     some paths need (awgn.simulate_wer's process pool among them) are
     imported inside those paths, not when the CLI loads."""
-    lazy = ["asyncio", "concurrent.futures", "multiprocessing", "subprocess"]
+    lazy = ["asyncio", "concurrent.futures", "decimal", "fractions", "multiprocessing",
+            "subprocess"]
     probe = f"import sys, prcodes.cli; print([m for m in {lazy!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, cwd=PACKAGE.parent)

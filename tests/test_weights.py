@@ -14,6 +14,7 @@ from util import (
     ref_avg_primal_approx,
     ref_lfsr_bits,
     ref_mul,
+    ref_n_multiples,
     ref_weight_counts,
     tnomial_multiple_count,
 )
@@ -39,6 +40,7 @@ from prcodes.weights import (
     avg_dual_approx,
     avg_primal_approx,
     ensemble_average_exact,
+    ensemble_average_primal,
     ensemble_enumerators,
     ensemble_summed_counts,
     kld,
@@ -458,10 +460,11 @@ def test_ensemble_average_matches_members_average():
     primal, dual = ensemble_average_exact(6, 15)
     assert primal.values == tuple(float(Fraction(s, len(members))) for s in sums)
     assert dual.values == tuple(float(Fraction(s, len(members))) for s in dual_sums)
+    assert ensemble_average_primal(6, 15) == primal
 
 
-@pytest.mark.parametrize("summed", [ensemble_summed_counts, ensemble_average_exact],
-                         ids=["summed", "average"])
+@pytest.mark.parametrize("summed", [ensemble_summed_counts, ensemble_average_exact,
+                                    ensemble_average_primal], ids=["summed", "average", "primal"])
 @pytest.mark.parametrize("n", [20, 300])
 def test_ensemble_rejects_inconsistent_counts(monkeypatch, n, summed):
     # the first pair's counts gain a codeword: the summed totals no longer
@@ -626,6 +629,28 @@ def test_n_multiples_matches_brute_force_degree4():
     for p in enumerate_primitives(4):
         for t in (3, 4, 5):
             assert tnomial_multiple_count(p.mask, 4, t) == n_multiples(4, t)
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_n_multiples_matches_recursion(k):
+    top = (1 << k) + 2
+    assert [n_multiples(k, t) for t in range(1, top + 1)] == ref_n_multiples(k, top)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_n_multiples_cover_half_the_hamming_code(k):
+    # coordinate 0 lies in half the 2^(P - k) words of the Hamming code
+    assert sum(n_multiples(k, t) for t in range(1, 1 << k)) == 1 << ((1 << k) - k - 2)
+
+
+@pytest.mark.parametrize("k, t", [(20, 1000), (24, 301)])
+def test_n_multiples_large_matches_krawtchouk(k, t):
+    # t A_t / P with A_t = 2^-k [C(P, t) + P K_t(2^(k-1))], the Krawtchouk
+    # value summed term by term
+    period = (1 << k) - 1
+    numerator = t * (math.comb(period, t) + period * krawtchouk(period, t, 1 << (k - 1)))
+    assert numerator % (period << k) == 0
+    assert n_multiples(k, t) == numerator // (period << k)
 
 
 # ---------------------------------------------------------------------------

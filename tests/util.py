@@ -136,6 +136,24 @@ def tnomial_multiple_count(p_mask: int, k: int, t: int) -> int:
     return count
 
 
+def ref_n_multiples(k: int, top: int) -> list[int]:
+    """[N_1, ..., N_top]: the number of weight-t multiples (constant term
+    1) of degree <= 2^k - 2 of a degree-k maximal-period polynomial for
+    t = 1..top, by the exact recursion seeded with zero counts at t = 1, 2,
+    each step in Fractions."""
+    m = 1 << k
+    prev2, prev1 = Fraction(0), Fraction(0)  # N at t-2, t-1
+    out = [prev2, prev1]
+    for s in range(3, top + 1):
+        value = (
+            comb(m - 2, s - 2) - prev1 - Fraction(s - 1, s - 2) * (m - s + 1) * prev2
+        ) / (s - 1)
+        prev2, prev1 = prev1, value
+        out.append(value)
+    assert all(v.denominator == 1 for v in out), "the recursion left a non-integer count"
+    return [int(v) for v in out[:top]]
+
+
 def rotate_mask(mask: int, n: int, s: int) -> int:
     """Cyclic left rotation of an n-bit mask by s places."""
     s %= n
