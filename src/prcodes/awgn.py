@@ -12,12 +12,18 @@ near-equal tiles, and consecutive batches of at most TILE / 2 trials
 (k >= 12) are stacked, as many whole batches as fit in one tile.  The
 decide stage, chosen once per call, is _decide at k <= LOW_BITS, one
 product against low, the whole codebook, and _decide_uncertified above.
-_tally applies the stopping rule to the tiles' error flags.  Where
-_piece_rows allows (every k <= 6 code at n <= 32), the points run on a
-pool of one thread per CPU, up to one per point, with tiles of at most
-_piece_rows rows, each product under the 2^19 multiply-adds OpenBLAS
-computes on the calling thread, so the points' normal draws, which
-release the GIL, run on every core.
+_tally applies the stopping rule to the tiles' error flags, one tile a
+step, so a point is a generator that draws, decides and tallies a tile
+each time it is stepped.  The points are drained one after another on
+the calling thread, except where _piece_rows allows (every k <= 6 code
+at n <= 32) and there are several: then min(points, CPUs) threads share
+them a tile at a time (_run_pool).  The highest-SNR unfinished point,
+which the stopping rule makes the longest, always has a thread stepping
+it; the other threads step the other started points with the fewest
+trials drawn, and at most workers + 1 points are in flight at once.
+Tiles there hold at most _piece_rows rows, each product under the 2^19
+multiply-adds OpenBLAS computes on the calling thread, so the points'
+normal draws, which release the GIL, run on every core.
 
 With more than one high block (k > LOW_BITS), the decide stage first
 tries to certify each row's sent message m as the exact ML message
@@ -32,7 +38,7 @@ scored in float32 against float32 copies of the tables, and a row whose
 float32 best beats its runner-up by more than every rounding could close
 settles there as the exact ML message.  At 0-6 dB on k = 11-15 codes 0-2
 rows in 4096 did not; each is decided by ml_decode's exact core, one row
-at a time.  Decoder memory is, for each point running, the two (min(T,
+at a time.  Decoder memory is, for each point in flight, the two (min(T,
 max_trials), n) float64 buffers _draw allocates, T the most rows of a
 tile (TILE, or _piece_rows on a pool), for the received tile and, at
 k > LOW_BITS, y, and a batch's messages; per tile, the certificate's
@@ -53,13 +59,14 @@ stacked tile is drawn whole before it is decided, and _tally discards
 uncounted the batches drawn past the stop, which moves no counted trial
 since each point owns its generator.  Points may run concurrently: each
 owns its generator and buffers, and results are collected in point
-order, so no point's stream or result depends on the others.  At k <=
-LOW_BITS decisions rely on one GEMM fact: the float64 sum of one score
-does not depend on how many rows the same call computes (a tile has at
-least the rows of its batch, and tiles of a split batch keep at least
-half of T: TILE / 2 rows, or on a pool more than 1200 / 2^k, away from
-BLAS's separate thin-matrix kernels); with that, a config reproduces its
-results bit-for-bit on any machine, and ties go to the lowest message
+order, so no point's stream or result depends on the others, on the
+schedule or on the number of CPUs.  At k <= LOW_BITS decisions rely on
+one GEMM fact: the float64 sum of one score does not depend on how many
+rows the same call computes (a tile has at least the rows of its batch,
+and tiles of a split batch keep at least half of T: TILE / 2 rows, or
+on a pool more than 1200 / 2^k, away from BLAS's separate thin-matrix
+kernels); with that, a config reproduces its results bit-for-bit on any
+machine, and ties go to the lowest message
 (the tests replay the k <= LOW_BITS curves of the default fig4-pr and
 fig5-pr targets and the simulate example, and every decision in them is
 the exact ML message).
@@ -72,10 +79,11 @@ the bounds in _decide_float32, and the rest are decided exactly.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum, inf
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import numpy as np
 
@@ -299,11 +307,7 @@ def _chunks(size: int) -> Iterator[slice]:
 def _float32_slack(n: int) -> float:
     """B of _decide_float32 for rows of n coordinates: twice a float32
     score's error bound gamma_n(u) + u (u = 2^-24), plus _certified's
-    slack 4 nu / (1 - nu) (nu = (n + 4) 2^-53, twice ml_decode's window).
-    Infinite, so that nothing settles, from n = 2^20 on, where a (2^10, n)
-    float64 table alone would take 8 GiB."""
-    if n >= 1 << 20:
-        return inf
+    slack 4 nu / (1 - nu) (nu = (n + 4) 2^-53, twice ml_decode's window)."""
     u = 2.0 ** -24
     return 2 * (n * u / (1 - n * u) + u) + 2 * _rounding_window(n)
 
@@ -422,11 +426,13 @@ def _draw(rng: np.random.Generator, sigma: float, low: np.ndarray, high: np.ndar
 
 
 def _tally(tiles: Iterable[tuple[int, np.ndarray]], batch: int, max_trials: int,
-           target: int) -> tuple[int, int]:
-    """The tally stage of a point: (trials, word errors) from (start, wrong)
-    per tile in draw order, wrong[i] true if trial start + i was decided
-    wrong, stopping at the first batch boundary, a multiple of batch or
-    max_trials, where the errors reach target; no later tile is read."""
+           target: int) -> Generator[int, None, tuple[int, int]]:
+    """The tally stage of a point, one tile a step: reads (start, wrong) per
+    tile in draw order, wrong[i] true if trial start + i was decided wrong,
+    yields the trials drawn so far after each tile but the last, and returns
+    (trials, word errors), stopping at the first batch boundary, a multiple
+    of batch or max_trials, where the errors reach target; no later tile is
+    read."""
     errors, end = 0, max_trials
     for start, wrong in tiles:
         count = int(np.count_nonzero(wrong))
@@ -438,7 +444,84 @@ def _tally(tiles: Iterable[tuple[int, np.ndarray]], batch: int, max_trials: int,
         errors += count
         if start + len(wrong) >= end:
             break
+        yield start + len(wrong)
     return end, errors
+
+
+def _drain(steps: Generator) -> tuple[int, int]:
+    """The value a point's _tally returns, its steps run one after another."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _run_pool(chains: list[Generator], order: list[int], workers: int) -> list[tuple[int, int]]:
+    """The values the _tally generators `chains` return, in point order,
+    stepped by `workers` threads, `order` the points by descending SNR.
+
+    A step is one tile, and one thread at a time holds a point for a step.
+    The first unfinished point in `order`, expected to run longest, goes
+    to any thread that comes free while no thread holds it; the other
+    threads step the free started point with the fewest trials drawn, or
+    start the next point in `order` (none drawn) while at most `workers`
+    points are started and unfinished, so at most workers + 1 hold buffers
+    at once.  The first exception a step raises is raised here once every
+    thread has ended.
+    """
+    cond = threading.Condition()
+    counts, drawn = [None] * len(chains), [0] * len(chains)
+    running, busy, failure = [], set(), []
+    waiting = order[::-1]
+
+    def take() -> int | None:
+        """Under cond: the point to step next, or None once every point has
+        finished or a step failed."""
+        while not failure and (running or waiting):
+            head = (running or waiting[-1:])[0]
+            free = [i for i in running if i not in busy] + waiting[-1:] * (len(running) <= workers)
+            point = min(free, key=lambda i: (i != head, drawn[i]), default=None)
+            if point is None:
+                cond.wait()
+                continue
+            if waiting and point == waiting[-1]:
+                running.append(waiting.pop())
+            busy.add(point)
+            return point
+        return None
+
+    def work():
+        try:
+            with cond:
+                point = take()
+            while point is not None:
+                try:
+                    value, done = next(chains[point]), False
+                except StopIteration as stop:
+                    value, done = stop.value, True
+                with cond:
+                    busy.remove(point)
+                    if done:
+                        running.remove(point)
+                        counts[point] = value
+                    else:
+                        drawn[point] = value
+                    cond.notify_all()
+                    point = take()
+        except BaseException as exc:  # raised again by the calling thread
+            with cond:
+                failure.append(exc)
+                cond.notify_all()
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failure:
+        raise failure[0]
+    return counts
 
 
 def _exact_ml(r: np.ndarray, low: np.ndarray, high: np.ndarray) -> int:
@@ -501,8 +584,10 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     Each point draws uniform messages (or the zero message, for the
     linearity diagnostic), transmits over AWGN, ML-decodes, and counts
     message mismatches until target_word_errors or max_trials is hit.
-    Where _piece_rows allows, the points run on one thread per CPU (at most
-    one per point); each owns its generator and buffers.
+    Where _piece_rows allows, min(points, CPUs) threads share the points a
+    tile at a time, highest SNR first, with at most one point more in
+    flight than threads (_run_pool).  Each point owns its generator and
+    buffers, so no count depends on the schedule or the number of CPUs.
     """
     code = cfg.code
     check_k("exhaustive decoding", code.k, DECODER_CAP)
@@ -518,25 +603,23 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
             rx, y, sent, listing, low, high, tables32)
     cap = _piece_rows(code.k, code.n)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(cfg.ebno_db_points), cpus or 1) if cap else 1
+    points = cfg.ebno_db_points
+    workers = min(len(points), cpus or 1) if cap else 1
     most = cap if workers > 1 else TILE
 
-    def chain(idx: int, ebno_db: float) -> tuple[int, int]:
-        """(trials, word errors) of point idx: its tiles drawn, decided and tallied."""
-        tiles = _draw(np.random.default_rng(cfg.seed ^ idx), _noise_sigma(ebno_db, code.k, code.n),
+    def chain(idx: int) -> Generator[int, None, tuple[int, int]]:
+        """Point idx's tiles drawn, decided and tallied, one a step."""
+        tiles = _draw(np.random.default_rng(cfg.seed ^ idx), _noise_sigma(points[idx], code.k, code.n),
                       low, high, batch, cfg.max_trials, most, zero_codeword_only)
         return _tally(((start, decide(rx, y, sent) != sent) for start, rx, y, sent in tiles),
                       batch, cfg.max_trials, cfg.target_word_errors)
 
-    points = range(len(cfg.ebno_db_points)), cfg.ebno_db_points
+    chains = [chain(idx) for idx in range(len(points))]
     if workers > 1:
-        # imported here: concurrent.futures takes about 9 ms to import
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            counts = list(pool.map(chain, *points))
+        counts = _run_pool(chains, sorted(range(len(points)), key=points.__getitem__, reverse=True),
+                           workers)
     else:
-        counts = list(map(chain, *points))
+        counts = [_drain(steps) for steps in chains]
     return [SimResult(ebno_db=ebno_db, trials=trials, word_errors=errors,
                       wer=errors / trials, seed=cfg.seed)
-            for ebno_db, (trials, errors) in zip(cfg.ebno_db_points, counts)]
+            for ebno_db, (trials, errors) in zip(points, counts)]

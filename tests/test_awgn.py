@@ -453,6 +453,17 @@ def test_draw_stage_yields_the_contract_stream(k, n, most, zero_only):
         assert y is None or np.array_equal(y, rx * _symbols(low, high, sent))
 
 
+def drain(steps):
+    """(yielded, returned): what a generator yields, in order, and what it
+    returns."""
+    yielded = []
+    while True:
+        try:
+            yielded.append(next(steps))
+        except StopIteration as stop:
+            return yielded, stop.value
+
+
 def contract_tally(wrong, batch, target):
     """(trials, errors) by the stopping rule over the error flags of a
     point's trials, one batch at a time."""
@@ -479,13 +490,16 @@ def test_tally_stage_stops_at_the_first_batch_boundary(batch, rows):
     mid_tile = 0
     for target in range(1, total + 2):
         read = []
-        got = _tally((read.append(lo) or (lo, w) for lo, w in tiles), batch, max_trials, target)
+        steps, got = drain(_tally((read.append(lo) or (lo, w) for lo, w in tiles),
+                                  batch, max_trials, target))
         assert got == contract_tally(wrong, batch, target), target
         # no tile past the one holding the stop is read
         assert read == [lo for lo, _ in tiles if lo < got[0]], target
+        # one tile a step, each step but the last yielding the trials drawn so far
+        assert steps == bounds[1:len(read)], target
         mid_tile += got[0] not in bounds
     # every target past the last error runs to max_trials, a ragged batch's end
-    assert _tally(iter(tiles), batch, max_trials, total + 1) == (max_trials, total)
+    assert drain(_tally(iter(tiles), batch, max_trials, total + 1))[1] == (max_trials, total)
     # stacked tiles stop inside a tile, split batches only at a tile's end
     assert (mid_tile > 0) == (rows > batch)
 
@@ -538,8 +552,8 @@ def replay_exactly(code, points, max_trials, target, seed, most):
     for idx, ebno_db in enumerate(points):
         tiles = _draw(np.random.default_rng(seed ^ idx), _noise_sigma(ebno_db, code.k, code.n),
                       low, high, batch, max_trials, most, False)
-        counts.append(_tally(((start, decide(rx) != sent) for start, rx, _, sent in tiles),
-                             batch, max_trials, target))
+        counts.append(drain(_tally(((start, decide(rx) != sent) for start, rx, _, sent in tiles),
+                                   batch, max_trials, target))[1])
     return counts, flagged
 
 
@@ -877,7 +891,6 @@ def test_float32_slack_covers_every_rounding(n):
     e = gamma(n, u) + u + Fraction(1, 1 << 63)
     need = 2 * (e + gamma(n, v) * (1 + e))
     assert Fraction(_float32_slack(n)) * (1 - gamma(n - 1, v)) * (1 - v) / (1 + v) > need
-    assert _float32_slack(1 << 20) == math.inf
 
 
 @pytest.mark.parametrize("k, n", [*((k, n) for k in range(11, 16) for n in (20, 33, 48, 64)),
@@ -1108,16 +1121,25 @@ def test_scores_do_not_depend_on_tile_rows(k):
                                   np.concatenate([_decide(rx[s], low) for s in tiles])), (n, b)
 
 
-@pytest.mark.parametrize("k, n, points", [(3, 20, (4.0,)), (4, 32, (4.0,)), (4, 32, (4.0, 5.0))],
-                         ids=["3-20", "4-32", "4-32-two-points"])
+@pytest.mark.parametrize("k, n, points", [(3, 20, (4.0,)), (4, 32, (4.0,)), (4, 32, (4.0, 5.0)),
+                                          (4, 32, (4.0, 5.0, 6.0, 3.0, 2.0))],
+                         ids=["3-20", "4-32", "4-32-two-points", "4-32-five-points"])
 def test_simulate_memory_is_tile_sized(monkeypatch, k, n, points):
     # whole-batch noise, symbol and score arrays would take 63 and 99 MiB.
-    # Two points on two CPUs run at once, each with its own buffers and a
-    # batch of 2^18 messages (2 MiB)
+    # A point holds its (most, n) buffer and a batch of 200,000 messages
+    # (1.5 MiB) while it runs; on two CPUs the pool holds at most three
+    # points at once.  The rest, up to two tiles' scores and flags at once,
+    # stays under 2 MiB: the five-point peak is 6.6 MiB, and the 4-32
+    # points' buffers and messages alone take 5.3 MiB for three points and
+    # 8.9 MiB for five
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     code = build_code(first_primitive(k), n)
     cfg = SimConfig(code=code, ebno_db_points=points, max_trials=200_000,
                     target_word_errors=10**6, seed=3)
+    workers = min(len(points), 2)
+    most = _piece_rows(k, n) if workers > 1 else TILE
+    # numpy imports numpy.random on first use; its module objects are not decoder memory
+    np.random.default_rng()
     tracemalloc.start()
     try:
         results = simulate_wer(cfg)
@@ -1125,7 +1147,8 @@ def test_simulate_memory_is_tile_sized(monkeypatch, k, n, points):
     finally:
         tracemalloc.stop()
     assert [res.trials for res in results] == [200_000] * len(points)
-    assert peak < 8 * 2**20
+    in_flight = min(len(points), workers + 1)
+    assert peak < in_flight * (cfg.max_trials + most * n) * 8 + 2 * 2**20
 
 
 POOLED = [(k, n) for k in range(2, 7) for n in sorted({k, 20, 32})] + [(2, 218), (3, 217)]
@@ -1204,6 +1227,79 @@ def test_pooled_simulate_with_more_workers_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     assert got == ref_wer_counts(code, points, cfg.max_trials, 10**6, cfg.seed)
     assert threading.get_ident() not in {thread for _, thread in calls}
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 6])
+def test_pool_shares_unsorted_points_and_caps_those_in_flight(monkeypatch, cpus):
+    # six unsorted points that stop after one, two and three batches and at
+    # max_trials, stepped a tile at a time by up to six workers; at most
+    # workers + 1 points have a _draw running, and so buffers, at once
+    calls = decide_threads(monkeypatch, cpus)
+    live, peak, lock = 0, 0, threading.Lock()
+    real = awgn._draw
+
+    def counted(*args):
+        nonlocal live, peak
+        with lock:
+            live += 1
+            peak = max(peak, live)
+        try:
+            yield from real(*args)
+        finally:
+            with lock:
+                live -= 1
+
+    monkeypatch.setattr(awgn, "_draw", counted)
+    code = build_code(first_primitive(6), 20)
+    batch = (1 << 22) >> code.k
+    points = (7.0, 5.5, 8.0, 6.0, 7.5, 6.5)
+    cfg = SimConfig(code=code, ebno_db_points=points, max_trials=3 * batch + 777,
+                    target_word_errors=10, seed=1)
+    got = [(r.trials, r.word_errors) for r in simulate_wer(cfg)]
+    assert got == ref_wer_counts(code, points, cfg.max_trials, 10, cfg.seed)
+    assert {trials for trials, _ in got} == {batch, 2 * batch, 3 * batch, cfg.max_trials}
+    workers = min(len(points), cpus)
+    assert live == 0 and peak == min(len(points), workers + 1)
+    assert threading.get_ident() not in {thread for _, thread in calls}
+
+
+@pytest.mark.parametrize("cpus", [2, 6])
+def test_pool_raises_a_failed_step_after_every_worker_ends(monkeypatch, cpus):
+    # six points of seven tiles each; the eleventh tile decided fails, and
+    # the workers stop after the steps they hold
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    decided = iter(range(10**6))
+    real = awgn._decide
+
+    def failing(rx, low):
+        if next(decided) == 10:
+            raise RuntimeError("decide failed")
+        return real(rx, low)
+
+    monkeypatch.setattr(awgn, "_decide", failing)
+    code = build_code(first_primitive(4), 32)
+    cfg = SimConfig(code=code, ebno_db_points=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+                    max_trials=3 * TILE + 300, target_word_errors=10**6, seed=2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="decide failed"):
+        simulate_wer(cfg)
+    assert threading.active_count() == before
+    assert next(decided) < 6 * 7
+
+
+@pytest.mark.slow
+def test_fig4_curves_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
+    # the default fig4-pr grid, whose k = 4 and 6 codes take the pool on two
+    # CPUs and run one point after another on one
+    trees = []
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            calls = decide_threads(patch, cpus)
+            outdir = tmp_path / str(cpus)
+            assert run(["reproduce", "fig4-pr", "--outdir", str(outdir)]) == 0
+        trees.append({path.name: path.read_bytes() for path in outdir.iterdir()})
+        assert ({thread for _, thread in calls} != {threading.get_ident()}) == (cpus > 1)
+    assert trees[0] == trees[1]
 
 
 @pytest.mark.parametrize("k, n, points", [(4, 32, (1.0,)), (7, 20, (1.0, 2.0)),
