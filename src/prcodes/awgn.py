@@ -14,16 +14,17 @@ decide stage, chosen once per call, is _decide at k <= LOW_BITS, one
 product against low, the whole codebook, and _decide_uncertified above.
 _tally applies the stopping rule to the tiles' error flags, one tile a
 step, so a point is a generator that draws, decides and tallies a tile
-each time it is stepped.  The points are drained one after another on
-the calling thread, except where _piece_rows allows (every k <= 6 code
-at n <= 32) and there are several: then min(points, CPUs) threads share
-them a tile at a time (_run_pool).  The highest-SNR unfinished point,
-which the stopping rule makes the longest, always has a thread stepping
-it; the other threads step the other started points with the fewest
-trials drawn, and at most workers + 1 points are in flight at once.
-Tiles there hold at most _piece_rows rows, each product under the 2^19
-multiply-adds OpenBLAS computes on the calling thread, so the points'
-normal draws, which release the GIL, run on every core.
+each time it is stepped.  One runner, _run_pool, steps the points with
+min(points, CPUs) workers where _piece_rows allows (every k <= 6 code at
+n <= 32), and with one worker elsewhere.  The highest-SNR unfinished
+point, which the stopping rule makes the longest, is always being
+stepped.  One worker steps the points on the calling thread, one after
+another, highest SNR first.  Several are threads that share the points
+a tile at a time: the other threads step the other started points with
+the fewest trials drawn, and at most workers + 1 points are in flight at
+once.  Tiles there hold at most _piece_rows rows, each product under the
+2^19 multiply-adds OpenBLAS computes on the calling thread, so the
+points' normal draws, which release the GIL, run on every core.
 
 With more than one high block (k > LOW_BITS), the decide stage first
 tries to certify each row's sent message m as the exact ML message
@@ -40,7 +41,7 @@ settles there as the exact ML message.  At 0-6 dB on k = 11-15 codes 0-2
 rows in 4096 did not; each is decided by ml_decode's exact core, one row
 at a time.  Decoder memory is, for each point in flight, the two (min(T,
 max_trials), n) float64 buffers _draw allocates, T the most rows of a
-tile (TILE, or _piece_rows on a pool), for the received tile and, at
+tile (TILE, or _piece_rows on threads), for the received tile and, at
 k > LOW_BITS, y, and a batch's messages; per tile, the certificate's
 sorted copy of y and its scores of at most _CHUNK listed codewords, and
 the float32 stage's (rows, 2^t) scores, cast rows and flips; and, per
@@ -64,7 +65,7 @@ schedule or on the number of CPUs.  At k <= LOW_BITS decisions rely on
 one GEMM fact: the float64 sum of one score does not depend on how many
 rows the same call computes (a tile has at least the rows of its batch,
 and tiles of a split batch keep at least half of T: TILE / 2 rows, or
-on a pool more than 1200 / 2^k, away from BLAS's separate thin-matrix
+on threads more than 1200 / 2^k, away from BLAS's separate thin-matrix
 kernels); with that, a config reproduces its results bit-for-bit on any
 machine, and ties go to the lowest message
 (the tests replay the k <= LOW_BITS curves of the default fig4-pr and
@@ -148,8 +149,12 @@ def _sign_tables(code: PrCode) -> tuple[np.ndarray, np.ndarray]:
     span_words block, the symbols of the XOR of the rows picked by the bits
     of m, so message m is sent as low[m & (2^t - 1)] * high[m >> t].
     Cached for per-vector ml_decode calls; a pair holds (2^t + 2^(k-t))
-    rows, at most 2^11 at DECODER_CAP, and is read-only.
+    rows, at most 2^11 at DECODER_CAP, and is read-only.  A code past
+    DECODER_CAP or DECODER_LENGTH_CAP is refused here, before anything is
+    built or cached.
     """
+    check_k("exhaustive decoding", code.k, DECODER_CAP)
+    check_k("exhaustive decoding", code.n, DECODER_LENGTH_CAP, name="n")
     packed = packed_rows(code.rows, code.n)
 
     def span(words: np.ndarray) -> np.ndarray:
@@ -448,27 +453,20 @@ def _tally(tiles: Iterable[tuple[int, np.ndarray]], batch: int, max_trials: int,
     return end, errors
 
 
-def _drain(steps: Generator) -> tuple[int, int]:
-    """The value a point's _tally returns, its steps run one after another."""
-    while True:
-        try:
-            next(steps)
-        except StopIteration as stop:
-            return stop.value
-
-
 def _run_pool(chains: list[Generator], order: list[int], workers: int) -> list[tuple[int, int]]:
     """The values the _tally generators `chains` return, in point order,
-    stepped by `workers` threads, `order` the points by descending SNR.
+    stepped by `workers` workers, `order` the points by descending SNR.
 
-    A step is one tile, and one thread at a time holds a point for a step.
+    A step is one tile, and one worker at a time holds a point for a step.
     The first unfinished point in `order`, expected to run longest, goes
-    to any thread that comes free while no thread holds it; the other
-    threads step the free started point with the fewest trials drawn, or
-    start the next point in `order` (none drawn) while at most `workers`
-    points are started and unfinished, so at most workers + 1 hold buffers
-    at once.  The first exception a step raises is raised here once every
-    thread has ended.
+    to any worker that comes free while none holds it; the other workers
+    step the free started point with the fewest trials drawn, or start the
+    next point in `order` (none drawn) while at most `workers` points are
+    started and unfinished, so at most workers + 1 hold buffers at once.
+    One worker is the calling thread, which so steps each point to its end
+    before it starts the next, in `order`; two or more are threads started
+    here.  The first exception a step raises is raised here once every
+    worker has ended.
     """
     cond = threading.Condition()
     counts, drawn = [None] * len(chains), [0] * len(chains)
@@ -514,9 +512,11 @@ def _run_pool(chains: list[Generator], order: list[int], workers: int) -> list[t
                 failure.append(exc)
                 cond.notify_all()
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    threads = [threading.Thread(target=work) for _ in range(workers)] if workers > 1 else []
     for thread in threads:
         thread.start()
+    if not threads:
+        work()
     for thread in threads:
         thread.join()
     if failure:
@@ -554,10 +554,10 @@ def ml_decode(code: PrCode, received) -> int:
     kernel or its summation order.  A vector with many equal top scores (the
     zero vector ties all 2^k) costs one O(n) comparison per tied message.
     A vector is refused unless fsum(|r|) <= 2^1022: then no score, and no
-    difference of two scores, can overflow.
+    difference of two scores, can overflow.  A code past DECODER_CAP or
+    DECODER_LENGTH_CAP is refused before the vector is read.
     """
-    check_k("exhaustive decoding", code.k, DECODER_CAP)
-    check_k("exhaustive decoding", code.n, DECODER_LENGTH_CAP, name="n")
+    low, high = _sign_tables(code)
     r = np.asarray(received, dtype=np.float64)
     if r.shape != (code.n,):
         raise ValueError(f"received vector must have length {code.n}")
@@ -569,7 +569,7 @@ def ml_decode(code: PrCode, received) -> int:
         magnitude = inf
     if magnitude > 2.0 ** 1022:
         raise ValueError("received vector's sum of magnitudes must be at most 2^1022")
-    return _exact_ml(r, *_sign_tables(code))
+    return _exact_ml(r, low, high)
 
 
 def _noise_sigma(ebno_db: float, k: int, n: int) -> float:
@@ -584,14 +584,13 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
     Each point draws uniform messages (or the zero message, for the
     linearity diagnostic), transmits over AWGN, ML-decodes, and counts
     message mismatches until target_word_errors or max_trials is hit.
-    Where _piece_rows allows, min(points, CPUs) threads share the points a
-    tile at a time, highest SNR first, with at most one point more in
-    flight than threads (_run_pool).  Each point owns its generator and
+    _run_pool steps the points, highest SNR first: where _piece_rows
+    allows, min(points, CPUs) threads share them a tile at a time, with at
+    most one point more in flight than threads; elsewhere the calling
+    thread steps them one after another.  Each point owns its generator and
     buffers, so no count depends on the schedule or the number of CPUs.
     """
     code = cfg.code
-    check_k("exhaustive decoding", code.k, DECODER_CAP)
-    check_k("exhaustive decoding", code.n, DECODER_LENGTH_CAP, name="n")
     low, high = _sign_tables(code)
     batch = max(1, _BATCH_BUDGET >> code.k)
     if len(high) == 1:
@@ -615,11 +614,7 @@ def simulate_wer(cfg: SimConfig, *, zero_codeword_only: bool = False) -> list[Si
                       batch, cfg.max_trials, cfg.target_word_errors)
 
     chains = [chain(idx) for idx in range(len(points))]
-    if workers > 1:
-        counts = _run_pool(chains, sorted(range(len(points)), key=points.__getitem__, reverse=True),
-                           workers)
-    else:
-        counts = [_drain(steps) for steps in chains]
+    counts = _run_pool(chains, sorted(range(len(points)), key=points.__getitem__, reverse=True), workers)
     return [SimResult(ebno_db=ebno_db, trials=trials, word_errors=errors,
                       wer=errors / trials, seed=cfg.seed)
             for ebno_db, (trials, errors) in zip(points, counts)]

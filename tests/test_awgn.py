@@ -112,11 +112,14 @@ def test_decode_validation(code20):
     with pytest.raises(ValueError):
         ml_decode(code20, np.ones(19))
     fake = PrCode(poly=P4, k=21, n=21, rows=tuple(1 << i for i in range(21)))
-    with pytest.raises(UnsupportedRangeError):
-        ml_decode(fake, np.ones(21))
     long = build_code(P4, DECODER_LENGTH_CAP + 1)
-    with pytest.raises(UnsupportedRangeError, match=f"n <= {DECODER_LENGTH_CAP}"):
-        ml_decode(long, np.ones(long.n))
+    for code, match in [(fake, None), (long, f"n <= {DECODER_LENGTH_CAP}")]:
+        # the code's size is refused before the vector's length or values are read
+        nan = np.ones(code.n)
+        nan[0] = np.nan
+        for received in (np.ones(code.n), np.ones(code.n - 1), nan):
+            with pytest.raises(UnsupportedRangeError, match=match):
+                ml_decode(code, received)
 
 
 def tables32(code):
@@ -1229,13 +1232,14 @@ def test_pooled_simulate_with_more_workers_than_cores(monkeypatch):
     assert threading.get_ident() not in {thread for _, thread in calls}
 
 
-@pytest.mark.parametrize("cpus", [2, 3, 6])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 6])
 def test_pool_shares_unsorted_points_and_caps_those_in_flight(monkeypatch, cpus):
     # six unsorted points that stop after one, two and three batches and at
     # max_trials, stepped a tile at a time by up to six workers; at most
-    # workers + 1 points have a _draw running, and so buffers, at once
+    # workers + 1 points have a _draw running, and so buffers, at once.  One
+    # worker runs one point at a time on the calling thread, highest SNR first
     calls = decide_threads(monkeypatch, cpus)
-    live, peak, lock = 0, 0, threading.Lock()
+    live, peak, lock, sigmas = 0, 0, threading.Lock(), []
     real = awgn._draw
 
     def counted(*args):
@@ -1243,6 +1247,7 @@ def test_pool_shares_unsorted_points_and_caps_those_in_flight(monkeypatch, cpus)
         with lock:
             live += 1
             peak = max(peak, live)
+            sigmas.append(args[1])
         try:
             yield from real(*args)
         finally:
@@ -1259,6 +1264,11 @@ def test_pool_shares_unsorted_points_and_caps_those_in_flight(monkeypatch, cpus)
     assert got == ref_wer_counts(code, points, cfg.max_trials, 10, cfg.seed)
     assert {trials for trials, _ in got} == {batch, 2 * batch, 3 * batch, cfg.max_trials}
     workers = min(len(points), cpus)
+    if workers == 1:
+        assert live == 0 and peak == 1
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+        assert len(sigmas) == len(points) and sigmas == sorted(sigmas)
+        return
     assert live == 0 and peak == min(len(points), workers + 1)
     assert threading.get_ident() not in {thread for _, thread in calls}
 

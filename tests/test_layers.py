@@ -141,9 +141,11 @@ def test_every_package_function_has_a_user():
 
 
 def test_cli_import_loads_no_lazy_module():
-    """Import time is most of a command's setup, so the modules that only
-    some paths need (awgn.simulate_wer's process pool among them) are
-    imported inside those paths, not when the CLI loads."""
+    """Import time is most of a command's setup, so a module that only
+    some paths need is imported inside those paths, not when the CLI
+    loads.  None of the listed modules is loaded by the CLI's import;
+    awgn.simulate_wer runs its points on plain threads, not on an
+    executor or a process pool."""
     lazy = ["asyncio", "concurrent.futures", "decimal", "fractions", "multiprocessing",
             "subprocess"]
     probe = f"import sys, prcodes.cli; print([m for m in {lazy!r} if m in sys.modules])"
